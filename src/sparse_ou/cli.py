@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics, model, modelsel, sim
-from .errors import IngestionError, NumericError, StabilityError
+from .errors import GenerationError, IngestionError, NumericError, StabilityError
 from .estimators import (
     SolverOptions,
     adaptive_lasso,
@@ -603,7 +603,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, IngestionError, NumericError, StabilityError) as exc:
+    except (ValueError, OSError, GenerationError, IngestionError, NumericError, StabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,18 +1,24 @@
 """Drift estimators: MLE, Lasso and Adaptive Lasso via proximal gradient.
 
-The penalized problem
+Every penalized fit solves one P-preconditioned problem
 
-    min_A  <A, G> + 1/2 tr(A C A^T) + lam * sum_ij W_ij |A_ij|
+    min_A  <A, P G> + 1/2 tr(P A C A^T) + lam * sum_ij W_ij |A_ij|,
 
-is strictly convex whenever C is positive definite, so every solver run
-converges to the same minimizer regardless of initialization.  The smooth
-part has gradient G + A C with Lipschitz constant ||C||_op, which fixes
-the default step size.  Iterates are soft-thresholded gradient steps,
-optionally with FISTA momentum and function-value restarts.
+with P = (Sigma Sigma^T)^{-1} for the Sigma-aware model and P = I for the
+(Adaptive) Lasso.  It is strictly convex whenever C and P are positive
+definite, so every solver run converges to the same minimizer regardless of
+initialization.  The smooth gradient P G + P A C has Lipschitz constant
+||P||_op ||C||_op, which fixes the default step size.  Iterates are
+soft-thresholded gradient steps, optionally with FISTA momentum and
+function-value restarts.  :class:`_Problem` computes the step, the weights,
+P G and the KKT scale once per path, not once per penalty; its loop carries
+P A C of the accepted iterate for the objective, the KKT residual and a
+restart, so a step costs one product at the extrapolated point and one at
+the new iterate.
 
 A fit is declared converged when the relative objective change falls
 below ``rel_tol`` *and* the KKT residual certifies optimality at the
-matching scale (10 * rel_tol * ||G||_inf); the residual is reported on
+matching scale (10 * rel_tol * ||P G||_inf); the residual is reported on
 every estimate either way.
 """
 
@@ -21,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -61,7 +68,11 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class Estimate:
-    """A fitted drift matrix with solver diagnostics."""
+    """A fitted drift matrix with solver diagnostics.
+
+    ``support``, the :class:`SparsityPattern` of ``matrix``, is derived on
+    first access and cached; it is not a constructor argument.
+    """
 
     matrix: np.ndarray
     lam: float
@@ -69,9 +80,12 @@ class Estimate:
     iterations: int
     final_objective: float
     kkt_residual: float
-    support: SparsityPattern
     converged: bool
     gamma: float | None = None
+
+    @cached_property
+    def support(self) -> SparsityPattern:
+        return SparsityPattern.of(self.matrix)
 
 
 def soft_threshold(m, thresholds) -> np.ndarray:
@@ -94,7 +108,6 @@ def mle(stats: SufficientStats) -> Estimate:
     # A C = -G with C symmetric
     a = -np.linalg.solve(c, g.T).T
     grad = g + a @ c
-    d = stats.dim
     return Estimate(
         matrix=a,
         lam=0.0,
@@ -102,62 +115,8 @@ def mle(stats: SufficientStats) -> Estimate:
         iterations=0,
         final_objective=neg_log_likelihood(a, stats),
         kkt_residual=float(np.max(np.abs(grad))),
-        support=SparsityPattern(
-            support=frozenset((i, j) for i in range(d) for j in range(d)),
-            row_sparsity=d,
-        ),
         converged=True,
     )
-
-
-def _kkt_residual(a: np.ndarray, grad: np.ndarray, lam: float, w: np.ndarray) -> float:
-    """Max violation of the subgradient optimality conditions."""
-    zero = a == 0.0
-    viol = np.abs(grad + lam * w * np.sign(a))
-    viol[zero] = np.maximum(np.abs(grad[zero]) - lam * w[zero], 0.0)
-    return float(viol.max())
-
-
-def _prox_gradient(smooth_grad, smooth_value, lam, w, step, opts, init, kkt_scale, callback):
-    """Shared proximal-gradient loop; returns (matrix, iters, f, kkt, converged)."""
-    a = init.copy()
-    f_cur = smooth_value(a) + lam * float(np.sum(w * np.abs(a)))
-    kkt_tol = 10.0 * opts.rel_tol * kkt_scale if kkt_scale > 0 else opts.rel_tol
-    thresholds = step * lam * w
-    y = a
-    t = 1.0
-    converged = False
-    kkt = math.inf
-    iterations = 0
-    for it in range(1, opts.max_iters + 1):
-        if opts.acceleration:
-            a_new = soft_threshold(y - step * smooth_grad(y), thresholds)
-            f_new = smooth_value(a_new) + lam * float(np.sum(w * np.abs(a_new)))
-            if f_new > f_cur:
-                # momentum overshot: restart from the last accepted iterate
-                t = 1.0
-                a_new = soft_threshold(a - step * smooth_grad(a), thresholds)
-                f_new = smooth_value(a_new) + lam * float(np.sum(w * np.abs(a_new)))
-            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            y = a_new + ((t - 1.0) / t_new) * (a_new - a)
-            t = t_new
-        else:
-            a_new = soft_threshold(a - step * smooth_grad(a), thresholds)
-            f_new = smooth_value(a_new) + lam * float(np.sum(w * np.abs(a_new)))
-        a = a_new
-        iterations = it
-        if callback is not None:
-            callback(it, f_new)
-        small_change = abs(f_cur - f_new) <= opts.rel_tol * max(1.0, abs(f_new))
-        f_cur = f_new
-        if small_change:
-            kkt = _kkt_residual(a, smooth_grad(a), lam, w)
-            if kkt <= kkt_tol:
-                converged = True
-                break
-    if not math.isfinite(kkt) or not converged:
-        kkt = _kkt_residual(a, smooth_grad(a), lam, w)
-    return a, iterations, f_cur, kkt, converged
 
 
 def _validated_weights(weights, d: int) -> np.ndarray:
@@ -169,6 +128,106 @@ def _validated_weights(weights, d: int) -> np.ndarray:
     if np.any(~np.isfinite(w)) or np.any(w <= 0):
         raise ValueError("weights must be entrywise finite and > 0")
     return w
+
+
+def _adaptive_weights(mle_matrix: np.ndarray, gamma: float) -> np.ndarray:
+    """1 / |A_mle|^gamma, capped at WEIGHT_CAP so a zero entry stays finite."""
+    with np.errstate(divide="ignore"):
+        return np.minimum(np.abs(mle_matrix) ** (-gamma), WEIGHT_CAP)
+
+
+def _quad(a: np.ndarray, c: np.ndarray, p: np.ndarray | None) -> np.ndarray:
+    """P A C, or A C when there is no preconditioner."""
+    ac = a @ c
+    return ac if p is None else p @ ac
+
+
+@dataclass(frozen=True)
+class _Problem:
+    """The penalty-independent part of one path's fits, built once per path."""
+
+    c: np.ndarray
+    pg: np.ndarray
+    p: np.ndarray | None
+    w: np.ndarray
+    weights: np.ndarray | None  # as reported on each Estimate
+    step: float
+    kkt_tol: float
+    opts: SolverOptions
+
+    @classmethod
+    def of(cls, c, g, p, weights, opts: SolverOptions | None) -> "_Problem":
+        opts = opts or SolverOptions()
+        w = _validated_weights(weights, c.shape[0])
+        lips = float(np.linalg.eigvalsh(c)[-1])
+        if p is not None:
+            lips = float(np.linalg.eigvalsh(p)[-1] * lips)
+        step = opts.step_override if opts.step_override is not None else (1.0 / lips if lips > 0 else 1.0)
+        pg = g if p is None else p @ g
+        kkt_scale = float(np.max(np.abs(pg)))
+        kkt_tol = 10.0 * opts.rel_tol * kkt_scale if kkt_scale > 0 else opts.rel_tol
+        return cls(c, pg, p, w, None if weights is None else w, step, kkt_tol, opts)
+
+    def _prox_step(self, x, qx, thresholds, lamw):
+        """Soft-thresholded gradient step from x (with qx = P x C): (A, P A C, objective)."""
+        z = x - self.step * (self.pg + qx)
+        a = np.sign(z) * np.maximum(np.abs(z) - thresholds, 0.0)
+        q = _quad(a, self.c, self.p)
+        return a, q, self._objective(a, q, lamw)
+
+    def _objective(self, a, q, lamw) -> float:
+        """<A, P G> + 1/2 tr(P A C A^T) + lam ||W o A||_1, given q = P A C."""
+        return float(np.vdot(a, self.pg) + 0.5 * np.vdot(a, q) + np.vdot(lamw, np.abs(a)))
+
+    def _kkt_residual(self, a, q, lamw) -> float:
+        """Max violation of the subgradient optimality conditions."""
+        grad = self.pg + q
+        viol = np.where(a == 0.0, np.maximum(np.abs(grad) - lamw, 0.0), np.abs(grad + lamw * np.sign(a)))
+        return float(viol.max())
+
+    def fit(self, lam: float, init=None, callback=None, gamma: float | None = None) -> Estimate:
+        """Proximal-gradient solve at penalty ``lam`` from ``init`` (zero when None)."""
+        opts = self.opts
+        lamw = lam * self.w
+        thresholds = self.step * lam * self.w
+        a = np.zeros_like(self.c) if init is None else np.array(init, dtype=float)
+        q = _quad(a, self.c, self.p)
+        f_cur = self._objective(a, q, lamw)
+        y, t, converged = a, 1.0, False
+        for it in range(1, opts.max_iters + 1):
+            if opts.acceleration:
+                a_new, q_new, f_new = self._prox_step(y, _quad(y, self.c, self.p), thresholds, lamw)
+                if f_new > f_cur:
+                    # momentum overshot: restart from the last accepted iterate
+                    t = 1.0
+                    a_new, q_new, f_new = self._prox_step(a, q, thresholds, lamw)
+                t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+                y = a_new + ((t - 1.0) / t_new) * (a_new - a)
+                t = t_new
+            else:
+                a_new, q_new, f_new = self._prox_step(a, q, thresholds, lamw)
+            a, q = a_new, q_new
+            if callback is not None:
+                callback(it, f_new)
+            small_change = abs(f_cur - f_new) <= opts.rel_tol * max(1.0, abs(f_new))
+            f_cur = f_new
+            if small_change:
+                kkt = self._kkt_residual(a, q, lamw)
+                if kkt <= self.kkt_tol:
+                    converged = True
+                    break
+        if not converged:
+            kkt = self._kkt_residual(a, q, lamw)
+        return Estimate(
+            matrix=a,
+            lam=float(lam),
+            weights=self.weights,
+            iterations=it,
+            final_objective=f_cur,
+            kkt_residual=kkt,
+            converged=converged,
+            gamma=gamma,
+        )
 
 
 def lasso(
@@ -199,34 +258,7 @@ def lasso(
     """
     if lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
-    opts = opts or SolverOptions()
-    c, g = stats.c_hat, stats.g_hat
-    d = stats.dim
-    w = _validated_weights(weights, d)
-    lips = float(np.linalg.eigvalsh(c)[-1])
-    step = opts.step_override if opts.step_override is not None else (1.0 / lips if lips > 0 else 1.0)
-    a0 = np.zeros((d, d)) if init is None else np.array(init, dtype=float)
-
-    def smooth_grad(a):
-        return g + a @ c
-
-    def smooth_value(a):
-        return float(np.sum(a * g) + 0.5 * np.sum((a @ c) * a))
-
-    kkt_scale = float(np.max(np.abs(g)))
-    a, iters, f, kkt, converged = _prox_gradient(
-        smooth_grad, smooth_value, lam, w, step, opts, a0, kkt_scale, callback
-    )
-    return Estimate(
-        matrix=a,
-        lam=float(lam),
-        weights=None if weights is None else w,
-        iterations=iters,
-        final_objective=f,
-        kkt_residual=kkt,
-        support=SparsityPattern.of(a),
-        converged=converged,
-    )
+    return _Problem.of(stats.c_hat, stats.g_hat, None, weights, opts).fit(lam, init=init, callback=callback)
 
 
 def adaptive_lasso(
@@ -246,11 +278,28 @@ def adaptive_lasso(
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     mle_fit = mle(stats)
-    with np.errstate(divide="ignore"):
-        weights = np.abs(mle_fit.matrix) ** (-gamma)
-    weights = np.minimum(weights, WEIGHT_CAP)
-    fit = lasso(stats, lam, weights=weights, opts=opts, init=mle_fit.matrix)
+    fit = lasso(stats, lam, weights=_adaptive_weights(mle_fit.matrix, gamma), opts=opts, init=mle_fit.matrix)
     return replace(fit, gamma=float(gamma))
+
+
+def _precision(sigma, d: int) -> np.ndarray:
+    """P = (Sigma Sigma^T)^{-1}, symmetrized; rejects a wrongly shaped or singular Sigma."""
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.shape != (d, d):
+        raise ValueError(f"sigma must have shape ({d}, {d}), got {sigma.shape}")
+    s = sigma @ sigma.T
+    if np.linalg.cond(s) > MAX_CONDITION:
+        raise ValueError("sigma is singular or numerically non-invertible")
+    p = np.linalg.solve(s, np.eye(d))
+    return 0.5 * (p + p.T)
+
+
+def _centered(traj: Trajectory, m) -> Trajectory:
+    """The path shifted by -m; rejects a wrongly shaped m."""
+    m = np.asarray(m, dtype=float)
+    if m.shape != (traj.dim,):
+        raise ValueError(f"m must have shape ({traj.dim},), got {m.shape}")
+    return Trajectory(dt=traj.dt, states=traj.states - m)
 
 
 def fit_sigma_model(
@@ -275,49 +324,10 @@ def fit_sigma_model(
     """
     if lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
-    opts = opts or SolverOptions()
-    d = traj.dim
-    m = np.asarray(m, dtype=float)
-    if m.shape != (d,):
-        raise ValueError(f"m must have shape ({d},), got {m.shape}")
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.shape != (d, d):
-        raise ValueError(f"sigma must have shape ({d}, {d}), got {sigma.shape}")
-    s = sigma @ sigma.T
-    if np.linalg.cond(s) > MAX_CONDITION:
-        raise ValueError("sigma is singular or numerically non-invertible")
-    p = np.linalg.solve(s, np.eye(d))
-    p = 0.5 * (p + p.T)
-
-    centered = Trajectory(dt=traj.dt, states=traj.states - m)
+    centered = _centered(traj, m)
+    p = _precision(sigma, traj.dim)
     stats = sufficient_stats(centered)
-    c, g = stats.c_hat, stats.g_hat
-    w = _validated_weights(weights, d)
-    lips = float(np.linalg.eigvalsh(p)[-1] * np.linalg.eigvalsh(c)[-1])
-    step = opts.step_override if opts.step_override is not None else (1.0 / lips if lips > 0 else 1.0)
-    pg = p @ g
-
-    def smooth_grad(a):
-        return pg + p @ (a @ c)
-
-    def smooth_value(a):
-        return float(np.sum(pg * a) + 0.5 * np.sum((p @ a @ c) * a))
-
-    kkt_scale = float(np.max(np.abs(pg)))
-    a0 = np.zeros((d, d))
-    a, iters, f, kkt, converged = _prox_gradient(
-        smooth_grad, smooth_value, lam, w, step, opts, a0, kkt_scale, None
-    )
-    return Estimate(
-        matrix=a,
-        lam=float(lam),
-        weights=None if weights is None else w,
-        iterations=iters,
-        final_objective=f,
-        kkt_residual=kkt,
-        support=SparsityPattern.of(a),
-        converged=converged,
-    )
+    return _Problem.of(stats.c_hat, stats.g_hat, p, weights, opts).fit(lam)
 
 
 def save_estimate_json(path, estimate: Estimate, extra: dict | None = None) -> None:

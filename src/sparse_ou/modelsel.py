@@ -10,20 +10,21 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .estimators import (
-    WEIGHT_CAP,
     Estimate,
     SolverOptions,
-    fit_sigma_model,
-    lasso,
+    _adaptive_weights,
+    _centered,
+    _precision,
+    _Problem,
     mle,
 )
 from .sim import Trajectory
-from .stats import SufficientStats, neg_log_likelihood, sufficient_stats
+from .stats import neg_log_likelihood, sufficient_stats
 
 __all__ = [
     "CvResult",
@@ -71,6 +72,20 @@ def _validate_grid(grid) -> np.ndarray:
     return np.sort(grid)
 
 
+def _select(grid: np.ndarray, fits: list[Estimate], scores) -> CvResult:
+    """The fit with the lowest validation score; ties go to the smallest penalty."""
+    scores = np.asarray(scores)
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("validation score is non-finite; data is degenerate")
+    best_idx = int(np.argmin(scores))  # first minimum = smallest lambda on ties
+    return CvResult(
+        lambda_grid=grid,
+        validation_scores=scores,
+        best_lambda=float(grid[best_idx]),
+        best_estimate=fits[best_idx],
+    )
+
+
 def cross_validate(
     traj: Trajectory,
     method: str,
@@ -91,33 +106,19 @@ def cross_validate(
     train_stats = sufficient_stats(train)
     valid_stats = sufficient_stats(valid)
 
-    weights = None
-    warm = None
+    weights = warm = fit_gamma = None
     if method == "adaptive_lasso":
-        mle_fit = mle(train_stats)
-        with np.errstate(divide="ignore"):
-            weights = np.minimum(np.abs(mle_fit.matrix) ** (-gamma), WEIGHT_CAP)
-        warm = mle_fit.matrix
+        warm = mle(train_stats).matrix
+        weights = _adaptive_weights(warm, gamma)
+        fit_gamma = float(gamma)
+    problem = _Problem.of(train_stats.c_hat, train_stats.g_hat, None, weights, opts)
 
     fits: list[Estimate] = []
     for lam in grid[::-1]:
-        fit = lasso(train_stats, float(lam), weights=weights, opts=opts, init=warm)
-        if method == "adaptive_lasso":
-            fit = replace(fit, gamma=float(gamma))
-        fits.append(fit)
-        warm = fit.matrix
+        fits.append(problem.fit(float(lam), init=warm, gamma=fit_gamma))
+        warm = fits[-1].matrix
     fits.reverse()
-
-    scores = np.array([neg_log_likelihood(f.matrix, valid_stats) for f in fits])
-    if not np.all(np.isfinite(scores)):
-        raise ValueError("validation score is non-finite; data is degenerate")
-    best_idx = int(np.argmin(scores))  # first minimum = smallest lambda on ties
-    return CvResult(
-        lambda_grid=grid,
-        validation_scores=scores,
-        best_lambda=float(grid[best_idx]),
-        best_estimate=fits[best_idx],
-    )
+    return _select(grid, fits, [neg_log_likelihood(f.matrix, valid_stats) for f in fits])
 
 
 def cross_validate_sigma(
@@ -132,38 +133,23 @@ def cross_validate_sigma(
 
     Scores each candidate with the Sigma-weighted likelihood of the
     validation segment.  With ``gamma`` set, weights come from the
-    training-segment MLE as in the adaptive fit.
+    training-segment MLE as in the adaptive fit.  Every fit starts cold,
+    from zero, as :func:`fit_sigma_model` does.
     """
     grid = _validate_grid(default_lambda_grid() if grid is None else grid)
-    train, valid = split_trajectory(traj)
-    m = np.asarray(m, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    s = sigma @ sigma.T
-    p = np.linalg.solve(s, np.eye(traj.dim))
+    centered = _centered(traj, m)
+    p = _precision(sigma, traj.dim)
+    train, valid = split_trajectory(centered)
+    train_stats = sufficient_stats(train)
+    valid_stats = sufficient_stats(valid)
 
-    weights = None
-    if gamma is not None:
-        train_mle = mle(sufficient_stats(Trajectory(dt=train.dt, states=train.states - m)))
-        with np.errstate(divide="ignore"):
-            weights = np.minimum(np.abs(train_mle.matrix) ** (-gamma), WEIGHT_CAP)
+    weights = None if gamma is None else _adaptive_weights(mle(train_stats).matrix, gamma)
+    problem = _Problem.of(train_stats.c_hat, train_stats.g_hat, p, weights, opts)
+    fits = [problem.fit(float(lam)) for lam in grid[::-1]][::-1]
 
-    valid_stats = sufficient_stats(Trajectory(dt=valid.dt, states=valid.states - m))
-
-    def sigma_score(a: np.ndarray, stats: SufficientStats) -> float:
-        return float(np.sum((p @ stats.g_hat) * a) + 0.5 * np.sum((p @ a @ stats.c_hat) * a))
-
-    fits = []
-    for lam in grid[::-1]:
-        fits.append(fit_sigma_model(train, m, sigma, float(lam), weights=weights, opts=opts))
-    fits.reverse()
-    scores = np.array([sigma_score(f.matrix, valid_stats) for f in fits])
-    best_idx = int(np.argmin(scores))
-    return CvResult(
-        lambda_grid=grid,
-        validation_scores=scores,
-        best_lambda=float(grid[best_idx]),
-        best_estimate=fits[best_idx],
-    )
+    # <A, P G> + 1/2 tr(P A C A^T) on the validation statistics, P symmetric
+    scores = [np.vdot(p @ f.matrix, valid_stats.g_hat + 0.5 * f.matrix @ valid_stats.c_hat) for f in fits]
+    return _select(grid, fits, scores)
 
 
 def save_cv_json(path, result: CvResult) -> None:

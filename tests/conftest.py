@@ -19,6 +19,24 @@ def random_stats(rng: np.random.Generator, d: int):
     return sufficient_stats(traj)
 
 
+def random_problem(seed: int, d: int, preconditioned: bool, weighted: bool):
+    """Random (C, G), an SPD P or None, positive weights or None, and a warm start near the MLE."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(d, 3 * d))
+    c = x @ x.T / (3 * d) + 0.05 * np.eye(d)
+    c = 0.5 * (c + c.T)
+    truth = rng.normal(size=(d, d)) * (rng.random((d, d)) < 0.4) + np.eye(d)
+    g = -truth @ c + 0.3 * rng.normal(size=(d, d))
+    p = None
+    if preconditioned:
+        s = rng.normal(size=(d, d))
+        p = s @ s.T / d + 0.2 * np.eye(d)
+        p = 0.5 * (p + p.T)
+    weights = rng.uniform(0.2, 3.0, size=(d, d)) if weighted else None
+    warm = -np.linalg.solve(c, g.T).T + 0.1 * rng.normal(size=(d, d))
+    return c, g, p, weights, warm
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)

@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from sparse_ou import model
 from sparse_ou.cli import main
+from sparse_ou.errors import GenerationError
 
 
 def run(args):
@@ -31,6 +33,18 @@ class TestSimulate:
     def test_zero_dimension_is_usage_error(self, tmp_path):
         code = run(["simulate", "--d", 0, "--T", 1, "--out", tmp_path / "x.csv"])
         assert code == 2
+
+    def test_generation_failure_is_runtime_error(self, tmp_path, monkeypatch, capsys):
+        def fail(d, s, seed):
+            raise GenerationError(f"no stable {d}x{d} drift (seed {seed})")
+
+        monkeypatch.setattr(model, "generate_sparse_drift", fail)
+        code = run(["simulate", "--kind", "sparse", "--d", 4, "--s", 1, "--T", 1, "--out", tmp_path / "x.csv"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: no stable 4x4 drift")
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SPARSE_OU_SEED", "11")

@@ -14,6 +14,7 @@ from sparse_ou import (
     sample_trajectory,
     sufficient_stats,
 )
+from sparse_ou.estimators import _Problem
 from sparse_ou.modelsel import save_cv_json, split_trajectory
 from sparse_ou.sim import Trajectory
 
@@ -118,6 +119,28 @@ class TestCrossValidateSigma:
         sig = cross_validate_sigma(traj, np.zeros(traj.dim), np.eye(traj.dim), grid=grid, opts=FAST)
         assert np.allclose(sig.validation_scores, plain.validation_scores, rtol=1e-6, atol=1e-9)
         assert sig.best_lambda == plain.best_lambda
+
+    def test_singular_sigma_rejected_before_any_fit(self, traj, monkeypatch):
+        fits = []
+        monkeypatch.setattr(_Problem, "fit", lambda self, *args, **kwargs: fits.append(args))
+        with pytest.raises(ValueError, match="singular"):
+            cross_validate_sigma(traj, np.zeros(3), np.diag([1.0, 1.0, 0.0]), gamma=1.0, grid=[0.1, 1.0])
+        assert fits == []
+
+    def test_shapes_rejected(self, traj):
+        with pytest.raises(ValueError, match="m must have shape"):
+            cross_validate_sigma(traj, np.zeros(2), np.eye(3), grid=[0.1])
+        with pytest.raises(ValueError, match="sigma must have shape"):
+            cross_validate_sigma(traj, np.zeros(3), np.eye(2), grid=[0.1])
+
+    def test_non_finite_score_rejected(self, traj):
+        # an overflowing validation segment: its statistics, hence every score, are not finite
+        train, _ = split_trajectory(traj)
+        states = traj.states.copy()
+        states[train.states.shape[0]:] = 1e170
+        blown = Trajectory(dt=traj.dt, states=states)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
+            cross_validate_sigma(blown, np.zeros(3), np.eye(3), grid=[0.1, 1.0])
 
 
 class TestCvSerialization:

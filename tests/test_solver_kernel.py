@@ -1,0 +1,229 @@
+"""Parity of the fused proximal-gradient kernel with the closure-based loop it replaced.
+
+``reference_fit`` below is a verbatim copy of the earlier solver: one
+``_prox_gradient`` loop driven by ``smooth_grad``/``smooth_value`` closures,
+set up as ``lasso`` (P = I) and ``fit_sigma_model`` (P given) set it up.
+The kernel evaluates the same steps with P A C carried between uses, so
+iteration counts and the converged flag must match exactly and the iterates
+to rounding.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from sparse_ou import (
+    SolverOptions,
+    SufficientStats,
+    adaptive_lasso,
+    cross_validate,
+    cross_validate_sigma,
+    fit_sigma_model,
+    generate_shifted_antisymmetric,
+    lasso,
+    mle,
+    sample_trajectory,
+    soft_threshold,
+    sufficient_stats,
+)
+from sparse_ou.estimators import WEIGHT_CAP, _Problem
+from sparse_ou.modelsel import split_trajectory
+from sparse_ou.sim import Trajectory
+
+from conftest import random_problem
+
+# -- reference: the closure-based loop, verbatim -------------------------------
+
+
+def _kkt_residual(a: np.ndarray, grad: np.ndarray, lam: float, w: np.ndarray) -> float:
+    """Max violation of the subgradient optimality conditions."""
+    zero = a == 0.0
+    viol = np.abs(grad + lam * w * np.sign(a))
+    viol[zero] = np.maximum(np.abs(grad[zero]) - lam * w[zero], 0.0)
+    return float(viol.max())
+
+
+def _prox_gradient(smooth_grad, smooth_value, lam, w, step, opts, init, kkt_scale, callback):
+    """Shared proximal-gradient loop; returns (matrix, iters, f, kkt, converged)."""
+    a = init.copy()
+    f_cur = smooth_value(a) + lam * float(np.sum(w * np.abs(a)))
+    kkt_tol = 10.0 * opts.rel_tol * kkt_scale if kkt_scale > 0 else opts.rel_tol
+    thresholds = step * lam * w
+    y = a
+    t = 1.0
+    converged = False
+    kkt = math.inf
+    iterations = 0
+    for it in range(1, opts.max_iters + 1):
+        if opts.acceleration:
+            a_new = soft_threshold(y - step * smooth_grad(y), thresholds)
+            f_new = smooth_value(a_new) + lam * float(np.sum(w * np.abs(a_new)))
+            if f_new > f_cur:
+                # momentum overshot: restart from the last accepted iterate
+                t = 1.0
+                a_new = soft_threshold(a - step * smooth_grad(a), thresholds)
+                f_new = smooth_value(a_new) + lam * float(np.sum(w * np.abs(a_new)))
+            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            y = a_new + ((t - 1.0) / t_new) * (a_new - a)
+            t = t_new
+        else:
+            a_new = soft_threshold(a - step * smooth_grad(a), thresholds)
+            f_new = smooth_value(a_new) + lam * float(np.sum(w * np.abs(a_new)))
+        a = a_new
+        iterations = it
+        if callback is not None:
+            callback(it, f_new)
+        small_change = abs(f_cur - f_new) <= opts.rel_tol * max(1.0, abs(f_new))
+        f_cur = f_new
+        if small_change:
+            kkt = _kkt_residual(a, smooth_grad(a), lam, w)
+            if kkt <= kkt_tol:
+                converged = True
+                break
+    if not math.isfinite(kkt) or not converged:
+        kkt = _kkt_residual(a, smooth_grad(a), lam, w)
+    return a, iterations, f_cur, kkt, converged
+
+
+def reference_fit(c, g, p, lam, weights, opts, init):
+    """The earlier ``lasso`` (p None) or ``fit_sigma_model`` (p given) set-up around the loop."""
+    d = c.shape[0]
+    w = np.ones((d, d)) if weights is None else weights
+    a0 = np.zeros((d, d)) if init is None else np.array(init, dtype=float)
+    if p is None:
+        lips = float(np.linalg.eigvalsh(c)[-1])
+
+        def smooth_grad(a):
+            return g + a @ c
+
+        def smooth_value(a):
+            return float(np.sum(a * g) + 0.5 * np.sum((a @ c) * a))
+
+        kkt_scale = float(np.max(np.abs(g)))
+    else:
+        lips = float(np.linalg.eigvalsh(p)[-1] * np.linalg.eigvalsh(c)[-1])
+        pg = p @ g
+
+        def smooth_grad(a):
+            return pg + p @ (a @ c)
+
+        def smooth_value(a):
+            return float(np.sum(pg * a) + 0.5 * np.sum((p @ a @ c) * a))
+
+        kkt_scale = float(np.max(np.abs(pg)))
+    step = opts.step_override if opts.step_override is not None else (1.0 / lips if lips > 0 else 1.0)
+    return _prox_gradient(smooth_grad, smooth_value, lam, w, step, opts, a0, kkt_scale, None)
+
+
+# -- parity ----------------------------------------------------------------------
+
+CASES = [
+    pytest.param(seed, pre, acc, wt, warm, id=f"{seed}-{'spd' if pre else 'I'}-{'fista' if acc else 'ista'}"
+                 f"-{'weighted' if wt else 'unweighted'}-{'warm' if warm else 'zero'}")
+    for seed in range(6)
+    for pre in (False, True)
+    for acc in (False, True)
+    for wt in (False, True)
+    for warm in (False, True)
+]
+
+
+def _rel_diff(a, b) -> float:
+    return float(np.linalg.norm(a - b) / max(1.0, np.linalg.norm(b)))
+
+
+def _fits(seed, preconditioned, acceleration, weighted, warm, rel_tol):
+    """(reference, kernel) pairs over penalties from 0 to beyond lambda_max."""
+    d = 3 + seed % 4
+    c, g, p, weights, warm_start = random_problem(seed, d, preconditioned, weighted)
+    opts = SolverOptions(max_iters=20000, rel_tol=rel_tol, acceleration=acceleration)
+    init = warm_start if warm else None
+    problem = _Problem.of(c, g, p, weights, opts)
+    lam_max = float(np.max(np.abs(problem.pg)))
+    for lam in (0.0, 0.03 * lam_max, 0.3 * lam_max, 2.0 * lam_max):
+        yield (c, p), reference_fit(c, g, p, lam, weights, opts, init), problem.fit(lam, init=init)
+
+
+@pytest.mark.parametrize("seed, preconditioned, acceleration, weighted, warm", CASES)
+def test_kernel_matches_closure_loop(seed, preconditioned, acceleration, weighted, warm):
+    # rel_tol 1e-7 is the command-line and benchmark default
+    for _, (a_ref, iters, f_ref, kkt_ref, conv_ref), fit in _fits(
+        seed, preconditioned, acceleration, weighted, warm, rel_tol=1e-7
+    ):
+        assert fit.iterations == iters
+        assert fit.converged == conv_ref
+        assert _rel_diff(fit.matrix, a_ref) <= 1e-12
+        assert fit.final_objective == pytest.approx(f_ref, rel=1e-12, abs=1e-12)
+        assert fit.kkt_residual == pytest.approx(kkt_ref, rel=1e-9, abs=1e-15)
+
+
+@pytest.mark.parametrize("seed, preconditioned, acceleration, weighted, warm", CASES)
+def test_kernel_reaches_the_same_minimizer_at_tight_tolerance(seed, preconditioned, acceleration, weighted, warm):
+    """At rel_tol 1e-10 the KKT certificate is met only once successive
+    objective values agree to rounding, where the restart test compares two
+    numbers that differ in their last bits.  The two loops round the
+    objective differently, so a restart may fire in one and not the other
+    and the iteration counts may differ; both must still certify the same
+    minimizer.  With strong convexity mu = lambda_min(P) lambda_min(C), two
+    points whose subgradient residuals are at most eps entrywise lie within
+    2 d eps / mu of each other in Frobenius norm."""
+    for (c, p), (a_ref, _, f_ref, kkt_ref, conv_ref), fit in _fits(
+        seed, preconditioned, acceleration, weighted, warm, rel_tol=1e-10
+    ):
+        assert fit.converged and conv_ref
+        mu = float(np.linalg.eigvalsh(c)[0]) * (1.0 if p is None else float(np.linalg.eigvalsh(p)[0]))
+        d = c.shape[0]
+        assert np.linalg.norm(fit.matrix - a_ref) <= 2.0 * d * max(fit.kkt_residual, kkt_ref) / mu + 1e-12
+        assert fit.final_objective == pytest.approx(f_ref, rel=1e-9, abs=1e-12)
+
+
+def test_public_lasso_callback_sees_every_step():
+    c, g, _, _, _ = random_problem(11, 4, False, False)
+    st = SufficientStats(c_hat=c, g_hat=g, horizon=1.0)
+    seen = []
+    fit = lasso(st, 0.05, opts=SolverOptions(acceleration=True), callback=lambda it, f: seen.append((it, f)))
+    assert [it for it, _ in seen] == list(range(1, fit.iterations + 1))
+    assert seen[-1][1] == fit.final_objective
+
+
+# -- hoisted CV routines against per-penalty public fits ------------------------
+
+TIGHT = SolverOptions(acceleration=True, rel_tol=1e-10, max_iters=100_000)
+GRID = np.logspace(-3, 1, 9)
+
+
+@pytest.fixture(scope="module")
+def traj():
+    drift = generate_shifted_antisymmetric(4, alpha=0.7, w=1.0, s=2, seed=5)
+    return sample_trajectory(drift, T=40.0, dt=0.02, seed=17)
+
+
+def test_cross_validate_sigma_matches_fit_sigma_model(traj):
+    m = np.array([0.1, -0.2, 0.05, 0.3])
+    sigma = np.array([[1.0, 0.0, 0.0, 0.0], [0.3, 0.8, 0.0, 0.0], [0.0, -0.2, 1.2, 0.0], [0.1, 0.0, 0.4, 0.6]])
+    cv = cross_validate_sigma(traj, m, sigma, gamma=1.0, grid=GRID, opts=TIGHT)
+    train, _ = split_trajectory(traj)
+    train_mle = mle(sufficient_stats(Trajectory(dt=train.dt, states=train.states - m)))
+    with np.errstate(divide="ignore"):
+        weights = np.minimum(np.abs(train_mle.matrix) ** -1.0, WEIGHT_CAP)
+    # both start cold from zero, so the iterates are the same computation
+    fit = fit_sigma_model(train, m, sigma, cv.best_lambda, weights=weights, opts=TIGHT)
+    assert np.array_equal(fit.matrix, cv.best_estimate.matrix)
+    assert fit.iterations == cv.best_estimate.iterations
+    assert fit.converged and cv.best_estimate.converged
+
+
+@pytest.mark.parametrize("method", ["lasso", "adaptive_lasso"])
+def test_cross_validate_matches_public_fit(traj, method):
+    cv = cross_validate(traj, method, gamma=1.0, grid=GRID, opts=TIGHT)
+    train_stats = sufficient_stats(split_trajectory(traj)[0])
+    if method == "lasso":
+        fit = lasso(train_stats, cv.best_lambda, opts=TIGHT)
+    else:
+        fit = adaptive_lasso(train_stats, cv.best_lambda, gamma=1.0, opts=TIGHT)
+    # the path warm-starts from the previous grid point, the public call does not
+    assert fit.converged and cv.best_estimate.converged
+    assert _rel_diff(cv.best_estimate.matrix, fit.matrix) <= 1e-6
+    assert cv.best_estimate.support == fit.support
+    assert cv.best_estimate.gamma == fit.gamma
