@@ -285,9 +285,7 @@ def _oracle_task(payload) -> list:
     wall = time.perf_counter() - t0
     err = metrics.error_report(fit.matrix, drift, stats)
     supp = metrics.support_report(fit.matrix, drift)
-    kappa = math.sqrt(float(np.linalg.eigvalsh(drift.stationary_cov)[0]) / 2.0)
-    s = _sparsity(cfg, d)
-    bound = (1.0 + lam_cfg.gamma) / (lam_cfg.gamma * kappa) * lam * math.sqrt(d * s)
+    bound = metrics.oracle_bound(drift, lam, lam_cfg.gamma, _sparsity(cfg, d))
     return [
         {
             "method": "lasso_theory",

@@ -30,6 +30,7 @@ __all__ = [
     "deviation_bounds",
     "re_constant",
     "restricted_sparse_min",
+    "oracle_bound",
     "oracle_coverage",
     "dense_baseline_f1",
 ]
@@ -204,6 +205,16 @@ def restricted_sparse_min(stats: SufficientStats, s: int) -> float:
     return math.sqrt(max(best, 0.0))
 
 
+def oracle_bound(truth: DriftMatrix, lam: float, gamma: float, s: int) -> float:
+    """Empirical-norm oracle bound (1 + gamma) / (gamma kappa) * lambda * sqrt(d s).
+
+    kappa = sqrt(sigma_min(C_inf) / 2), with C_inf the truth's stationary
+    covariance.
+    """
+    kappa = math.sqrt(float(np.linalg.eigvalsh(truth.stationary_cov)[0]) / 2.0)
+    return (1.0 + gamma) / (gamma * kappa) * lam * math.sqrt(truth.dim * s)
+
+
 def oracle_coverage(
     truth: DriftMatrix,
     d: int,
@@ -221,7 +232,7 @@ def oracle_coverage(
 
         ||(A_hat - A0) X||_L <= (1 + gamma) / (gamma kappa) * lambda_T sqrt(d s)
 
-    with kappa = sqrt(sigma_min(C_inf) / 2).  The guarantee is proved for
+    with kappa as in :func:`oracle_bound`.  The guarantee is proved for
     symmetric truths; a non-symmetric input triggers a warning but runs.
     """
     if d != truth.dim:
@@ -230,7 +241,6 @@ def oracle_coverage(
         raise ValueError(f"reps must be >= 1, got {reps}")
     if not np.allclose(truth.matrix, truth.matrix.T, atol=1e-12):
         warnings.warn("oracle coverage guarantee is proved for symmetric drifts only")
-    kappa = math.sqrt(float(np.linalg.eigvalsh(truth.stationary_cov)[0]) / 2.0)
     kernel = transition_kernel(truth, dt)
     opts = SolverOptions(acceleration=True)
     hits = 0
@@ -241,6 +251,5 @@ def oracle_coverage(
         fit = lasso(stats, lam, opts=opts)
         delta = fit.matrix - truth.matrix
         lhs = math.sqrt(max(float(np.sum((delta @ stats.c_hat) * delta)), 0.0))
-        rhs = (1.0 + cfg.gamma) / (cfg.gamma * kappa) * lam * math.sqrt(d * s)
-        hits += lhs <= rhs
+        hits += lhs <= oracle_bound(truth, lam, cfg.gamma, s)
     return hits / reps

@@ -3,7 +3,9 @@
 Three invariants of the penalized fit, checked on statistics drawn by
 hypothesis rather than at pinned examples: every converged fit carries a
 KKT certificate at its stated scale, lambda = 0 gives the MLE, and the
-Sigma-aware model with Sigma = I and m = 0 is the Lasso.
+Sigma-aware model with Sigma = I and m = 0 is the Lasso.  A fourth covers
+the cross-validation split: the train and validation statistics add up to
+the full-path statistics.
 """
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from sparse_ou import SolverOptions, SufficientStats, Trajectory, fit_sigma_model, lasso, mle, sufficient_stats
 from sparse_ou.estimators import _Problem
+from sparse_ou.modelsel import split_trajectory
 
 from conftest import random_problem
 
@@ -94,3 +97,22 @@ def test_identity_sigma_at_zero_mean_is_the_lasso(seed, d, weighted, acceleratio
     assert np.array_equal(sig.matrix, plain.matrix)
     assert sig.iterations == plain.iterations
     assert sig.converged == plain.converged
+
+
+@PROPERTY
+@given(
+    seed=seeds,
+    d=dims,
+    n=st.integers(min_value=2, max_value=500),
+    dt=st.floats(min_value=1e-3, max_value=1.0),
+)
+def test_split_statistics_add_up_to_the_full_path(seed, d, n, dt):
+    # the split shares its boundary state, so every left-endpoint term lands in exactly one half
+    states = np.cumsum(np.random.default_rng(seed).normal(size=(n + 1, d)), axis=0)
+    traj = Trajectory(dt=dt, states=states)
+    full = sufficient_stats(traj)
+    train, valid = (sufficient_stats(part) for part in split_trajectory(traj))
+    for name in ("c_hat", "g_hat"):
+        whole = full.horizon * getattr(full, name)
+        parts = train.horizon * getattr(train, name) + valid.horizon * getattr(valid, name)
+        assert np.linalg.norm(parts - whole) <= 1e-12 * np.linalg.norm(whole)

@@ -19,6 +19,8 @@ from sparse_ou import (
     support_report,
 )
 
+from sparse_ou.metrics import oracle_bound
+
 from conftest import random_stats
 
 
@@ -183,6 +185,12 @@ class TestReConstant:
 
 
 class TestOracleCoverage:
+    def test_bound_at_diagonal_truth(self):
+        # A = 2 I gives C_inf = I / 4, so kappa = sqrt(1/8)
+        truth = make_drift(2.0 * np.eye(3))
+        expected = (1.0 + 2.0) / (2.0 * math.sqrt(1.0 / 8.0)) * 0.3 * math.sqrt(3 * 2)
+        assert oracle_bound(truth, 0.3, 2.0, 2) == pytest.approx(expected, rel=1e-14)
+
     def test_fraction_range_and_symmetric_warning(self, truth):
         cfg = LambdaConfig(gamma=2.0, epsilon0=0.1)
         with pytest.warns(UserWarning):
