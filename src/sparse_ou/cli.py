@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 import time
@@ -64,7 +63,7 @@ def _solver_options(args) -> SolverOptions:
 
 
 def _lambda_grid(args) -> np.ndarray:
-    return np.logspace(math.log10(args.grid_min), math.log10(args.grid_max), args.grid_size)
+    return modelsel.default_lambda_grid(args.grid_size, args.grid_min, args.grid_max)
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -215,7 +214,7 @@ class ExperimentConfig:
     out: str = "benchmark.csv"
 
     def grid(self) -> np.ndarray:
-        return np.logspace(math.log10(self.grid_min), math.log10(self.grid_max), self.grid_size)
+        return modelsel.default_lambda_grid(self.grid_size, self.grid_min, self.grid_max)
 
     def opts(self) -> SolverOptions:
         return SolverOptions(max_iters=self.max_iters, rel_tol=self.rel_tol, acceleration=True)
@@ -366,11 +365,8 @@ def run_benchmark(cfg: ExperimentConfig) -> dict:
         task_fn = _oracle_task
         d = int(cfg.d_values[0])
         T = float(cfg.t_values[0])
-        # the coverage guarantee is proved for symmetric drifts
         base = model.generate_sparse_drift(d, _sparsity(cfg, d), sim.derive_seed(cfg.seed, 900000 + d))
-        sym = 0.5 * (base.matrix + base.matrix.T)
-        shift = max(0.0, -float(np.linalg.eigvalsh(sym)[0])) + 0.5
-        drift = model.make_drift(sym + shift * np.eye(d))
+        drift = model.symmetrized_drift(base)
         for rep in range(cfg.reps):
             payloads.append((cfg, drift, d, T, rep, sim.derive_seed(cfg.seed, index)))
             index += 1
@@ -479,10 +475,7 @@ def cmd_diagnostics(args) -> int:
         if args.drift:
             truth = _load_drift(args.drift)
         else:
-            base = model.generate_sparse_drift(args.d, args.s, seed)
-            sym = 0.5 * (base.matrix + base.matrix.T)
-            shift = max(0.0, -float(np.linalg.eigvalsh(sym)[0])) + 0.5
-            truth = model.make_drift(sym + shift * np.eye(args.d))
+            truth = model.symmetrized_drift(model.generate_sparse_drift(args.d, args.s, seed))
         cfg = LambdaConfig(gamma=args.theory_gamma, epsilon0=args.theory_eps0)
         cov = metrics.oracle_coverage(truth, truth.dim, args.s, args.T, args.reps, cfg, seed, dt=args.dt)
         payload.update({"coverage": cov, "T": args.T, "reps": args.reps})

@@ -149,7 +149,9 @@ def sample_sigma_trajectory(
     sigma_inv = np.linalg.inv(sigma)
     drift_z = make_drift(sigma_inv @ a @ sigma)
     z = sample_trajectory(drift_z, T, dt, seed)
-    return Trajectory(dt=z.dt, states=m + z.states @ sigma.T)
+    states = z.states @ sigma.T
+    states += m
+    return Trajectory(dt=z.dt, states=states)
 
 
 def save_finance_model_json(path, tickers, m, sigma, a, lam) -> None:

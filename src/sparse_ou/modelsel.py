@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,9 +48,9 @@ class CvResult:
     best_estimate: Estimate
 
 
-def default_lambda_grid(num: int = 40) -> np.ndarray:
-    """40 log-spaced penalty levels between 1e-2 and 1e3."""
-    return np.logspace(-2.0, 3.0, num)
+def default_lambda_grid(num: int = 40, low: float = 1e-2, high: float = 1e3) -> np.ndarray:
+    """``num`` log-spaced penalty levels from ``low`` to ``high``, 40 from 1e-2 to 1e3 by default."""
+    return np.logspace(math.log10(low), math.log10(high), num)
 
 
 def split_trajectory(traj: Trajectory) -> tuple[Trajectory, Trajectory]:
@@ -73,16 +74,27 @@ def _validate_grid(grid) -> np.ndarray:
 
 
 def _select(grid: np.ndarray, fits: list[Estimate], scores) -> CvResult:
-    """The fit with the lowest validation score; ties go to the smallest penalty."""
+    """The fit with the lowest validation score; ties go to the smallest penalty.
+
+    Selecting a fit that did not converge raises a RuntimeWarning.
+    """
     scores = np.asarray(scores)
     if not np.all(np.isfinite(scores)):
         raise ValueError("validation score is non-finite; data is degenerate")
     best_idx = int(np.argmin(scores))  # first minimum = smallest lambda on ties
+    best = fits[best_idx]
+    if not best.converged:
+        warnings.warn(
+            f"selected fit at lambda={float(grid[best_idx]):.6g} did not converge: "
+            f"{best.iterations} iterations, KKT residual {best.kkt_residual:.3g}",
+            RuntimeWarning,
+            stacklevel=3,
+        )
     return CvResult(
         lambda_grid=grid,
         validation_scores=scores,
         best_lambda=float(grid[best_idx]),
-        best_estimate=fits[best_idx],
+        best_estimate=best,
     )
 
 

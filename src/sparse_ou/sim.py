@@ -141,12 +141,18 @@ def sample_trajectory(
         x0 = np.asarray(init, dtype=float)
         if x0.shape != (d,):
             raise ValueError(f"init must have shape ({d},), got {x0.shape}")
-    noise = rng.standard_normal((n, d)) @ kernel.noise_chol.T
+    # rows 1..n receive the noise L xi_k, then phi X_k is added in place by
+    # the same gemv; e + phi X_k rounds exactly as phi X_k + e does
     states = np.empty((n + 1, d))
     states[0] = x0
-    phi = kernel.phi
-    for k in range(n):
-        states[k + 1] = phi @ states[k] + noise[k]
+    np.matmul(rng.standard_normal((n, d)), kernel.noise_chol.T, out=states[1:])
+    phi_dot = kernel.phi.dot
+    step = np.empty(d)
+    prev = states[0]
+    for nxt in states[1:]:
+        phi_dot(prev, step)
+        nxt += step
+        prev = nxt
     if not np.all(np.isfinite(states)):
         raise NumericError("trajectory contains non-finite states")
     return Trajectory(dt=dt, states=states)

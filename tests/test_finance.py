@@ -9,7 +9,9 @@ from sparse_ou import (
     estimate_mean_sigma,
     generate_shifted_antisymmetric,
     load_prices,
+    make_drift,
     sample_sigma_trajectory,
+    sample_trajectory,
 )
 from sparse_ou.errors import IngestionError
 from sparse_ou.finance import save_finance_model_json
@@ -121,6 +123,17 @@ class TestEstimateMeanSigma:
             errs_s.append(np.linalg.norm(sigma_hat @ sigma_hat.T - s_true) / np.linalg.norm(s_true))
         assert np.mean(errs_m) <= 0.05 * np.linalg.norm(m_true) + 0.05
         assert np.mean(errs_s) <= 0.1
+
+    def test_sigma_trajectory_matches_out_of_place_mapping(self):
+        # R = m + Sigma Z, with the shift added in place, is bit-identical to the
+        # out-of-place expression
+        a = generate_shifted_antisymmetric(4, alpha=1.0, w=1.0, s=2, seed=3).matrix
+        rng = np.random.default_rng(8)
+        m = rng.normal(size=4)
+        sigma = np.linalg.cholesky(0.04 * np.eye(4) + 0.005 * np.ones((4, 4)))
+        traj = sample_sigma_trajectory(a, m, sigma, 20.0, 0.01, seed=6)
+        z = sample_trajectory(make_drift(np.linalg.inv(sigma) @ a @ sigma), 20.0, 0.01, 6)
+        assert np.array_equal(traj.states, m + z.states @ sigma.T)
 
     def test_identity_noise_quadratic_variation(self):
         drift = generate_shifted_antisymmetric(3, alpha=0.5, w=1.0, s=2, seed=5)

@@ -13,9 +13,11 @@ from sparse_ou.model import (
     STABILITY_MARGIN,
     load_drift_csv,
     load_drift_json,
+    make_drift,
     random_sign_pattern,
     save_drift_csv,
     save_drift_json,
+    symmetrized_drift,
 )
 
 
@@ -108,6 +110,23 @@ class TestGenerateShiftedAntisymmetric:
         drift = generate_shifted_antisymmetric(6, alpha=0.9, w=1.5, s=2, seed=7)
         c = solve_lyapunov(drift.matrix)
         assert np.linalg.norm(c - np.eye(6) / 1.8) <= 1e-10
+
+
+class TestSymmetrizedDrift:
+    def test_symmetric_with_margin(self):
+        for d, s, seed in [(6, 2, 0), (10, 2, 3), (12, 3, 5)]:
+            sym = symmetrized_drift(generate_sparse_drift(d, s, seed))
+            assert np.array_equal(sym.matrix, sym.matrix.T)
+            assert np.linalg.eigvalsh(sym.matrix)[0] >= STABILITY_MARGIN - 1e-12
+
+    def test_indefinite_part_is_lifted_to_the_margin(self):
+        base = make_drift(np.array([[1.0, 4.0], [0.0, 1.0]]))  # symmetric part has eigenvalues -1 and 3
+        sym = symmetrized_drift(base)
+        assert np.allclose(np.linalg.eigvalsh(sym.matrix), [STABILITY_MARGIN, 4.0 + STABILITY_MARGIN])
+
+    def test_definite_part_is_shifted_by_the_margin(self):
+        sym = symmetrized_drift(make_drift(np.diag([2.0, 3.0])))
+        assert np.array_equal(sym.matrix, np.diag([2.0, 3.0]) + STABILITY_MARGIN * np.eye(2))
 
 
 class TestSparsityPattern:

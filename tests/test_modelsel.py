@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,24 @@ class TestCrossValidate:
         assert grid[0] == pytest.approx(1e-2)
         assert grid[-1] == pytest.approx(1e3)
         assert np.allclose(np.diff(np.log(grid)), np.log(grid[1] / grid[0]))
+        # the bounds pass through log10, which is exact at these powers of ten
+        assert np.array_equal(grid, np.logspace(-2.0, 3.0, 40))
+        custom = default_lambda_grid(5, 1e-3, 10.0)
+        assert len(custom) == 5 and custom[0] == pytest.approx(1e-3) and custom[-1] == pytest.approx(10.0)
+
+    def test_non_converged_selection_warns(self, traj):
+        one_step = SolverOptions(max_iters=1)
+        with pytest.warns(RuntimeWarning, match=r"lambda=0\.01 did not converge: 1 iterations, KKT residual"):
+            res = cross_validate(traj, "lasso", grid=[0.01], opts=one_step)
+        assert not res.best_estimate.converged
+        with pytest.warns(RuntimeWarning, match="did not converge"):
+            cross_validate_sigma(traj, np.zeros(3), np.eye(3), grid=[0.01], opts=one_step)
+
+    def test_converged_selection_is_silent(self, traj):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = cross_validate(traj, "lasso", grid=[0.01, 0.1], opts=FAST)
+        assert res.best_estimate.converged
 
     def test_deterministic(self, traj):
         a = cross_validate(traj, "adaptive_lasso", gamma=1.0, grid=[0.01, 0.1, 1.0])

@@ -5,6 +5,7 @@ from scipy.stats import ttest_ind
 from sparse_ou import (
     Trajectory,
     generate_shifted_antisymmetric,
+    generate_sparse_drift,
     make_drift,
     sample_trajectory,
     subsample,
@@ -134,6 +135,59 @@ class TestSampleTrajectory:
             sample_trajectory(drift3, T=0.001, dt=0.01, seed=0)
         with pytest.raises(ValueError):
             sample_trajectory(drift3, T=1.0, dt=0.01, seed=0, init=np.zeros(2))
+
+
+def reference_sample_states(drift, T, dt, seed, init=None, kernel=None):
+    """The per-step loop `sample_trajectory` ran before its in-place rewrite, verbatim."""
+    n = int(round(T / dt))
+    if kernel is None:
+        kernel = transition_kernel(drift, dt)
+    d = drift.dim
+    rng = np.random.default_rng(seed)
+    if init is None:
+        c_chol = _cholesky_psd(drift.stationary_cov)
+        x0 = c_chol @ rng.standard_normal(d)
+    else:
+        x0 = np.asarray(init, dtype=float)
+    noise = rng.standard_normal((n, d)) @ kernel.noise_chol.T
+    states = np.empty((n + 1, d))
+    states[0] = x0
+    phi = kernel.phi
+    for k in range(n):
+        states[k + 1] = phi @ states[k] + noise[k]
+    return states
+
+
+class TestInPlaceRecursionParity:
+    """The in-place sampler must reproduce the allocating loop bit for bit."""
+
+    DT = 0.01
+
+    @pytest.fixture(scope="class", params=[(10, 2000), (40, 500)], ids=["d10", "d40"])
+    def case(self, request):
+        d, n = request.param
+        drift = generate_sparse_drift(d, 3, seed=d)
+        return drift, n * self.DT, transition_kernel(drift, self.DT)
+
+    @pytest.mark.parametrize("given_init", [False, True], ids=["stationary_init", "given_init"])
+    @pytest.mark.parametrize("pass_kernel", [False, True], ids=["own_kernel", "given_kernel"])
+    def test_bit_identical(self, case, given_init, pass_kernel):
+        drift, T, k = case
+        init = np.linspace(-1.0, 1.0, drift.dim) if given_init else None
+        kernel = k if pass_kernel else None
+        traj = sample_trajectory(drift, T=T, dt=self.DT, seed=17, init=init, kernel=kernel)
+        expected = reference_sample_states(drift, T, self.DT, 17, init=init, kernel=kernel)
+        assert np.array_equal(traj.states, expected)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bit_identical_for_phi_memory_order(self, case, order):
+        drift, T, k = case
+        phi = np.asarray(k.phi, order=order)
+        assert phi.flags[f"{order}_CONTIGUOUS"]
+        kernel = TransitionKernel(dt=k.dt, phi=phi, noise_cov=k.noise_cov, noise_chol=k.noise_chol)
+        traj = sample_trajectory(drift, T=T, dt=self.DT, seed=23, kernel=kernel)
+        expected = reference_sample_states(drift, T, self.DT, 23, kernel=kernel)
+        assert np.array_equal(traj.states, expected)
 
 
 class TestSubsample:
