@@ -57,7 +57,6 @@ class SolverOptions:
     max_iters: int = 10000
     rel_tol: float = 1e-8
     acceleration: bool = False
-    step_override: float | None = None
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -162,7 +161,7 @@ class _Problem:
         lips = float(np.linalg.eigvalsh(c)[-1])
         if p is not None:
             lips = float(np.linalg.eigvalsh(p)[-1] * lips)
-        step = opts.step_override if opts.step_override is not None else (1.0 / lips if lips > 0 else 1.0)
+        step = 1.0 / lips if lips > 0 else 1.0
         pg = g if p is None else p @ g
         kkt_scale = float(np.max(np.abs(pg)))
         kkt_tol = 10.0 * opts.rel_tol * kkt_scale if kkt_scale > 0 else opts.rel_tol
@@ -249,7 +248,7 @@ def lasso(
     weights : array or None
         Entrywise positive penalty weights W (all ones when None).
     opts : SolverOptions
-        Iteration budget, tolerance, FISTA toggle, step override.
+        Iteration budget, tolerance and FISTA toggle.
     init : array or None
         Starting point; zero when None.  Convexity makes the minimizer
         independent of this, so it is a pure warm-start device.
@@ -275,7 +274,7 @@ def adaptive_lasso(
     infinite threshold; the cap exceeds any penalty of practical interest.
     Starts from the MLE (a warm start, not a requirement).
     """
-    if gamma < 0:
+    if not gamma >= 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     mle_fit = mle(stats)
     fit = lasso(stats, lam, weights=_adaptive_weights(mle_fit.matrix, gamma), opts=opts, init=mle_fit.matrix)

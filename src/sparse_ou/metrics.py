@@ -249,7 +249,5 @@ def oracle_coverage(
         stats = sufficient_stats(traj)
         lam = theoretical_lambda(stats, cfg)
         fit = lasso(stats, lam, opts=opts)
-        delta = fit.matrix - truth.matrix
-        lhs = math.sqrt(max(float(np.sum((delta @ stats.c_hat) * delta)), 0.0))
-        hits += lhs <= oracle_bound(truth, lam, cfg.gamma, s)
+        hits += error_report(fit.matrix, truth, stats).empirical <= oracle_bound(truth, lam, cfg.gamma, s)
     return hits / reps

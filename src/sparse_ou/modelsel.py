@@ -4,6 +4,10 @@ The first 80% of the path trains the estimator; the remaining 20% scores
 it with its own negative log-likelihood.  The state at the split boundary
 terminates the training integrals and initiates the validation
 increments, mirroring how a continuous-time integral splits.
+
+The Lasso, Adaptive Lasso and Sigma-aware fits follow one path: from the
+largest penalty down, each fit warm-started at the previous one and the
+first at zero or, with adaptive weights, at the training MLE.
 """
 
 from __future__ import annotations
@@ -64,15 +68,6 @@ def split_trajectory(traj: Trajectory) -> tuple[Trajectory, Trajectory]:
     return train, valid
 
 
-def _validate_grid(grid) -> np.ndarray:
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("lambda grid must be non-empty")
-    if np.any(grid < 0):
-        raise ValueError("lambda grid entries must be >= 0")
-    return np.sort(grid)
-
-
 def _select(grid: np.ndarray, fits: list[Estimate], scores) -> CvResult:
     """The fit with the lowest validation score; ties go to the smallest penalty.
 
@@ -88,7 +83,7 @@ def _select(grid: np.ndarray, fits: list[Estimate], scores) -> CvResult:
             f"selected fit at lambda={float(grid[best_idx]):.6g} did not converge: "
             f"{best.iterations} iterations, KKT residual {best.kkt_residual:.3g}",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
     return CvResult(
         lambda_grid=grid,
@@ -96,6 +91,36 @@ def _select(grid: np.ndarray, fits: list[Estimate], scores) -> CvResult:
         best_lambda=float(grid[best_idx]),
         best_estimate=best,
     )
+
+
+def _cross_validate(traj: Trajectory, p, gamma: float | None, grid, opts: SolverOptions | None) -> CvResult:
+    """Hold-out selection with precision ``p`` (None: P = I) and adaptive weights when ``gamma`` is set."""
+    if gamma is not None and not gamma >= 0:
+        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    grid = np.asarray(default_lambda_grid() if grid is None else grid, dtype=float)
+    if grid.size == 0:
+        raise ValueError("lambda grid must be non-empty")
+    if np.any(grid < 0):
+        raise ValueError("lambda grid entries must be >= 0")
+    grid = np.sort(grid)
+    train, valid = split_trajectory(traj)
+    train_stats = sufficient_stats(train)
+    valid_stats = sufficient_stats(valid)
+
+    weights = warm = fit_gamma = None
+    if gamma is not None:
+        # -G C^{-1} minimizes <A, P G> + 1/2 tr(P A C A^T) for every P > 0
+        warm = mle(train_stats).matrix
+        weights = _adaptive_weights(warm, gamma)
+        fit_gamma = float(gamma)
+    problem = _Problem.of(train_stats.c_hat, train_stats.g_hat, p, weights, opts)
+
+    fits: list[Estimate] = []
+    for lam in grid[::-1]:
+        fits.append(problem.fit(float(lam), init=warm, gamma=fit_gamma))
+        warm = fits[-1].matrix
+    fits.reverse()
+    return _select(grid, fits, [neg_log_likelihood(f.matrix, valid_stats, p) for f in fits])
 
 
 def cross_validate(
@@ -113,24 +138,7 @@ def cross_validate(
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    grid = _validate_grid(default_lambda_grid() if grid is None else grid)
-    train, valid = split_trajectory(traj)
-    train_stats = sufficient_stats(train)
-    valid_stats = sufficient_stats(valid)
-
-    weights = warm = fit_gamma = None
-    if method == "adaptive_lasso":
-        warm = mle(train_stats).matrix
-        weights = _adaptive_weights(warm, gamma)
-        fit_gamma = float(gamma)
-    problem = _Problem.of(train_stats.c_hat, train_stats.g_hat, None, weights, opts)
-
-    fits: list[Estimate] = []
-    for lam in grid[::-1]:
-        fits.append(problem.fit(float(lam), init=warm, gamma=fit_gamma))
-        warm = fits[-1].matrix
-    fits.reverse()
-    return _select(grid, fits, [neg_log_likelihood(f.matrix, valid_stats) for f in fits])
+    return _cross_validate(traj, None, float(gamma) if method == "adaptive_lasso" else None, grid, opts)
 
 
 def cross_validate_sigma(
@@ -143,25 +151,13 @@ def cross_validate_sigma(
 ) -> CvResult:
     """Hold-out penalty selection for the Sigma-aware model.
 
-    Scores each candidate with the Sigma-weighted likelihood of the
-    validation segment.  With ``gamma`` set, weights come from the
-    training-segment MLE as in the adaptive fit.  Every fit starts cold,
-    from zero, as :func:`fit_sigma_model` does.
+    Centers the path at ``m`` and scores each candidate with the
+    Sigma-weighted likelihood of the validation segment.  With ``gamma``
+    set, weights come from the training-segment MLE as in the adaptive fit.
+    Fits follow the warm-started path of :func:`cross_validate`; with
+    Sigma = I and m = 0 the result matches it bit for bit.
     """
-    grid = _validate_grid(default_lambda_grid() if grid is None else grid)
-    centered = _centered(traj, m)
-    p = _precision(sigma, traj.dim)
-    train, valid = split_trajectory(centered)
-    train_stats = sufficient_stats(train)
-    valid_stats = sufficient_stats(valid)
-
-    weights = None if gamma is None else _adaptive_weights(mle(train_stats).matrix, gamma)
-    problem = _Problem.of(train_stats.c_hat, train_stats.g_hat, p, weights, opts)
-    fits = [problem.fit(float(lam)) for lam in grid[::-1]][::-1]
-
-    # <A, P G> + 1/2 tr(P A C A^T) on the validation statistics, P symmetric
-    scores = [np.vdot(p @ f.matrix, valid_stats.g_hat + 0.5 * f.matrix @ valid_stats.c_hat) for f in fits]
-    return _select(grid, fits, scores)
+    return _cross_validate(_centered(traj, m), _precision(sigma, traj.dim), gamma, grid, opts)
 
 
 def save_cv_json(path, result: CvResult) -> None:

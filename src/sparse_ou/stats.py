@@ -82,10 +82,11 @@ def _check_dims(a: np.ndarray, stats: SufficientStats) -> np.ndarray:
     return a
 
 
-def neg_log_likelihood(a, stats: SufficientStats) -> float:
-    """<A, G> + 1/2 tr(A C A^T), dropping the A-independent constant."""
+def neg_log_likelihood(a, stats: SufficientStats, p=None) -> float:
+    """<A, P G> + 1/2 tr(P A C A^T) without the A-free constant; P symmetric, I when ``p`` is None."""
     a = _check_dims(a, stats)
-    return float(np.sum(a * stats.g_hat) + 0.5 * np.sum((a @ stats.c_hat) * a))
+    pa = a if p is None else p @ a
+    return float(np.sum(pa * stats.g_hat) + 0.5 * np.sum((a @ stats.c_hat) * pa))
 
 
 def grad_neg_log_likelihood(a, stats: SufficientStats) -> np.ndarray:

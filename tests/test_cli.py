@@ -128,6 +128,14 @@ class TestCv:
         assert len(payload["validation_scores"]) == 6
         assert payload["best_lambda"] in payload["lambda_grid"]
 
+    def test_negative_gamma_is_runtime_error(self, sim_files, tmp_path, capsys):
+        traj, _ = sim_files
+        out = tmp_path / "cv.json"
+        assert run(["cv", "--traj", traj, "--method", "adalasso", "--gamma", -1, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: gamma must be >= 0")
+        assert not out.exists()
+
 
 class TestBenchmark:
     def test_t_sweep_row_counts_and_schema(self, tmp_path):

@@ -167,6 +167,11 @@ class TestAdaptiveLasso:
         assert np.linalg.norm(ada.matrix - plain.matrix) <= 1e-6
         assert ada.gamma == 0.0
 
+    @pytest.mark.parametrize("gamma", [-1.0, float("nan")])
+    def test_bad_gamma_rejected(self, rng, gamma):
+        with pytest.raises(ValueError, match="gamma must be >= 0"):
+            adaptive_lasso(random_stats(rng, 3), 0.05, gamma=gamma)
+
     def test_strong_entries_match_restricted_mle(self):
         # huge-|MLE| entries are effectively unpenalized at high gamma
         c = np.eye(2)

@@ -5,11 +5,13 @@ import pytest
 
 from sparse_ou import (
     LambdaConfig,
+    SolverOptions,
     SufficientStats,
     dense_baseline_f1,
     deviation_bounds,
     error_report,
     generate_sparse_drift,
+    lasso,
     make_drift,
     oracle_coverage,
     re_constant,
@@ -17,9 +19,13 @@ from sparse_ou import (
     sample_trajectory,
     sufficient_stats,
     support_report,
+    theoretical_lambda,
+    transition_kernel,
 )
 
+from sparse_ou import metrics
 from sparse_ou.metrics import oracle_bound
+from sparse_ou.sim import derive_seed
 
 from conftest import random_stats
 
@@ -209,3 +215,18 @@ class TestOracleCoverage:
     def test_dimension_mismatch(self, truth):
         with pytest.raises(ValueError):
             oracle_coverage(truth, 6, 2, T=10.0, reps=2, cfg=LambdaConfig(), seed=0)
+
+    def test_coverage_tests_the_empirical_norm(self, monkeypatch):
+        # a bound between the replications' ||(A_hat - A0) X||_L shows which norm is tested;
+        # at A0 = 2 I, C is near I / 4, so the Frobenius norm is about twice as large
+        truth = make_drift(2.0 * np.eye(3))
+        cfg = LambdaConfig(gamma=2.0, epsilon0=0.1)
+        kernel = transition_kernel(truth, 0.01)
+        norms = []
+        for rep in range(4):
+            st = sufficient_stats(sample_trajectory(truth, 20.0, 0.01, derive_seed(3, rep), kernel=kernel))
+            delta = lasso(st, theoretical_lambda(st, cfg), opts=SolverOptions(acceleration=True)).matrix - truth.matrix
+            norms.append(math.sqrt(np.trace(delta @ st.c_hat @ delta.T)))
+        bound = float(np.median(norms))
+        monkeypatch.setattr(metrics, "oracle_bound", lambda *args: bound)
+        assert oracle_coverage(truth, 3, 1, T=20.0, reps=4, cfg=cfg, seed=3) == np.mean(np.array(norms) <= bound) == 0.5

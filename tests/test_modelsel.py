@@ -87,11 +87,13 @@ class TestCrossValidate:
 
     def test_non_converged_selection_warns(self, traj):
         one_step = SolverOptions(max_iters=1)
-        with pytest.warns(RuntimeWarning, match=r"lambda=0\.01 did not converge: 1 iterations, KKT residual"):
+        with pytest.warns(RuntimeWarning, match=r"lambda=0\.01 did not converge: 1 iterations, KKT residual") as rec:
             res = cross_validate(traj, "lasso", grid=[0.01], opts=one_step)
         assert not res.best_estimate.converged
-        with pytest.warns(RuntimeWarning, match="did not converge"):
+        with pytest.warns(RuntimeWarning, match="did not converge") as rec_sigma:
             cross_validate_sigma(traj, np.zeros(3), np.eye(3), grid=[0.01], opts=one_step)
+        # the warning points at the caller of the public routine
+        assert [w.filename for w in rec.list + rec_sigma.list] == [__file__, __file__]
 
     def test_converged_selection_is_silent(self, traj):
         with warnings.catch_warnings():
@@ -121,6 +123,28 @@ class TestCrossValidate:
     def test_adaptive_estimate_carries_gamma(self, traj):
         res = cross_validate(traj, "adaptive_lasso", gamma=2.0, grid=[0.1])
         assert res.best_estimate.gamma == 2.0
+        res = cross_validate_sigma(traj, np.zeros(3), np.eye(3), gamma=2, grid=[0.1])
+        assert res.best_estimate.gamma == 2.0 and isinstance(res.best_estimate.gamma, float)
+        assert cross_validate_sigma(traj, np.zeros(3), np.eye(3), grid=[0.1]).best_estimate.gamma is None
+
+    def test_adaptive_path_starts_at_training_mle(self, traj):
+        # -G C^{-1} minimizes the smooth part for every P > 0, so at lambda = 0 one step certifies it
+        sigma = np.array([[1.0, 0.0, 0.0], [0.3, 0.8, 0.0], [0.0, -0.2, 1.2]])
+        for res in (
+            cross_validate(traj, "adaptive_lasso", gamma=1.0, grid=[0.0], opts=FAST),
+            cross_validate_sigma(traj, np.zeros(3), sigma, gamma=1.0, grid=[0.0], opts=FAST),
+        ):
+            assert res.best_estimate.iterations == 1 and res.best_estimate.converged
+
+    @pytest.mark.parametrize("gamma", [-1.0, float("nan")])
+    def test_negative_gamma_rejected_before_any_fit(self, traj, monkeypatch, gamma):
+        fits = []
+        monkeypatch.setattr(_Problem, "fit", lambda self, *args, **kwargs: fits.append(args))
+        with pytest.raises(ValueError, match="gamma must be >= 0"):
+            cross_validate(traj, "adaptive_lasso", gamma=gamma, grid=[0.1])
+        with pytest.raises(ValueError, match="gamma must be >= 0"):
+            cross_validate_sigma(traj, np.zeros(3), np.eye(3), gamma=gamma, grid=[0.1])
+        assert fits == []
 
     def test_bad_inputs(self, traj):
         with pytest.raises(ValueError):
@@ -132,12 +156,17 @@ class TestCrossValidate:
 
 
 class TestCrossValidateSigma:
-    def test_identity_sigma_matches_plain_scores(self, traj):
-        grid = [0.05, 0.5]
-        plain = cross_validate(traj, "lasso", grid=grid, opts=FAST)
-        sig = cross_validate_sigma(traj, np.zeros(traj.dim), np.eye(traj.dim), grid=grid, opts=FAST)
-        assert np.allclose(sig.validation_scores, plain.validation_scores, rtol=1e-6, atol=1e-9)
+    @pytest.mark.parametrize("method, gamma", [("lasso", None), ("adaptive_lasso", 2.0)])
+    def test_identity_sigma_matches_plain_scores(self, traj, method, gamma):
+        # P = I and m = 0 change no arithmetic: one path, bit for bit
+        grid = default_lambda_grid(num=8, low=1e-3, high=10.0)
+        plain = cross_validate(traj, method, gamma=gamma, grid=grid, opts=FAST)
+        sig = cross_validate_sigma(traj, np.zeros(traj.dim), np.eye(traj.dim), gamma=gamma, grid=grid, opts=FAST)
+        assert np.array_equal(sig.validation_scores, plain.validation_scores)
         assert sig.best_lambda == plain.best_lambda
+        assert np.array_equal(sig.best_estimate.matrix, plain.best_estimate.matrix)
+        assert sig.best_estimate.iterations == plain.best_estimate.iterations
+        assert sig.best_estimate.gamma == plain.best_estimate.gamma
 
     def test_singular_sigma_rejected_before_any_fit(self, traj, monkeypatch):
         fits = []

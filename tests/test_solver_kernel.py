@@ -112,7 +112,7 @@ def reference_fit(c, g, p, lam, weights, opts, init):
             return float(np.sum(pg * a) + 0.5 * np.sum((p @ a @ c) * a))
 
         kkt_scale = float(np.max(np.abs(pg)))
-    step = opts.step_override if opts.step_override is not None else (1.0 / lips if lips > 0 else 1.0)
+    step = 1.0 / lips if lips > 0 else 1.0
     return _prox_gradient(smooth_grad, smooth_value, lam, w, step, opts, a0, kkt_scale, None)
 
 
@@ -207,11 +207,11 @@ def test_cross_validate_sigma_matches_fit_sigma_model(traj):
     train_mle = mle(sufficient_stats(Trajectory(dt=train.dt, states=train.states - m)))
     with np.errstate(divide="ignore"):
         weights = np.minimum(np.abs(train_mle.matrix) ** -1.0, WEIGHT_CAP)
-    # both start cold from zero, so the iterates are the same computation
     fit = fit_sigma_model(train, m, sigma, cv.best_lambda, weights=weights, opts=TIGHT)
-    assert np.array_equal(fit.matrix, cv.best_estimate.matrix)
-    assert fit.iterations == cv.best_estimate.iterations
+    # the path warm-starts from the previous grid point, the public call starts at zero
     assert fit.converged and cv.best_estimate.converged
+    assert _rel_diff(cv.best_estimate.matrix, fit.matrix) <= 1e-6
+    assert cv.best_estimate.support == fit.support
 
 
 @pytest.mark.parametrize("method", ["lasso", "adaptive_lasso"])

@@ -93,6 +93,31 @@ class TestNegLogLikelihood:
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
+    def test_precision_weighted(self, rng):
+        # <A, P G> + 1/2 tr(P A C A^T); P = I is the plain likelihood, bit for bit
+        for _ in range(10):
+            st = _synthetic_stats(rng, 4)
+            w = rng.normal(size=(4, 4))
+            p = w @ w.T + 0.1 * np.eye(4)
+            a = rng.normal(size=(4, 4))
+            expected = np.trace(a.T @ p @ st.g_hat) + 0.5 * np.trace(p @ a @ st.c_hat @ a.T)
+            assert neg_log_likelihood(a, st, p) == pytest.approx(expected, rel=1e-10, abs=1e-12)
+            assert neg_log_likelihood(a, st, np.eye(4)) == neg_log_likelihood(a, st)
+
+    def test_mle_minimizes_every_precision_weighting(self, rng):
+        # L_P(A) - L_P(A_mle) = 1/2 tr(P U C U^T) >= 0 with U = A - A_mle, for any P > 0
+        for _ in range(10):
+            st = _synthetic_stats(rng, 4)
+            w = rng.normal(size=(4, 4))
+            p = w @ w.T + 0.1 * np.eye(4)
+            a_mle = -np.linalg.solve(st.c_hat, st.g_hat.T).T
+            u = rng.normal(size=(4, 4))
+            lhs = neg_log_likelihood(a_mle + u, st, p) - neg_log_likelihood(a_mle, st, p)
+            rhs = 0.5 * np.trace(p @ u @ st.c_hat @ u.T)
+            assert rhs > 0
+            assert lhs == pytest.approx(rhs, rel=1e-8)
+
+
 class TestGradient:
     def test_stationarity_at_mle(self, rng):
         st = _synthetic_stats(rng, 3)
