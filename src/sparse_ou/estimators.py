@@ -11,10 +11,11 @@ initialization.  The smooth gradient P G + P A C has Lipschitz constant
 ||P||_op ||C||_op, which fixes the default step size.  Iterates are
 soft-thresholded gradient steps, optionally with FISTA momentum and
 function-value restarts.  :class:`_Problem` computes the step, the weights,
-P G and the KKT scale once per path, not once per penalty; its loop carries
-P A C of the accepted iterate for the objective, the KKT residual and a
-restart, so a step costs one product at the extrapolated point and one at
-the new iterate.
+P G and the KKT scale once per path, not once per penalty.  Its loop carries
+the gradient g and the gradient point u = A - step g of the accepted iterate;
+the extrapolated point's gradient point follows from them by linearity, so a
+step costs one product, P A C at the new iterate, which the objective and the
+KKT residual then use exactly.
 
 A fit is declared converged when the relative objective change falls
 below ``rel_tol`` *and* the KKT residual certifies optimality at the
@@ -81,6 +82,7 @@ class Estimate:
     kkt_residual: float
     converged: bool
     gamma: float | None = None
+    restarts: int = 0
 
     @cached_property
     def support(self) -> SparsityPattern:
@@ -88,12 +90,22 @@ class Estimate:
 
 
 def soft_threshold(m, thresholds) -> np.ndarray:
-    """Entrywise sign(m) * max(|m| - threshold, 0)."""
+    """Entrywise sign(m) * max(|m| - threshold, 0), up to the sign of a zero."""
     m = np.asarray(m, dtype=float)
     th = np.broadcast_to(np.asarray(thresholds, dtype=float), m.shape)
-    if np.any(th < 0):
+    if not np.all(th >= 0):
         raise ValueError("thresholds must be entrywise >= 0")
-    return np.sign(m) * np.maximum(np.abs(m) - th, 0.0)
+    return _shrink(m, th, -th, np.empty_like(m))
+
+
+def _shrink(z, th, neg_th, buf) -> np.ndarray:
+    """sign(z) * max(|z| - th, 0), up to the sign of a zero, as z - clip(z, -th, th).
+
+    ``neg_th`` is -th and ``buf`` an array of z's shape that is overwritten.
+    """
+    np.minimum(z, th, out=buf)
+    np.maximum(buf, neg_th, out=buf)
+    return z - buf
 
 
 def mle(stats: SufficientStats) -> Estimate:
@@ -143,7 +155,10 @@ def _quad(a: np.ndarray, c: np.ndarray, p: np.ndarray | None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Problem:
-    """The penalty-independent part of one path's fits, built once per path."""
+    """The penalty-independent part of one path's fits, built once per path.
+
+    A step of :meth:`fit` computes one product, P A C at the new iterate.
+    """
 
     c: np.ndarray
     pg: np.ndarray
@@ -167,56 +182,65 @@ class _Problem:
         kkt_tol = 10.0 * opts.rel_tol * kkt_scale if kkt_scale > 0 else opts.rel_tol
         return cls(c, pg, p, w, None if weights is None else w, step, kkt_tol, opts)
 
-    def _prox_step(self, x, qx, thresholds, lamw):
-        """Soft-thresholded gradient step from x (with qx = P x C): (A, P A C, objective)."""
-        z = x - self.step * (self.pg + qx)
-        a = np.sign(z) * np.maximum(np.abs(z) - thresholds, 0.0)
-        q = _quad(a, self.c, self.p)
-        return a, q, self._objective(a, q, lamw)
-
-    def _objective(self, a, q, lamw) -> float:
-        """<A, P G> + 1/2 tr(P A C A^T) + lam ||W o A||_1, given q = P A C."""
-        return float(np.vdot(a, self.pg) + 0.5 * np.vdot(a, q) + np.vdot(lamw, np.abs(a)))
-
-    def _kkt_residual(self, a, q, lamw) -> float:
-        """Max violation of the subgradient optimality conditions."""
-        grad = self.pg + q
-        viol = np.where(a == 0.0, np.maximum(np.abs(grad) - lamw, 0.0), np.abs(grad + lamw * np.sign(a)))
-        return float(viol.max())
+    def _objective(self, a, q, lamw, buf) -> float:
+        """<A, P G> + 1/2 tr(P A C A^T) + lam ||W o A||_1, given q = P A C; ``buf`` is overwritten."""
+        return float(np.vdot(a, self.pg) + 0.5 * np.vdot(a, q) + np.vdot(lamw, np.abs(a, out=buf)))
 
     def fit(self, lam: float, init=None, callback=None, gamma: float | None = None) -> Estimate:
-        """Proximal-gradient solve at penalty ``lam`` from ``init`` (zero when None)."""
-        opts = self.opts
+        """Proximal-gradient solve at penalty ``lam`` from ``init`` (zero when None).
+
+        A step soft-thresholds a gradient point: u = A - step g of the accepted
+        iterate for a plain step or a restart, and for FISTA u_new + beta (u_new - u),
+        which is y - step (P G + P y C) at y = A_new + beta (A_new - A).
+        """
+        opts, step = self.opts, self.step
         lamw = lam * self.w
-        thresholds = self.step * lam * self.w
+        thresholds = step * lam * self.w
+        neg_thresholds = -thresholds
+        buf = np.empty_like(self.c)
+
+        def descend(u):
+            """The soft-thresholded point of gradient point u, with P A C and its objective."""
+            a = _shrink(u, thresholds, neg_thresholds, buf)
+            q = _quad(a, self.c, self.p)
+            return a, q, self._objective(a, q, lamw, buf)
+
         a = np.zeros_like(self.c) if init is None else np.array(init, dtype=float)
         q = _quad(a, self.c, self.p)
-        f_cur = self._objective(a, q, lamw)
-        y, t, converged = a, 1.0, False
+        f_cur = self._objective(a, q, lamw, buf)
+        g = self.pg + q
+        u = a - step * g
+        z, t, restarts, converged = u, 1.0, 0, False
         for it in range(1, opts.max_iters + 1):
+            a_new, q_new, f_new = descend(z)
+            if opts.acceleration and f_new > f_cur:
+                # momentum overshot: restart from the last accepted iterate
+                t = 1.0
+                restarts += 1
+                a_new, q_new, f_new = descend(u)
+            a = a_new
+            g = self.pg + q_new
+            u_new = a - step * g
             if opts.acceleration:
-                a_new, q_new, f_new = self._prox_step(y, _quad(y, self.c, self.p), thresholds, lamw)
-                if f_new > f_cur:
-                    # momentum overshot: restart from the last accepted iterate
-                    t = 1.0
-                    a_new, q_new, f_new = self._prox_step(a, q, thresholds, lamw)
                 t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-                y = a_new + ((t - 1.0) / t_new) * (a_new - a)
+                z = u_new - u
+                z *= (t - 1.0) / t_new
+                z += u_new
                 t = t_new
             else:
-                a_new, q_new, f_new = self._prox_step(a, q, thresholds, lamw)
-            a, q = a_new, q_new
+                z = u_new
+            u = u_new
             if callback is not None:
                 callback(it, f_new)
             small_change = abs(f_cur - f_new) <= opts.rel_tol * max(1.0, abs(f_new))
             f_cur = f_new
             if small_change:
-                kkt = self._kkt_residual(a, q, lamw)
+                kkt = _kkt_residual(a, g, lamw, buf)
                 if kkt <= self.kkt_tol:
                     converged = True
                     break
         if not converged:
-            kkt = self._kkt_residual(a, q, lamw)
+            kkt = _kkt_residual(a, g, lamw, buf)
         return Estimate(
             matrix=a,
             lam=float(lam),
@@ -226,7 +250,22 @@ class _Problem:
             kkt_residual=kkt,
             converged=converged,
             gamma=gamma,
+            restarts=restarts,
         )
+
+
+def _kkt_residual(a, g, lamw, buf) -> float:
+    """Max violation of the subgradient optimality conditions at A with gradient g.
+
+    Entrywise |g + lam W sign(A)| where A != 0 and max(|g| - lam W, 0) where
+    A == 0; ``buf`` is overwritten.
+    """
+    np.sign(a, out=buf)
+    buf *= lamw
+    buf += g
+    np.abs(buf, out=buf)
+    np.putmask(buf, a == 0.0, np.abs(g) - lamw)
+    return max(float(np.maximum.reduce(buf, axis=None)), 0.0)
 
 
 def lasso(
@@ -255,7 +294,7 @@ def lasso(
     callback : callable or None
         Invoked as ``callback(iteration, objective)`` after every step.
     """
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
     return _Problem.of(stats.c_hat, stats.g_hat, None, weights, opts).fit(lam, init=init, callback=callback)
 
@@ -321,7 +360,7 @@ def fit_sigma_model(
     ||P||_op ||C||_op, which sets the step.  With Sigma = I and m = 0
     this reduces exactly to :func:`lasso`.
     """
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
     centered = _centered(traj, m)
     p = _precision(sigma, traj.dim)

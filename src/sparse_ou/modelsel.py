@@ -100,7 +100,7 @@ def _cross_validate(traj: Trajectory, p, gamma: float | None, grid, opts: Solver
     grid = np.asarray(default_lambda_grid() if grid is None else grid, dtype=float)
     if grid.size == 0:
         raise ValueError("lambda grid must be non-empty")
-    if np.any(grid < 0):
+    if not np.all(grid >= 0):
         raise ValueError("lambda grid entries must be >= 0")
     grid = np.sort(grid)
     train, valid = split_trajectory(traj)

@@ -118,6 +118,14 @@ class TestFit:
         traj, _ = sim_files
         assert run(["fit", "--traj", traj, "--lambda", "garbage", "--out", tmp_path / "o.json"]) == 2
 
+    @pytest.mark.parametrize("method", ["lasso", "adalasso"])
+    def test_nan_lambda_is_runtime_error(self, sim_files, tmp_path, capsys, method):
+        traj, _ = sim_files
+        out = tmp_path / "o.json"
+        assert run(["fit", "--traj", traj, "--method", method, "--lambda", "nan", "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("error: lambda must be >= 0")
+        assert not out.exists()
+
 
 class TestCv:
     def test_writes_result(self, sim_files, tmp_path):
@@ -134,6 +142,13 @@ class TestCv:
         assert run(["cv", "--traj", traj, "--method", "adalasso", "--gamma", -1, "--out", out]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: gamma must be >= 0")
+        assert not out.exists()
+
+    def test_nan_grid_is_runtime_error(self, sim_files, tmp_path, capsys):
+        traj, _ = sim_files
+        out = tmp_path / "cv.json"
+        assert run(["cv", "--traj", traj, "--grid-min", "nan", "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("error: lambda grid entries must be >= 0")
         assert not out.exists()
 
 

@@ -46,9 +46,10 @@ class TestSoftThreshold:
         m = rng.normal(size=(3, 3))
         assert np.array_equal(soft_threshold(m, 0.0), m)
 
-    def test_negative_threshold_rejected(self):
+    @pytest.mark.parametrize("threshold", [-0.1, float("nan")])
+    def test_negative_threshold_rejected(self, threshold):
         with pytest.raises(ValueError):
-            soft_threshold(np.ones((2, 2)), -0.1)
+            soft_threshold(np.ones((2, 2)), threshold)
 
 
 class TestMle:
@@ -146,6 +147,8 @@ class TestLasso:
         st = random_stats(rng, 3)
         with pytest.raises(ValueError):
             lasso(st, -1.0)
+        with pytest.raises(ValueError, match="lambda must be >= 0"):
+            lasso(st, float("nan"))
         with pytest.raises(ValueError):
             lasso(st, 1.0, weights=np.zeros((3, 3)))
         with pytest.raises(ValueError):
@@ -227,6 +230,13 @@ class TestFitSigmaModel:
         traj = sample_trajectory(drift, 5.0, 0.05, seed=1)
         with pytest.raises(ValueError):
             fit_sigma_model(traj, np.zeros(2), np.zeros((2, 2)), 0.1)
+
+    @pytest.mark.parametrize("lam", [-0.1, float("nan")])
+    def test_bad_lambda_rejected(self, lam):
+        drift = generate_shifted_antisymmetric(2, alpha=0.5, w=1.0, s=1, seed=2)
+        traj = sample_trajectory(drift, 5.0, 0.05, seed=1)
+        with pytest.raises(ValueError, match="lambda must be >= 0"):
+            fit_sigma_model(traj, np.zeros(2), np.eye(2), lam)
 
     def test_recovers_drift_monte_carlo(self):
         from sparse_ou import sample_sigma_trajectory

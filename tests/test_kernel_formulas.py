@@ -1,0 +1,107 @@
+"""The kernel's prox and KKT formulas against the textbook forms, and its restart count.
+
+The soft-threshold is computed as z - clip(z, -th, th) and the KKT residual
+with ``np.putmask``; both must give the values of the ``np.sign``/``np.where``
+forms they replaced exactly (``==``, so only the sign of a zero may differ).
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sparse_ou import SolverOptions, soft_threshold
+from sparse_ou.estimators import WEIGHT_CAP, _kkt_residual, _Problem, _quad
+
+from conftest import random_problem
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+dims = st.integers(min_value=1, max_value=8)
+
+
+def sign_max_soft_threshold(m, th):
+    return np.sign(m) * np.maximum(np.abs(m) - th, 0.0)
+
+
+def where_kkt_residual(a, grad, lamw) -> float:
+    viol = np.where(a == 0.0, np.maximum(np.abs(grad) - lamw, 0.0), np.abs(grad + lamw * np.sign(a)))
+    return float(viol.max())
+
+
+def random_penalty(rng, d, lam_zero, capped):
+    """lam W with lam possibly 0 and some weights possibly at WEIGHT_CAP."""
+    lam = 0.0 if lam_zero else float(rng.uniform(1e-3, 2.0))
+    w = rng.uniform(0.2, 3.0, size=(d, d))
+    if capped:
+        w[rng.random((d, d)) < 0.3] = WEIGHT_CAP
+    return lam * w
+
+
+@PROPERTY
+@given(seed=seeds, d=dims, lam_zero=st.booleans(), capped=st.booleans())
+def test_soft_threshold_matches_sign_max_form(seed, d, lam_zero, capped):
+    rng = np.random.default_rng(seed)
+    th = random_penalty(rng, d, lam_zero, capped)
+    m = rng.normal(size=(d, d)) * rng.choice([1e-3, 1.0, 1e3], size=(d, d))
+    ties = rng.random((d, d)) < 0.3
+    m[ties] = th[ties] * rng.choice([-1.0, 1.0], size=int(ties.sum()))  # |m| = th
+    m[rng.random((d, d)) < 0.1] = -0.0
+    assert np.array_equal(soft_threshold(m, th), sign_max_soft_threshold(m, th))
+    for scalar in (0.0, float(th.flat[0])):
+        assert np.array_equal(soft_threshold(m, scalar), sign_max_soft_threshold(m, scalar))
+
+
+@PROPERTY
+@given(seed=seeds, d=dims, lam_zero=st.booleans(), capped=st.booleans())
+def test_kkt_residual_matches_where_form(seed, d, lam_zero, capped):
+    rng = np.random.default_rng(seed)
+    lamw = random_penalty(rng, d, lam_zero, capped)
+    a = rng.normal(size=(d, d))
+    a[rng.random((d, d)) < 0.4] = 0.0
+    a[rng.random((d, d)) < 0.2] = -0.0
+    g = rng.normal(size=(d, d))
+    ties = rng.random((d, d)) < 0.2
+    g[ties] = lamw[ties] * rng.choice([-1.0, 1.0], size=int(ties.sum()))  # |g| = lam W
+    assert _kkt_residual(a, g, lamw, np.empty_like(a)) == where_kkt_residual(a, g, lamw)
+
+
+@pytest.mark.parametrize("acceleration", [False, True])
+@pytest.mark.parametrize("preconditioned", [False, True])
+@pytest.mark.parametrize("max_iters", [3, 50_000])
+def test_fit_reports_the_where_form_residual(acceleration, preconditioned, max_iters):
+    for seed in range(4):
+        c, g, p, weights, _ = random_problem(seed, 3 + seed, preconditioned, True)
+        problem = _Problem.of(c, g, p, weights, SolverOptions(max_iters=max_iters, rel_tol=1e-8, acceleration=acceleration))
+        for lam_frac in (0.0, 0.05, 0.5):
+            lam = lam_frac * float(np.max(np.abs(problem.pg)))
+            fit = problem.fit(lam)
+            a = fit.matrix
+            assert fit.converged == (max_iters > 3)
+            assert fit.kkt_residual == where_kkt_residual(a, problem.pg + _quad(a, c, p), lam * problem.w)
+
+
+def test_ista_never_restarts():
+    for seed in range(4):
+        c, g, p, weights, _ = random_problem(seed, 5, seed % 2 == 1, True)
+        problem = _Problem.of(c, g, p, weights, SolverOptions(max_iters=50_000, rel_tol=1e-8))
+        fit = problem.fit(0.05 * float(np.max(np.abs(problem.pg))))
+        assert fit.converged and fit.restarts == 0
+
+
+def test_fista_restarts_are_counted_and_keep_the_objective_monotone():
+    restarted = 0
+    for seed in range(6):
+        c, g, p, weights, warm = random_problem(seed, 6, seed % 2 == 1, seed % 3 == 0)
+        problem = _Problem.of(c, g, p, weights, SolverOptions(max_iters=50_000, rel_tol=1e-8, acceleration=True))
+        for lam_frac in (0.01, 0.1):
+            values = []
+            fit = problem.fit(lam_frac * float(np.max(np.abs(problem.pg))), init=warm,
+                              callback=lambda it, f: values.append(f))
+            assert fit.converged
+            assert 0 <= fit.restarts <= fit.iterations
+            # a momentum step is kept only when it does not raise the objective,
+            # and a restart is a plain proximal-gradient step, which cannot
+            assert np.all(np.diff(values) <= 0.0)
+            restarted += fit.restarts > 0
+    assert restarted > 0

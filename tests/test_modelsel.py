@@ -153,6 +153,8 @@ class TestCrossValidate:
             cross_validate(traj, "lasso", grid=[])
         with pytest.raises(ValueError):
             cross_validate(traj, "lasso", grid=[-0.1, 0.1])
+        with pytest.raises(ValueError, match="lambda grid entries must be >= 0"):
+            cross_validate(traj, "lasso", grid=[float("nan"), 0.1])
 
 
 class TestCrossValidateSigma:
