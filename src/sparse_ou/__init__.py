@@ -14,7 +14,7 @@ from .errors import (
     NumericError,
     StabilityError,
 )
-from .linops import SpectralInfo, matrix_exponential, solve_lyapunov, spectral_info
+from .linops import matrix_exponential, solve_lyapunov
 from .model import (
     DriftMatrix,
     SparsityPattern,

@@ -11,18 +11,14 @@ SPARSE_OU_SEED provides the base seed when --seed is omitted.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
-import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import metrics, model, modelsel, sim
-from .errors import GenerationError, IngestionError, NumericError, StabilityError
+from .errors import GenerationError, IngestionError, NumericError, StabilityError, UsageError
 from .estimators import (
     SolverOptions,
     adaptive_lasso,
@@ -30,27 +26,20 @@ from .estimators import (
     mle,
     save_estimate_json,
 )
+from .experiments import BENCHMARK_KINDS, CV_METHODS, ExperimentConfig, run_benchmark
 from .finance import (
     EmaConfig,
     ema_log_returns,
     estimate_mean_sigma,
     load_prices,
-    sample_sigma_trajectory,
     save_finance_model_json,
 )
 from .stats import LambdaConfig, sufficient_stats, theoretical_lambda
 
-BENCHMARK_COLUMNS = ["method", "d", "T", "dt", "rep", "frobenius", "l1", "f1", "wall_time"]
-BENCHMARK_KINDS = ("d_sweep", "t_sweep", "f1_study", "dt_study", "oracle_coverage", "finance")
-
-
-class UsageError(Exception):
-    """Bad flag combination detected after parsing; exits with code 2."""
-
 
 def _resolve_seed(seed) -> int:
     if seed is not None:
-        return int(seed)
+        return seed
     return int(os.environ.get("SPARSE_OU_SEED", "0"))
 
 
@@ -119,16 +108,6 @@ def cmd_simulate(args) -> int:
 # -- fit ---------------------------------------------------------------------
 
 
-def _fit_one(method, stats, lam, gamma, opts):
-    if method == "mle":
-        return mle(stats)
-    if method == "lasso":
-        return lasso(stats, lam, opts=opts)
-    if method == "adalasso":
-        return adaptive_lasso(stats, lam, gamma=gamma, opts=opts)
-    raise UsageError(f"unknown method {method!r}")
-
-
 def cmd_fit(args) -> int:
     traj = sim.load_trajectory_csv(args.traj)
     stats = sufficient_stats(traj)
@@ -140,7 +119,7 @@ def cmd_fit(args) -> int:
         fit = mle(stats)
         extra["lambda_rule"] = "none"
     elif args.lam == "cv":
-        method = "adaptive_lasso" if args.method == "adalasso" else "lasso"
+        method = CV_METHODS[args.method]
         cv = modelsel.cross_validate(traj, method, gamma=args.gamma, grid=_lambda_grid(args), opts=opts)
         fit = cv.best_estimate
         cv_out = args.cv_out or (str(args.out) + ".cv.json")
@@ -158,7 +137,10 @@ def cmd_fit(args) -> int:
             except ValueError:
                 raise UsageError(f"--lambda must be a number, 'theory' or 'cv', got {args.lam!r}")
             extra["lambda_rule"] = "fixed"
-        fit = _fit_one(args.method, stats, lam, args.gamma, opts)
+        if args.method == "adalasso":
+            fit = adaptive_lasso(stats, lam, gamma=args.gamma, opts=opts)
+        else:
+            fit = lasso(stats, lam, opts=opts)
 
     if args.truth:
         truth = _load_drift(args.truth)
@@ -182,9 +164,8 @@ def cmd_fit(args) -> int:
 
 def cmd_cv(args) -> int:
     traj = sim.load_trajectory_csv(args.traj)
-    method = "adaptive_lasso" if args.method == "adalasso" else "lasso"
     cv = modelsel.cross_validate(
-        traj, method, gamma=args.gamma, grid=_lambda_grid(args), opts=_solver_options(args)
+        traj, CV_METHODS[args.method], gamma=args.gamma, grid=_lambda_grid(args), opts=_solver_options(args)
     )
     modelsel.save_cv_json(args.out, cv)
     print(f"best lambda {cv.best_lambda:.6g} -> {args.out}")
@@ -194,233 +175,18 @@ def cmd_cv(args) -> int:
 # -- benchmark ---------------------------------------------------------------
 
 
-@dataclass
-class ExperimentConfig:
-    kind: str
-    d_values: list = field(default_factory=lambda: [10])
-    t_values: list = field(default_factory=lambda: [10.0])
-    dt_values: list = field(default_factory=lambda: [1.0, 0.1, 0.01, 0.001])
-    dt: float = 0.01
-    s_rule: float = 0.2
-    reps: int = 20
-    seed: int = 0
-    gamma: float = 1.0
-    grid_min: float = 1e-2
-    grid_max: float = 1e3
-    grid_size: int = 40
-    rel_tol: float = 1e-7
-    max_iters: int = 10000
-    jobs: int = 1
-    out: str = "benchmark.csv"
-
-    def grid(self) -> np.ndarray:
-        return modelsel.default_lambda_grid(self.grid_size, self.grid_min, self.grid_max)
-
-    def opts(self) -> SolverOptions:
-        return SolverOptions(max_iters=self.max_iters, rel_tol=self.rel_tol, acceleration=True)
-
-    def to_dict(self) -> dict:
-        return {k: (list(v) if isinstance(v, (list, tuple)) else v) for k, v in self.__dict__.items()}
-
-
-def _sparsity(cfg: ExperimentConfig, d: int) -> int:
-    return max(1, round(cfg.s_rule * d))
-
-
-def _fit_rows(cfg: ExperimentConfig, drift, traj, d, T, dt, rep) -> list:
-    """Fit MLE / CV-Lasso / CV-Adaptive-Lasso and score one replication."""
-    stats = sufficient_stats(traj)
-    rows = []
-    for method in ("mle", "lasso", "adalasso"):
-        t0 = time.perf_counter()
-        if method == "mle":
-            fit = mle(stats)
-        else:
-            cv_method = "adaptive_lasso" if method == "adalasso" else "lasso"
-            cv = modelsel.cross_validate(traj, cv_method, gamma=cfg.gamma, grid=cfg.grid(), opts=cfg.opts())
-            fit = cv.best_estimate
-        wall = time.perf_counter() - t0
-        err = metrics.error_report(fit.matrix, drift, stats)
-        supp = metrics.support_report(fit.matrix, drift)
-        rows.append(
-            {
-                "method": method,
-                "d": d,
-                "T": T,
-                "dt": dt,
-                "rep": rep,
-                "frobenius": err.frobenius,
-                "l1": err.l1,
-                "f1": supp.f1,
-                "wall_time": wall,
-            }
-        )
-    return rows
-
-
-def _sweep_task(payload) -> list:
-    """One (sweep point, replication) unit of work; must stay picklable."""
-    cfg, drift, d, T, dt, rep, rep_seed = payload
-    if cfg.kind == "dt_study":
-        dt_fine = min(cfg.dt_values)
-        fine = sim.sample_trajectory(drift, T, dt_fine, rep_seed)
-        rows = []
-        for dt_k in sorted(cfg.dt_values, reverse=True):
-            sub = sim.subsample(fine, int(round(dt_k / dt_fine)))
-            rows.extend(_fit_rows(cfg, drift, sub, d, T, dt_k, rep))
-        return rows
-    traj = sim.sample_trajectory(drift, T, dt, rep_seed)
-    return _fit_rows(cfg, drift, traj, d, T, dt, rep)
-
-
-def _oracle_task(payload) -> list:
-    cfg, drift, d, T, rep, rep_seed = payload
-    traj = sim.sample_trajectory(drift, T, cfg.dt, rep_seed)
-    stats = sufficient_stats(traj)
-    lam_cfg = LambdaConfig(gamma=2.0, epsilon0=0.1)
-    lam = theoretical_lambda(stats, lam_cfg)
-    t0 = time.perf_counter()
-    fit = lasso(stats, lam, opts=cfg.opts())
-    wall = time.perf_counter() - t0
-    err = metrics.error_report(fit.matrix, drift, stats)
-    supp = metrics.support_report(fit.matrix, drift)
-    bound = metrics.oracle_bound(drift, lam, lam_cfg.gamma, _sparsity(cfg, d))
-    return [
-        {
-            "method": "lasso_theory",
-            "d": d,
-            "T": T,
-            "dt": cfg.dt,
-            "rep": rep,
-            "frobenius": err.frobenius,
-            "l1": err.l1,
-            "f1": supp.f1,
-            "wall_time": wall,
-            "_bound_holds": bool(err.empirical <= bound),
-        }
-    ]
-
-
-def _finance_task(payload) -> list:
-    cfg, a_true, m_true, sigma_true, truth, d, T, rep, rep_seed = payload
-    traj = sample_sigma_trajectory(a_true, m_true, sigma_true, T, cfg.dt, rep_seed)
-    m_hat, sigma_hat = estimate_mean_sigma(traj)
-    t0 = time.perf_counter()
-    cv = modelsel.cross_validate_sigma(traj, m_hat, sigma_hat, gamma=cfg.gamma, grid=cfg.grid(), opts=cfg.opts())
-    wall = time.perf_counter() - t0
-    stats = sufficient_stats(sim.Trajectory(dt=traj.dt, states=traj.states - m_hat))
-    err = metrics.error_report(cv.best_estimate.matrix, truth, stats)
-    supp = metrics.support_report(cv.best_estimate.matrix, truth)
-    s_true = sigma_true @ sigma_true.T
-    s_rel = float(np.linalg.norm(sigma_hat @ sigma_hat.T - s_true) / np.linalg.norm(s_true))
-    return [
-        {
-            "method": "sigma_adalasso_cv",
-            "d": d,
-            "T": T,
-            "dt": cfg.dt,
-            "rep": rep,
-            "frobenius": err.frobenius,
-            "l1": err.l1,
-            "f1": supp.f1,
-            "wall_time": wall,
-            "_m_err": float(np.linalg.norm(m_hat - m_true)),
-            "_sigma_rel_err": s_rel,
-        }
-    ]
-
-
-def _run_tasks(task_fn, payloads, jobs: int) -> list:
-    if jobs <= 1:
-        results = [task_fn(p) for p in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(task_fn, payloads))
-    return [row for rows in results for row in rows]
-
-
-def run_benchmark(cfg: ExperimentConfig) -> dict:
-    """Execute the configured sweep; returns the summary dict it also writes."""
-    if cfg.kind not in BENCHMARK_KINDS:
-        raise UsageError(f"unknown benchmark kind {cfg.kind!r}")
-    if cfg.reps < 1:
-        raise UsageError("reps must be >= 1")
-    payloads = []
-    task_fn = _sweep_task
-    index = 0
-
-    if cfg.kind in ("d_sweep", "t_sweep", "f1_study", "dt_study"):
-        if cfg.kind == "d_sweep":
-            points = [(d, cfg.t_values[0]) for d in cfg.d_values]
-        elif cfg.kind == "t_sweep":
-            points = [(cfg.d_values[0], T) for T in cfg.t_values]
-        else:
-            points = [(cfg.d_values[0], cfg.t_values[0])]
-        for d, T in points:
-            drift = model.generate_sparse_drift(int(d), _sparsity(cfg, int(d)), sim.derive_seed(cfg.seed, 900000 + int(d)))
-            for rep in range(cfg.reps):
-                payloads.append((cfg, drift, int(d), float(T), cfg.dt, rep, sim.derive_seed(cfg.seed, index)))
-                index += 1
-    elif cfg.kind == "oracle_coverage":
-        task_fn = _oracle_task
-        d = int(cfg.d_values[0])
-        T = float(cfg.t_values[0])
-        base = model.generate_sparse_drift(d, _sparsity(cfg, d), sim.derive_seed(cfg.seed, 900000 + d))
-        drift = model.symmetrized_drift(base)
-        for rep in range(cfg.reps):
-            payloads.append((cfg, drift, d, T, rep, sim.derive_seed(cfg.seed, index)))
-            index += 1
-    else:  # finance
-        task_fn = _finance_task
-        d = int(cfg.d_values[0])
-        T = float(cfg.t_values[0])
-        truth = model.generate_sparse_drift(d, _sparsity(cfg, d), sim.derive_seed(cfg.seed, 900000 + d))
-        rng = np.random.default_rng(sim.derive_seed(cfg.seed, 900002))
-        m_true = rng.normal(size=d) * 0.5
-        w = rng.normal(size=(d, d))
-        sigma_true = np.linalg.cholesky(0.02 * np.eye(d) + 0.01 * (w @ w.T) / d)
-        for rep in range(cfg.reps):
-            payloads.append((cfg, truth.matrix, m_true, sigma_true, truth, d, T, rep, sim.derive_seed(cfg.seed, index)))
-            index += 1
-
-    rows = _run_tasks(task_fn, payloads, cfg.jobs)
-
-    extra_cols = sorted({k for row in rows for k in row if k.startswith("_")})
-    with open(cfg.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=BENCHMARK_COLUMNS + extra_cols, extrasaction="ignore")
-        writer.writeheader()
-        writer.writerows(rows)
-
-    summary = {"config": cfg.to_dict(), "groups": {}}
-    keys = sorted({(r["method"], r["d"], r["T"], r["dt"]) for r in rows})
-    for method, d, T, dt in keys:
-        grp = [r for r in rows if (r["method"], r["d"], r["T"], r["dt"]) == (method, d, T, dt)]
-        entry = {"n": len(grp)}
-        for col in ("frobenius", "l1", "f1", "wall_time"):
-            vals = np.array([r[col] for r in grp])
-            entry[f"{col}_mean"] = float(vals.mean())
-            entry[f"{col}_std"] = float(vals.std(ddof=1)) if len(vals) > 1 else 0.0
-        for col in extra_cols:
-            vals = np.array([float(r[col]) for r in grp])
-            entry[f"{col.lstrip('_')}_mean"] = float(vals.mean())
-        summary["groups"][f"{method}|d={d}|T={T}|dt={dt}"] = entry
-    with open(str(cfg.out) + ".summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
-    return summary
-
-
 def cmd_benchmark(args) -> int:
     file_cfg = {}
     if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
-    merged = {}
-    for key in ExperimentConfig.__dataclass_fields__:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-        elif key in file_cfg:
-            merged[key] = file_cfg[key]
+        if not isinstance(file_cfg, dict):
+            raise UsageError("--config must hold a JSON object")
+        unknown = sorted(set(file_cfg) - set(ExperimentConfig.__dataclass_fields__))
+        if unknown:
+            raise UsageError(f"unknown --config keys {unknown}; the keys are the ExperimentConfig fields")
+    flags = {k: v for k, v in vars(args).items() if k in ExperimentConfig.__dataclass_fields__ and v is not None}
+    merged = {**file_cfg, **flags}
     if "kind" not in merged:
         raise UsageError("benchmark needs --kind (or 'kind' in --config)")
     merged["seed"] = _resolve_seed(merged.get("seed"))
@@ -453,6 +219,9 @@ def cmd_finance(args) -> int:
 def cmd_diagnostics(args) -> int:
     seed = _resolve_seed(args.seed)
     payload = {"which": args.which, "seed": seed}
+    needed = {"re-constant": "traj", "deviation-bounds": "drift"}.get(args.which)
+    if needed and getattr(args, needed) is None:
+        raise UsageError(f"--which {args.which} needs --{needed}")
     if args.which == "re-constant":
         traj = sim.load_trajectory_csv(args.traj)
         stats = sufficient_stats(traj)

@@ -23,3 +23,7 @@ class GenerationError(RuntimeError):
 
 class IngestionError(RuntimeError):
     """An input file could not be parsed into a usable dataset."""
+
+
+class UsageError(ValueError):
+    """A command-line flag or experiment setting is invalid; the CLI exits with code 2."""

@@ -1,5 +1,4 @@
-"""Dense linear-algebra primitives: matrix exponential, Lyapunov solve,
-spectral diagnostics.
+"""Dense linear-algebra primitives: matrix exponential and Lyapunov solve.
 
 The Lyapunov solve uses the Bartels-Stewart algorithm (Bartels & Stewart,
 CACM 1972) on one real Schur form: O(d^3) time and O(d^2) memory.
@@ -9,29 +8,16 @@ functions of their inputs, so they are safe to call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 
 from .errors import NumericError, StabilityError
 
 __all__ = [
-    "SpectralInfo",
     "as_square_matrix",
     "matrix_exponential",
     "solve_lyapunov",
-    "spectral_info",
 ]
-
-
-@dataclass(frozen=True)
-class SpectralInfo:
-    """Eigenvalues, their minimal real part and the operator (spectral) norm."""
-
-    eigenvalues: np.ndarray
-    min_real_part: float
-    operator_norm: float
 
 
 def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -96,18 +82,3 @@ def solve_lyapunov(a) -> np.ndarray:
     if info != 0 or not np.all(np.isfinite(c)):
         raise NumericError(f"Lyapunov equation is too close to singular (trsyl info {info}, scale {scale:.3g})")
     return 0.5 * (c + c.T)
-
-
-def spectral_info(a) -> SpectralInfo:
-    """Eigenvalues plus operator norm (largest singular value) of ``a``."""
-    m = as_square_matrix(a)
-    try:
-        eigs = np.linalg.eigvals(m)
-        op_norm = float(scipy.linalg.svdvals(m)[0])
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigensolver failed to converge: {exc}") from exc
-    return SpectralInfo(
-        eigenvalues=eigs,
-        min_real_part=float(np.min(eigs.real)),
-        operator_norm=op_norm,
-    )

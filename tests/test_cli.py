@@ -166,18 +166,27 @@ class TestBenchmark:
         assert summary["config"]["seed"] == 1
         assert len(summary["groups"]) == 6
 
-    def test_parallel_matches_serial(self, tmp_path):
+    @pytest.mark.parametrize("kind, sizes", [
+        ("d_sweep", ["--d-values", "4,5", "--t-values", "5"]),
+        ("t_sweep", ["--d-values", "4", "--t-values", "5,10"]),
+        ("f1_study", ["--d-values", "5", "--t-values", "5"]),
+        ("dt_study", ["--d-values", "4", "--t-values", "5", "--dt-values", "0.1,0.01"]),
+        ("oracle_coverage", ["--d-values", "4", "--t-values", "30"]),
+        ("finance", ["--d-values", "4", "--t-values", "50"]),
+    ])
+    def test_parallel_matches_serial(self, tmp_path, kind, sizes):
         # results are keyed by derived seeds, so scheduling cannot change
         # them; only wall_time is timing-dependent
         rows = {}
         for jobs in (1, 2):
             out = tmp_path / f"bench{jobs}.csv"
-            run(["benchmark", "--kind", "f1_study", "--d-values", "5", "--t-values", "5",
-                 "--reps", 2, "--seed", 4, "--jobs", jobs, "--grid-size", 5, "--out", out])
+            assert run(["benchmark", "--kind", kind, *sizes, "--reps", 2, "--seed", 4, "--jobs", jobs,
+                        "--grid-size", 5, "--out", out]) == 0
             rows[jobs] = [
                 {k: v for k, v in row.items() if k != "wall_time"}
                 for row in csv.DictReader(out.open())
             ]
+        assert len(rows[1]) > 0
         assert rows[1] == rows[2]
 
     def test_dt_study_rows(self, tmp_path):
@@ -229,6 +238,19 @@ class TestBenchmark:
 
     def test_missing_kind_is_usage_error(self, tmp_path):
         assert run(["benchmark", "--out", tmp_path / "x.csv"]) == 2
+
+    @pytest.mark.parametrize("entry", [{"d_values": []}, {"reps": "2"}, {"rep": 3}, {"seed": 1.5}])
+    def test_bad_config_entry_is_usage_error(self, tmp_path, capsys, entry):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "f1_study", "d_values": [4], "t_values": [5.0], "reps": 2,
+                                   "grid_size": 5, **entry}))
+        out = tmp_path / "b.csv"
+        assert run(["benchmark", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+        assert not (tmp_path / "b.csv.summary.json").exists()
 
 
 class TestFinanceCommand:
@@ -284,3 +306,12 @@ class TestDiagnostics:
                     "--T", 30, "--reps", 3, "--seed", 2, "--out", out])
         assert code == 0
         assert 0.0 <= json.loads(out.read_text())["coverage"] <= 1.0
+
+    @pytest.mark.parametrize("which, missing", [("re-constant", "--traj"), ("deviation-bounds", "--drift")])
+    def test_missing_input_is_usage_error(self, tmp_path, capsys, which, missing):
+        out = tmp_path / "x.json"
+        assert run(["diagnostics", "--which", which, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: --which {which} needs {missing}")
+        assert "Traceback" not in err
+        assert not out.exists()

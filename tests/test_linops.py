@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad_vec
 
-from sparse_ou import StabilityError, matrix_exponential, solve_lyapunov, spectral_info
+from sparse_ou import StabilityError, matrix_exponential, solve_lyapunov
 from sparse_ou.errors import NumericError
 from sparse_ou.linops import as_square_matrix
 
@@ -70,7 +70,7 @@ class TestSolveLyapunov:
         # independent oracle: numerically integrate exp(-At) exp(-A^T t)
         for _ in range(5):
             a = random_stable_matrix(rng, 4)
-            upper = 40.0 / spectral_info(a).min_real_part
+            upper = 40.0 / np.linalg.eigvals(a).real.min()
             integral, _ = quad_vec(
                 lambda t: matrix_exponential(a, -t) @ matrix_exponential(a.T, -t),
                 0.0,
@@ -94,14 +94,12 @@ class TestSolveLyapunov:
 
 
 def kronecker_lyapunov(a) -> np.ndarray:
-    """The d^2 x d^2 Kronecker solve that Bartels-Stewart replaced, verbatim."""
+    """The d^2 x d^2 Kronecker solve that Bartels-Stewart replaced."""
     m = as_square_matrix(a)
     d = m.shape[0]
-    info = spectral_info(m)
-    if info.min_real_part <= 0.0:
-        raise StabilityError(
-            f"matrix is not stable: min eigenvalue real part {info.min_real_part:.6g} <= 0"
-        )
+    min_real_part = np.linalg.eigvals(m).real.min()
+    if min_real_part <= 0.0:
+        raise StabilityError(f"matrix is not stable: min eigenvalue real part {min_real_part:.6g} <= 0")
     eye = np.eye(d)
     # row-major vec: vec(A C + C A^T) = (A (x) I + I (x) A) vec(C)
     kron = np.kron(m, eye) + np.kron(eye, m)
@@ -128,27 +126,3 @@ class TestBartelsStewartParity:
         assert np.linalg.norm(a @ c + c @ a.T - np.eye(d)) / d <= 1e-10
         assert np.array_equal(c, c.T)
         assert np.linalg.eigvalsh(c).min() > 0.0
-
-
-class TestSpectralInfo:
-    def test_identity(self):
-        info = spectral_info(np.eye(3))
-        assert np.allclose(info.eigenvalues, 1.0)
-        assert info.min_real_part == pytest.approx(1.0)
-        assert info.operator_norm == pytest.approx(1.0)
-
-    def test_rotation(self):
-        info = spectral_info(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-        assert sorted(np.round(info.eigenvalues.imag, 12)) == [-1.0, 1.0]
-        assert info.min_real_part == pytest.approx(0.0, abs=1e-12)
-
-    def test_diagonal(self):
-        info = spectral_info(np.diag([1.0, 2.0, 3.0]))
-        assert info.min_real_part == pytest.approx(1.0)
-        assert info.operator_norm == pytest.approx(3.0)
-
-    def test_operator_norm_dominates_spectral_radius(self, rng):
-        for _ in range(10):
-            a = rng.normal(size=(5, 5))
-            info = spectral_info(a)
-            assert info.operator_norm >= np.max(np.abs(info.eigenvalues)) - 1e-12

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from sparse_ou import (
+    GenerationError,
     SparsityPattern,
+    StabilityError,
     generate_shifted_antisymmetric,
     generate_sparse_drift,
     generate_two_group,
     solve_lyapunov,
-    spectral_info,
 )
+from sparse_ou import model
 from sparse_ou.model import (
     STABILITY_MARGIN,
     load_drift_csv,
@@ -42,11 +44,25 @@ class TestGenerateSparseDrift:
     def test_stability(self):
         for d, s, seed in [(8, 2, 0), (20, 4, 1), (40, 8, 2)]:
             drift = generate_sparse_drift(d, s, seed=seed)
-            assert spectral_info(drift.matrix).min_real_part > 0
+            assert np.linalg.eigvals(drift.matrix).real.min() > 0
 
     def test_margin_at_least_half(self):
         drift = generate_sparse_drift(20, 4, seed=1)
-        assert spectral_info(drift.matrix).min_real_part >= STABILITY_MARGIN - 1e-9
+        assert np.linalg.eigvals(drift.matrix).real.min() >= STABILITY_MARGIN - 1e-9
+
+    def test_shift_from_pattern_eigenvalues(self):
+        for d, s, seed in [(1, 1, 0), (8, 2, 0), (20, 4, 1), (40, 8, 2)]:
+            pattern = random_sign_pattern(d, s, seed)
+            delta = max(0.0, -float(np.linalg.eigvals(pattern).real.min()) + STABILITY_MARGIN)
+            assert np.array_equal(generate_sparse_drift(d, s, seed).matrix, pattern + delta * np.eye(d))
+
+    def test_unstabilized_shift_is_generation_error(self, monkeypatch):
+        def unstable(matrix):
+            raise StabilityError("matrix is not stable")
+
+        monkeypatch.setattr(model, "solve_lyapunov", unstable)
+        with pytest.raises(GenerationError, match="failed to stabilize a 8x8 pattern"):
+            generate_sparse_drift(8, 2, seed=0)
 
     def test_determinism(self):
         a = generate_sparse_drift(12, 3, seed=42)
@@ -70,7 +86,7 @@ class TestGenerateTwoGroup:
     def test_d2_is_two_singleton_blocks(self):
         drift = generate_two_group(2)
         assert np.allclose(drift.matrix, np.eye(2))
-        assert spectral_info(drift.matrix).min_real_part > 0
+        assert np.linalg.eigvals(drift.matrix).real.min() > 0
 
     def test_support_confined_to_blocks(self):
         drift = generate_two_group(8)
@@ -80,7 +96,7 @@ class TestGenerateTwoGroup:
         assert np.all(m[:4, :4] != 0.0)
 
     def test_stable(self):
-        assert spectral_info(generate_two_group(8).matrix).min_real_part > 0
+        assert np.linalg.eigvals(generate_two_group(8).matrix).real.min() > 0
 
     def test_odd_d_rejected(self):
         with pytest.raises(ValueError):
