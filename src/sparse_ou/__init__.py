@@ -17,7 +17,6 @@ from .errors import (
 from .linops import matrix_exponential, solve_lyapunov
 from .model import (
     DriftMatrix,
-    SparsityPattern,
     generate_shifted_antisymmetric,
     generate_sparse_drift,
     generate_two_group,
@@ -62,7 +61,6 @@ from .metrics import (
     support_report,
 )
 from .finance import (
-    EmaConfig,
     PricePanel,
     ema_log_returns,
     estimate_mean_sigma,

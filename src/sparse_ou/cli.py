@@ -28,7 +28,6 @@ from .estimators import (
 )
 from .experiments import BENCHMARK_KINDS, CV_METHODS, ExperimentConfig, run_benchmark
 from .finance import (
-    EmaConfig,
     ema_log_returns,
     estimate_mean_sigma,
     load_prices,
@@ -203,7 +202,7 @@ def cmd_benchmark(args) -> int:
 
 def cmd_finance(args) -> int:
     panel = load_prices(args.prices)
-    traj = ema_log_returns(panel, EmaConfig(span=args.span))
+    traj = ema_log_returns(panel, span=args.span)
     m_hat, sigma_hat = estimate_mean_sigma(traj)
     cv = modelsel.cross_validate_sigma(
         traj, m_hat, sigma_hat, gamma=args.gamma, grid=_lambda_grid(args), opts=_solver_options(args)
@@ -246,7 +245,7 @@ def cmd_diagnostics(args) -> int:
         else:
             truth = model.symmetrized_drift(model.generate_sparse_drift(args.d, args.s, seed))
         cfg = LambdaConfig(gamma=args.theory_gamma, epsilon0=args.theory_eps0)
-        cov = metrics.oracle_coverage(truth, truth.dim, args.s, args.T, args.reps, cfg, seed, dt=args.dt)
+        cov = metrics.oracle_coverage(truth, args.s, args.T, args.reps, cfg, seed, dt=args.dt)
         payload.update({"coverage": cov, "T": args.T, "reps": args.reps})
     else:
         raise UsageError(f"unknown diagnostic {args.which!r}")

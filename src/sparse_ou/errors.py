@@ -4,6 +4,15 @@ Invalid arguments raise plain ``ValueError``; the classes below mark
 failures of numerical preconditions or external inputs.
 """
 
+__all__ = [
+    "StabilityError",
+    "NumericError",
+    "ConditioningError",
+    "GenerationError",
+    "IngestionError",
+    "UsageError",
+]
+
 
 class StabilityError(RuntimeError):
     """A drift matrix has an eigenvalue with non-positive real part."""

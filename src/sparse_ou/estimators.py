@@ -27,15 +27,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConditioningError
-from .model import SparsityPattern
 from .sim import Trajectory
-from .stats import SufficientStats, neg_log_likelihood, sufficient_stats
+from .stats import SufficientStats, grad_neg_log_likelihood, neg_log_likelihood, sufficient_stats
 
 __all__ = [
     "SolverOptions",
@@ -68,25 +66,16 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class Estimate:
-    """A fitted drift matrix with solver diagnostics.
-
-    ``support``, the :class:`SparsityPattern` of ``matrix``, is derived on
-    first access and cached; it is not a constructor argument.
-    """
+    """A fitted drift matrix with solver diagnostics."""
 
     matrix: np.ndarray
     lam: float
-    weights: np.ndarray | None
     iterations: int
     final_objective: float
     kkt_residual: float
     converged: bool
     gamma: float | None = None
     restarts: int = 0
-
-    @cached_property
-    def support(self) -> SparsityPattern:
-        return SparsityPattern.of(self.matrix)
 
 
 def soft_threshold(m, thresholds) -> np.ndarray:
@@ -118,14 +107,12 @@ def mle(stats: SufficientStats) -> Estimate:
         )
     # A C = -G with C symmetric
     a = -np.linalg.solve(c, g.T).T
-    grad = g + a @ c
     return Estimate(
         matrix=a,
         lam=0.0,
-        weights=None,
         iterations=0,
         final_objective=neg_log_likelihood(a, stats),
-        kkt_residual=float(np.max(np.abs(grad))),
+        kkt_residual=float(np.max(np.abs(grad_neg_log_likelihood(a, stats)))),
         converged=True,
     )
 
@@ -164,7 +151,6 @@ class _Problem:
     pg: np.ndarray
     p: np.ndarray | None
     w: np.ndarray
-    weights: np.ndarray | None  # as reported on each Estimate
     step: float
     kkt_tol: float
     opts: SolverOptions
@@ -180,7 +166,7 @@ class _Problem:
         pg = g if p is None else p @ g
         kkt_scale = float(np.max(np.abs(pg)))
         kkt_tol = 10.0 * opts.rel_tol * kkt_scale if kkt_scale > 0 else opts.rel_tol
-        return cls(c, pg, p, w, None if weights is None else w, step, kkt_tol, opts)
+        return cls(c, pg, p, w, step, kkt_tol, opts)
 
     def _objective(self, a, q, lamw, buf) -> float:
         """<A, P G> + 1/2 tr(P A C A^T) + lam ||W o A||_1, given q = P A C; ``buf`` is overwritten."""
@@ -193,6 +179,8 @@ class _Problem:
         iterate for a plain step or a restart, and for FISTA u_new + beta (u_new - u),
         which is y - step (P G + P y C) at y = A_new + beta (A_new - A).
         """
+        if not lam >= 0:
+            raise ValueError(f"lambda must be >= 0, got {lam}")
         opts, step = self.opts, self.step
         lamw = lam * self.w
         thresholds = step * lam * self.w
@@ -244,7 +232,6 @@ class _Problem:
         return Estimate(
             matrix=a,
             lam=float(lam),
-            weights=self.weights,
             iterations=it,
             final_objective=f_cur,
             kkt_residual=kkt,
@@ -294,8 +281,6 @@ def lasso(
     callback : callable or None
         Invoked as ``callback(iteration, objective)`` after every step.
     """
-    if not lam >= 0:
-        raise ValueError(f"lambda must be >= 0, got {lam}")
     return _Problem.of(stats.c_hat, stats.g_hat, None, weights, opts).fit(lam, init=init, callback=callback)
 
 
@@ -315,9 +300,9 @@ def adaptive_lasso(
     """
     if not gamma >= 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    mle_fit = mle(stats)
-    fit = lasso(stats, lam, weights=_adaptive_weights(mle_fit.matrix, gamma), opts=opts, init=mle_fit.matrix)
-    return replace(fit, gamma=float(gamma))
+    a_mle = mle(stats).matrix
+    problem = _Problem.of(stats.c_hat, stats.g_hat, None, _adaptive_weights(a_mle, gamma), opts)
+    return problem.fit(lam, init=a_mle, gamma=float(gamma))
 
 
 def _precision(sigma, d: int) -> np.ndarray:
@@ -360,8 +345,6 @@ def fit_sigma_model(
     ||P||_op ||C||_op, which sets the step.  With Sigma = I and m = 0
     this reduces exactly to :func:`lasso`.
     """
-    if not lam >= 0:
-        raise ValueError(f"lambda must be >= 0, got {lam}")
     centered = _centered(traj, m)
     p = _precision(sigma, traj.dim)
     stats = sufficient_stats(centered)
@@ -378,7 +361,7 @@ def save_estimate_json(path, estimate: Estimate, extra: dict | None = None) -> N
         "final_objective": estimate.final_objective,
         "kkt_residual": estimate.kkt_residual,
         "converged": estimate.converged,
-        "support": sorted([i, j] for i, j in estimate.support.support),
+        "support": np.argwhere(np.abs(estimate.matrix) > 0).tolist(),
     }
     if extra:
         payload.update(extra)

@@ -22,7 +22,6 @@ from .sim import Trajectory, sample_trajectory
 
 __all__ = [
     "PricePanel",
-    "EmaConfig",
     "load_prices",
     "ema_log_returns",
     "estimate_mean_sigma",
@@ -38,21 +37,6 @@ class PricePanel:
     tickers: list
     dates: list
     prices: np.ndarray  # shape (n_dates, n_tickers)
-
-
-@dataclass(frozen=True)
-class EmaConfig:
-    """Smoothing span in days; the EMA weight is 2 / (span + 1)."""
-
-    span: int = 10
-
-    def __post_init__(self):
-        if self.span < 1:
-            raise ValueError(f"span must be >= 1, got {self.span}")
-
-    @property
-    def alpha(self) -> float:
-        return 2.0 / (self.span + 1.0)
 
 
 def load_prices(path) -> PricePanel:
@@ -99,15 +83,19 @@ def load_prices(path) -> PricePanel:
     return PricePanel(tickers=tickers, dates=dates, prices=prices)
 
 
-def ema_log_returns(panel: PricePanel, cfg: EmaConfig | None = None) -> Trajectory:
-    """Log-returns smoothed by an EMA seeded at the first return; dt = 1 day."""
-    cfg = cfg or EmaConfig()
+def ema_log_returns(panel: PricePanel, span: int = 10) -> Trajectory:
+    """Log-returns smoothed by an EMA seeded at the first return; dt = 1 day.
+
+    ``span`` is the smoothing span in days; the EMA weight is 2 / (span + 1).
+    """
+    if span < 1:
+        raise ValueError(f"span must be >= 1, got {span}")
     if panel.prices.shape[0] < 2:
         raise ValueError("panel needs at least 2 dates")
     returns = np.diff(np.log(panel.prices), axis=0)
     ema = np.empty_like(returns)
     ema[0] = returns[0]
-    a = cfg.alpha
+    a = 2.0 / (span + 1.0)
     for k in range(1, returns.shape[0]):
         ema[k] = a * returns[k] + (1.0 - a) * ema[k - 1]
     return Trajectory(dt=1.0, states=ema)

@@ -9,7 +9,6 @@ oracle bound.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -45,16 +44,6 @@ class ErrorReport:
     lq: dict
     empirical: float
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "l1": self.l1,
-                "frobenius": self.frobenius,
-                "lq": {str(q): v for q, v in self.lq.items()},
-                "empirical": self.empirical,
-            }
-        )
-
 
 @dataclass(frozen=True)
 class SupportReport:
@@ -65,12 +54,12 @@ class SupportReport:
     recall: float
     f1: float
 
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__)
 
+def error_report(estimate, truth: DriftMatrix, stats: SufficientStats | None, qs=(1.0, 2.0)) -> ErrorReport:
+    """Entrywise l1/Frobenius/lq errors plus the empirical norm of the gap.
 
-def error_report(estimate, truth: DriftMatrix, stats: SufficientStats, qs=(1.0, 2.0)) -> ErrorReport:
-    """Entrywise l1/Frobenius/lq errors plus the empirical norm of the gap."""
+    The empirical norm tr(M C M^T) needs the path's C; it is NaN when ``stats`` is None.
+    """
     delta = np.asarray(estimate, dtype=float) - truth.matrix
     if delta.shape != truth.matrix.shape:
         raise ValueError("estimate and truth dimensions differ")
@@ -79,12 +68,14 @@ def error_report(estimate, truth: DriftMatrix, stats: SufficientStats, qs=(1.0, 
         if not 1.0 <= q <= 2.0:
             raise ValueError(f"q must lie in [1, 2], got {q}")
         lq[float(q)] = float(np.sum(np.abs(delta) ** q) ** (1.0 / q))
-    emp_sq = float(np.sum((delta @ stats.c_hat) * delta))
+    empirical = math.nan
+    if stats is not None:
+        empirical = math.sqrt(max(float(np.sum((delta @ stats.c_hat) * delta)), 0.0))
     return ErrorReport(
         l1=float(np.sum(np.abs(delta))),
         frobenius=float(np.sqrt(np.sum(delta**2))),
         lq=lq,
-        empirical=math.sqrt(max(emp_sq, 0.0)),
+        empirical=empirical,
     )
 
 
@@ -217,7 +208,6 @@ def oracle_bound(truth: DriftMatrix, lam: float, gamma: float, s: int) -> float:
 
 def oracle_coverage(
     truth: DriftMatrix,
-    d: int,
     s: int,
     T: float,
     reps: int,
@@ -232,11 +222,10 @@ def oracle_coverage(
 
         ||(A_hat - A0) X||_L <= (1 + gamma) / (gamma kappa) * lambda_T sqrt(d s)
 
-    with kappa as in :func:`oracle_bound`.  The guarantee is proved for
-    symmetric truths; a non-symmetric input triggers a warning but runs.
+    with d = ``truth.dim``, ``s`` the row sparsity and kappa as in
+    :func:`oracle_bound`.  The guarantee is proved for symmetric truths; a
+    non-symmetric input triggers a warning but runs.
     """
-    if d != truth.dim:
-        raise ValueError(f"d={d} does not match truth dimension {truth.dim}")
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     if not np.allclose(truth.matrix, truth.matrix.T, atol=1e-12):

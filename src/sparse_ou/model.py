@@ -19,7 +19,6 @@ from .linops import as_square_matrix, solve_lyapunov
 
 __all__ = [
     "DriftMatrix",
-    "SparsityPattern",
     "make_drift",
     "random_sign_pattern",
     "generate_sparse_drift",
@@ -46,28 +45,6 @@ class DriftMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def support(self) -> "SparsityPattern":
-        return SparsityPattern.of(self.matrix)
-
-
-@dataclass(frozen=True)
-class SparsityPattern:
-    """Index set of non-zero entries and the maximal per-row count."""
-
-    support: frozenset
-    row_sparsity: int
-
-    @staticmethod
-    def of(matrix, zero_tol: float = 0.0) -> "SparsityPattern":
-        m = np.asarray(matrix)
-        mask = np.abs(m) > zero_tol
-        support = frozenset(zip(*np.nonzero(mask)))
-        row_counts = mask.sum(axis=1)
-        return SparsityPattern(
-            support=frozenset((int(i), int(j)) for i, j in support),
-            row_sparsity=int(row_counts.max()) if m.size else 0,
-        )
 
 
 def make_drift(matrix, stationary_cov: np.ndarray | None = None) -> DriftMatrix:

@@ -47,19 +47,16 @@ class SufficientStats:
 
 @dataclass(frozen=True)
 class LambdaConfig:
-    """Constants (gamma, epsilon0, tau) entering the theoretical penalty."""
+    """Constants (gamma, epsilon0) entering the theoretical penalty."""
 
     gamma: float = 2.0
     epsilon0: float = 0.1
-    tau: float = 0.0
 
     def __post_init__(self):
         if not self.gamma > 1:
             raise ValueError(f"gamma must be > 1, got {self.gamma}")
         if not 0 < self.epsilon0 < 1:
             raise ValueError(f"epsilon0 must be in (0, 1), got {self.epsilon0}")
-        if not 0 <= self.tau < self.gamma - 1:
-            raise ValueError(f"tau must be in [0, gamma - 1), got {self.tau}")
 
 
 def sufficient_stats(traj: Trajectory) -> SufficientStats:

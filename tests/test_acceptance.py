@@ -210,13 +210,12 @@ def test_09_time_step_study():
 
 
 def test_10_oracle_bound_coverage():
-    d = 5
     base = np.diag([1.5, 1.2, 1.8, 1.4, 1.6])
     base[0, 1] = base[1, 0] = 0.3
     base[2, 3] = base[3, 2] = -0.25
     truth = make_drift(base)
     cfg = LambdaConfig(gamma=2.0, epsilon0=0.1)
-    frac = oracle_coverage(truth, d, 2, T=200.0, reps=50, cfg=cfg, seed=909)
+    frac = oracle_coverage(truth, 2, T=200.0, reps=50, cfg=cfg, seed=909)
     ok = frac >= 0.9
     report(10, "oracle bound coverage", ok, f"coverage {frac:.2f} >= 0.9")
 

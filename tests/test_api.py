@@ -1,0 +1,47 @@
+"""The public surface: each module's ``__all__`` and what ``sparse_ou`` re-exports."""
+
+import importlib
+import inspect
+import types
+from dataclasses import fields
+
+import pytest
+
+import sparse_ou
+
+MODULES = ["errors", "estimators", "finance", "linops", "metrics", "model", "modelsel", "sim", "stats"]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_entries_exist(name):
+    module = importlib.import_module(f"sparse_ou.{name}")
+    assert module.__all__
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_package_reexports_are_declared():
+    exported = {
+        n: obj for n, obj in vars(sparse_ou).items()
+        if not n.startswith("_") and not isinstance(obj, types.ModuleType)
+    }
+    assert exported
+    for name, obj in exported.items():
+        module = importlib.import_module(obj.__module__)
+        assert name in module.__all__, f"sparse_ou.{name} is not in {obj.__module__}.__all__"
+
+
+def test_removed_surface_is_gone():
+    from sparse_ou import finance, metrics, model
+
+    for name in ("SparsityPattern", "EmaConfig"):
+        assert not hasattr(sparse_ou, name)
+    assert not hasattr(model, "SparsityPattern")
+    assert not hasattr(finance, "EmaConfig")
+    assert not hasattr(model.DriftMatrix, "support")
+    estimate_fields = {f.name for f in fields(sparse_ou.Estimate)}
+    assert not {"support", "weights"} & (estimate_fields | set(dir(sparse_ou.Estimate)))
+    assert "tau" not in {f.name for f in fields(sparse_ou.LambdaConfig)}
+    assert not hasattr(metrics.ErrorReport, "to_json")
+    assert not hasattr(metrics.SupportReport, "to_json")
+    assert "d" not in inspect.signature(metrics.oracle_coverage).parameters
+    assert list(inspect.signature(sparse_ou.ema_log_returns).parameters) == ["panel", "span"]

@@ -7,6 +7,7 @@ import pytest
 from sparse_ou import model
 from sparse_ou.cli import main
 from sparse_ou.errors import GenerationError
+from sparse_ou.experiments import ExperimentConfig
 
 
 def run(args):
@@ -198,6 +199,16 @@ class TestBenchmark:
         rows = list(csv.DictReader(out.open()))
         assert len(rows) == 2 * 2 * 3  # reps x dt-points x methods
         assert {r["dt"] for r in rows} == {"0.1", "0.01"}
+
+    def test_dt_study_step_not_a_multiple_is_usage_error(self, tmp_path, capsys):
+        # every step subsamples the path sampled at the smallest one, so 0.1 cannot follow from 0.04
+        out = tmp_path / "dt.csv"
+        code = run(["benchmark", "--kind", "dt_study", "--d-values", "3", "--t-values", "4",
+                    "--dt-values", "0.1,0.04", "--reps", 1, "--out", out])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("usage error: dt_values must be integer multiples")
+        assert list(tmp_path.iterdir()) == []
+        assert ExperimentConfig(kind="dt_study").dt_values == [1.0, 0.1, 0.01, 0.001]
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from sparse_ou import (
-    EmaConfig,
     ema_log_returns,
     estimate_mean_sigma,
     generate_shifted_antisymmetric,
@@ -85,9 +84,11 @@ class TestEmaLogReturns:
             tmp_path / "p.csv",
             "date,AAA\n2020-01-01,1.0\n2020-01-02,2.0\n2020-01-03,1.0\n2020-01-04,4.0\n",
         )
-        traj = ema_log_returns(load_prices(path), EmaConfig(span=1))
+        traj = ema_log_returns(load_prices(path), span=1)
         expected = np.diff(np.log([1.0, 2.0, 1.0, 4.0]))
         assert np.allclose(traj.states[:, 0], expected, atol=1e-15)
+        with pytest.raises(ValueError, match="span must be >= 1"):
+            ema_log_returns(load_prices(path), span=0)
 
     def test_geometric_prices_constant_after_seed(self, tmp_path):
         g = 0.03
@@ -96,7 +97,7 @@ class TestEmaLogReturns:
             tmp_path / "p.csv",
             "date,AAA\n" + "".join(f"2020-01-{k+1:02d},{p}\n" for k, p in enumerate(prices)),
         )
-        traj = ema_log_returns(load_prices(path), EmaConfig(span=5))
+        traj = ema_log_returns(load_prices(path), span=5)
         assert np.allclose(traj.states[:, 0], g, atol=1e-12)
 
     def test_pipeline_deterministic(self, tmp_path):

@@ -3,7 +3,6 @@ import pytest
 
 from sparse_ou import (
     GenerationError,
-    SparsityPattern,
     StabilityError,
     generate_shifted_antisymmetric,
     generate_sparse_drift,
@@ -143,14 +142,6 @@ class TestSymmetrizedDrift:
     def test_definite_part_is_shifted_by_the_margin(self):
         sym = symmetrized_drift(make_drift(np.diag([2.0, 3.0])))
         assert np.array_equal(sym.matrix, np.diag([2.0, 3.0]) + STABILITY_MARGIN * np.eye(2))
-
-
-class TestSparsityPattern:
-    def test_counts(self):
-        m = np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
-        pat = SparsityPattern.of(m)
-        assert pat.support == frozenset({(0, 0), (0, 2), (2, 1)})
-        assert pat.row_sparsity == 2
 
 
 class TestSerialization:

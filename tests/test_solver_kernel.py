@@ -211,7 +211,7 @@ def test_cross_validate_sigma_matches_fit_sigma_model(traj):
     # the path warm-starts from the previous grid point, the public call starts at zero
     assert fit.converged and cv.best_estimate.converged
     assert _rel_diff(cv.best_estimate.matrix, fit.matrix) <= 1e-6
-    assert cv.best_estimate.support == fit.support
+    assert np.array_equal(np.argwhere(cv.best_estimate.matrix), np.argwhere(fit.matrix))
 
 
 @pytest.mark.parametrize("method", ["lasso", "adaptive_lasso"])
@@ -225,5 +225,5 @@ def test_cross_validate_matches_public_fit(traj, method):
     # the path warm-starts from the previous grid point, the public call does not
     assert fit.converged and cv.best_estimate.converged
     assert _rel_diff(cv.best_estimate.matrix, fit.matrix) <= 1e-6
-    assert cv.best_estimate.support == fit.support
+    assert np.array_equal(np.argwhere(cv.best_estimate.matrix), np.argwhere(fit.matrix))
     assert cv.best_estimate.gamma == fit.gamma

@@ -202,6 +202,4 @@ class TestLambdaConfig:
             LambdaConfig(gamma=1.0)
         with pytest.raises(ValueError):
             LambdaConfig(epsilon0=1.0)
-        with pytest.raises(ValueError):
-            LambdaConfig(gamma=2.0, tau=1.5)
-        LambdaConfig(gamma=2.0, epsilon0=0.5, tau=0.5)
+        LambdaConfig(gamma=2.0, epsilon0=0.5)
