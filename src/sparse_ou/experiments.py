@@ -69,9 +69,14 @@ class ExperimentConfig:
             raise UsageError(f"unknown benchmark kind {self.kind!r}")
         if self.reps < 1:
             raise UsageError("reps must be >= 1")
-        dt_fine = min(self.dt_values)
-        if self.kind == "dt_study" and dt_fine > 0:
+        if not self.dt > 0:
+            raise UsageError(f"dt must be > 0, got {self.dt!r}")
+        for name in ("dt_values", "t_values"):
+            if not all(x > 0 for x in getattr(self, name)):
+                raise UsageError(f"{name} entries must be > 0, got {getattr(self, name)!r}")
+        if self.kind == "dt_study":
             # each step size subsamples one path sampled at the smallest
+            dt_fine = min(self.dt_values)
             for dt in self.dt_values:
                 ratio = dt / dt_fine
                 if abs(ratio - round(ratio)) > 1e-9 * ratio:

@@ -46,10 +46,13 @@ TRAIN_FRACTION = 0.8
 
 @dataclass(frozen=True)
 class CvResult:
+    """The scored grid, the selected fit, and every fit of the path in grid order."""
+
     lambda_grid: np.ndarray
     validation_scores: np.ndarray
     best_lambda: float
     best_estimate: Estimate
+    fits: tuple[Estimate, ...]
 
 
 def default_lambda_grid(num: int = 40, low: float = 1e-2, high: float = 1e3) -> np.ndarray:
@@ -90,6 +93,7 @@ def _select(grid: np.ndarray, fits: list[Estimate], scores) -> CvResult:
         validation_scores=scores,
         best_lambda=float(grid[best_idx]),
         best_estimate=best,
+        fits=tuple(fits),
     )
 
 
@@ -161,10 +165,15 @@ def cross_validate_sigma(
 
 
 def save_cv_json(path, result: CvResult) -> None:
+    """The grid, scores and selected penalty, with each fit's solver trace in grid order."""
     payload = {
         "lambda_grid": [float(x) for x in result.lambda_grid],
         "validation_scores": [float(x) for x in result.validation_scores],
         "best_lambda": result.best_lambda,
+        "iterations": [f.iterations for f in result.fits],
+        "restarts": [f.restarts for f in result.fits],
+        "kkt_residual": [f.kkt_residual for f in result.fits],
+        "converged": [f.converged for f in result.fits],
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)

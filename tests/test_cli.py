@@ -136,6 +136,7 @@ class TestCv:
         payload = json.loads(out.read_text())
         assert len(payload["validation_scores"]) == 6
         assert payload["best_lambda"] in payload["lambda_grid"]
+        assert len(payload["iterations"]) == len(payload["converged"]) == 6
 
     def test_negative_gamma_is_runtime_error(self, sim_files, tmp_path, capsys):
         traj, _ = sim_files
@@ -209,6 +210,21 @@ class TestBenchmark:
         assert capsys.readouterr().err.startswith("usage error: dt_values must be integer multiples")
         assert list(tmp_path.iterdir()) == []
         assert ExperimentConfig(kind="dt_study").dt_values == [1.0, 0.1, 0.01, 0.001]
+
+    @pytest.mark.parametrize("kind, flags, message", [
+        ("d_sweep", ["--dt", "-0.1"], "dt must be > 0"),
+        ("d_sweep", ["--dt", "0"], "dt must be > 0"),
+        ("d_sweep", ["--t-values", "-1"], "t_values entries must be > 0"),
+        ("dt_study", ["--dt-values", "0.1,-0.05"], "dt_values entries must be > 0"),
+        ("dt_study", ["--dt-values", "0.1,0"], "dt_values entries must be > 0"),
+    ])
+    def test_non_positive_step_or_horizon_is_usage_error(self, tmp_path, capsys, kind, flags, message):
+        out = tmp_path / "b.csv"
+        code = run(["benchmark", "--kind", kind, "--d-values", "3", "--t-values", "1", *flags,
+                    "--reps", 1, "--out", out])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"usage error: {message}")
+        assert list(tmp_path.iterdir()) == []
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"

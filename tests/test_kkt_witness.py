@@ -1,0 +1,200 @@
+"""The witness-entry gate on the KKT certificate changes no fit and skips most sweeps.
+
+``reference_fit`` below is a verbatim copy of the solver loop before the gate,
+which sweeps the full KKT residual on every iteration whose objective change is
+small.  The gated loop sweeps only when the last failed sweep's most violating
+entry no longer violates, which evaluates the same stopping test at the same
+iterations, so every fit must match the reference bit for bit.  (The gate is
+exact for any entry, since one entry above tolerance puts the maximum above
+it; the witness only makes it skip often.)
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from sparse_ou import SolverOptions, cross_validate, estimators, generate_sparse_drift, sample_trajectory
+from sparse_ou.estimators import Estimate, _kkt_residual, _Problem, _quad, _shrink
+from sparse_ou.modelsel import default_lambda_grid
+
+from conftest import random_problem
+
+# -- reference: the loop that sweeps on every small-change iteration, verbatim --
+
+
+def reference_fit(self, lam: float, init=None, callback=None, gamma: float | None = None) -> Estimate:
+    """Proximal-gradient solve at penalty ``lam`` from ``init`` (zero when None).
+
+    A step soft-thresholds a gradient point: u = A - step g of the accepted
+    iterate for a plain step or a restart, and for FISTA u_new + beta (u_new - u),
+    which is y - step (P G + P y C) at y = A_new + beta (A_new - A).
+    """
+    if not lam >= 0:
+        raise ValueError(f"lambda must be >= 0, got {lam}")
+    opts, step = self.opts, self.step
+    lamw = lam * self.w
+    thresholds = step * lam * self.w
+    neg_thresholds = -thresholds
+    buf = np.empty_like(self.c)
+
+    def descend(u):
+        """The soft-thresholded point of gradient point u, with P A C and its objective."""
+        a = _shrink(u, thresholds, neg_thresholds, buf)
+        q = _quad(a, self.c, self.p)
+        return a, q, self._objective(a, q, lamw, buf)
+
+    a = np.zeros_like(self.c) if init is None else np.array(init, dtype=float)
+    q = _quad(a, self.c, self.p)
+    f_cur = self._objective(a, q, lamw, buf)
+    g = self.pg + q
+    u = a - step * g
+    z, t, restarts, converged = u, 1.0, 0, False
+    for it in range(1, opts.max_iters + 1):
+        a_new, q_new, f_new = descend(z)
+        if opts.acceleration and f_new > f_cur:
+            # momentum overshot: restart from the last accepted iterate
+            t = 1.0
+            restarts += 1
+            a_new, q_new, f_new = descend(u)
+        a = a_new
+        g = self.pg + q_new
+        u_new = a - step * g
+        if opts.acceleration:
+            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            z = u_new - u
+            z *= (t - 1.0) / t_new
+            z += u_new
+            t = t_new
+        else:
+            z = u_new
+        u = u_new
+        if callback is not None:
+            callback(it, f_new)
+        small_change = abs(f_cur - f_new) <= opts.rel_tol * max(1.0, abs(f_new))
+        f_cur = f_new
+        if small_change:
+            kkt = _kkt_residual(a, g, lamw, buf)
+            if kkt <= self.kkt_tol:
+                converged = True
+                break
+    if not converged:
+        kkt = _kkt_residual(a, g, lamw, buf)
+    return Estimate(
+        matrix=a,
+        lam=float(lam),
+        iterations=it,
+        final_objective=f_cur,
+        kkt_residual=kkt,
+        converged=converged,
+        gamma=gamma,
+        restarts=restarts,
+    )
+
+
+# -- helpers ------------------------------------------------------------------------
+
+
+def assert_same_fit(got: Estimate, want: Estimate):
+    assert np.array_equal(got.matrix, want.matrix)
+    assert got.iterations == want.iterations
+    assert got.restarts == want.restarts
+    assert got.converged == want.converged
+    assert got.kkt_residual == want.kkt_residual
+    assert got.final_objective == want.final_objective
+
+
+@pytest.fixture
+def events(monkeypatch):
+    """Every full sweep and gate evaluation of the gated loop, in order.
+
+    Each is (kind, flat index, sign of A there, residual there), where a sweep
+    records the entry it leaves as the witness.
+    """
+    log = []
+    kkt_residual, entry_residual = estimators._kkt_residual, estimators._entry_residual
+
+    def sweep(a, g, lamw, buf):
+        r = kkt_residual(a, g, lamw, buf)
+        k = int(np.argmax(buf))
+        log.append(("sweep", k, float(np.sign(a.item(k))), r))
+        return r
+
+    def gate(a, g, lamw, k):
+        r = entry_residual(a, g, lamw, k)
+        log.append(("gate", k, float(np.sign(a.item(k))), r))
+        return r
+
+    monkeypatch.setattr(estimators, "_kkt_residual", sweep)
+    monkeypatch.setattr(estimators, "_entry_residual", gate)
+    return log
+
+
+# -- parity -------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("preconditioned", [False, True], ids=["P=I", "P-spd"])
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+@pytest.mark.parametrize("acceleration", [False, True], ids=["ista", "fista"])
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_fit_matches_reference(events, seed, preconditioned, weighted, acceleration, warm):
+    c, g, p, weights, init = random_problem(seed, 6, preconditioned, weighted)
+    skipped = 0
+    for rel_tol in (1e-7, 1e-10):
+        for max_iters in (10000, 25):
+            opts = SolverOptions(max_iters=max_iters, rel_tol=rel_tol, acceleration=acceleration)
+            problem = _Problem.of(c, g, p, weights, opts)
+            lam_max = float(np.max(np.abs(problem.pg) / problem.w))
+            for frac in (0.0, 0.003, 0.03, 0.3, 1.2):
+                start = init if warm else None
+                del events[:]
+                got = problem.fit(frac * lam_max, init=start)
+                assert_same_fit(got, reference_fit(problem, frac * lam_max, init=start))
+                skipped += sum(kind == "gate" and r > problem.kkt_tol for kind, _, _, r in events)
+    assert skipped > 0  # the gate did skip sweeps here
+
+
+def _witness_crossings(log) -> int:
+    """Gate evaluations at which A's sign at the witness differs from the sign at the sweep that chose it."""
+    crossings, chosen = 0, None
+    for kind, k, sign, _ in log:
+        if kind == "sweep":
+            chosen = sign
+        elif sign != chosen:
+            crossings += 1
+            chosen = sign
+    return crossings
+
+
+def test_cv_path_with_witness_crossing_zero_matches_reference(events, monkeypatch):
+    # a short path on which a witness entry leaves the support between checks
+    traj = sample_trajectory(generate_sparse_drift(6, 1, 3), 3.0, 0.01, 3)
+    grid = default_lambda_grid(20)
+    for acceleration in (False, True):
+        opts = SolverOptions(rel_tol=1e-7, acceleration=acceleration)
+        del events[:]
+        got = cross_validate(traj, "lasso", grid=grid, opts=opts)
+        assert _witness_crossings(events) > 0
+        assert any(kind == "gate" and sign == 0.0 for kind, _, sign, _ in events)  # the A == 0 branch ran
+        with monkeypatch.context() as m:
+            m.setattr(_Problem, "fit", reference_fit)
+            want = cross_validate(traj, "lasso", grid=grid, opts=opts)
+        assert got.best_lambda == want.best_lambda
+        assert np.array_equal(got.validation_scores, want.validation_scores)
+        for got_fit, want_fit in zip(got.fits, want.fits, strict=True):
+            assert_same_fit(got_fit, want_fit)
+
+
+# -- the saving, as a count ---------------------------------------------------------
+
+
+def test_full_sweeps_on_under_a_quarter_of_cv_path_iterations(events):
+    # on this path the reference loop sweeps on 330 of 628 iterations (53%),
+    # the gated loop on 85 (14%)
+    traj = sample_trajectory(generate_sparse_drift(10, 2, 0), 50.0, 0.01, 0)
+    res = cross_validate(traj, "adaptive_lasso", opts=SolverOptions(rel_tol=1e-7, acceleration=True))
+    iterations = sum(f.iterations for f in res.fits)
+    sweeps = sum(kind == "sweep" for kind, _, _, _ in events)
+    assert all(f.converged for f in res.fits)
+    assert sweeps < 0.25 * iterations

@@ -120,6 +120,12 @@ class TestCrossValidate:
         i = res.lambda_grid.tolist().index(res.best_lambda)
         assert res.validation_scores[i] == res.validation_scores.min()
 
+    def test_fits_follow_the_grid(self, traj):
+        res = cross_validate(traj, "lasso", grid=[10.0, 0.01, 1.0, 0.1])
+        assert [f.lam for f in res.fits] == res.lambda_grid.tolist() == [0.01, 0.1, 1.0, 10.0]
+        i = res.lambda_grid.tolist().index(res.best_lambda)
+        assert res.fits[i] is res.best_estimate
+
     def test_adaptive_estimate_carries_gamma(self, traj):
         res = cross_validate(traj, "adaptive_lasso", gamma=2.0, grid=[0.1])
         assert res.best_estimate.gamma == 2.0
@@ -202,3 +208,13 @@ class TestCvSerialization:
         assert payload["best_lambda"] == res.best_lambda
         assert payload["lambda_grid"] == [0.05, 0.5]
         assert len(payload["validation_scores"]) == 2
+        assert payload["iterations"] == [f.iterations for f in res.fits]
+        assert payload["restarts"] == [f.restarts for f in res.fits]
+        assert payload["kkt_residual"] == [f.kkt_residual for f in res.fits]
+        assert payload["converged"] == [f.converged for f in res.fits]
+
+    def test_json_is_byte_stable(self, traj, tmp_path):
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in paths:
+            save_cv_json(path, cross_validate(traj, "adaptive_lasso", grid=default_lambda_grid(8), opts=FAST))
+        assert paths[0].read_bytes() == paths[1].read_bytes()
