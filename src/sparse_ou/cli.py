@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .estimators import (
     mle,
     save_estimate_json,
 )
-from .experiments import BENCHMARK_KINDS, CV_METHODS, ExperimentConfig, run_benchmark
+from .experiments import CV_METHODS, ExperimentConfig, row_sparsity, run_benchmark
 from .finance import (
     ema_log_returns,
     estimate_mean_sigma,
@@ -43,27 +44,38 @@ def _resolve_seed(seed) -> int:
 
 
 def _solver_options(args) -> SolverOptions:
-    return SolverOptions(
-        max_iters=args.max_iters,
-        rel_tol=args.rel_tol,
-        acceleration=not args.no_acceleration,
-    )
+    return SolverOptions(max_iters=args.max_iters, rel_tol=args.rel_tol, acceleration=True)
 
 
 def _lambda_grid(args) -> np.ndarray:
     return modelsel.default_lambda_grid(args.grid_size, args.grid_min, args.grid_max)
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-iters", type=int, default=10000, help="solver iteration cap")
-    p.add_argument("--rel-tol", type=float, default=1e-7, help="relative objective tolerance")
-    p.add_argument("--no-acceleration", action="store_true", help="disable FISTA momentum")
+def _lambda_config(args) -> LambdaConfig:
+    return LambdaConfig(gamma=args.theory_gamma, epsilon0=args.theory_eps0)
 
 
-def _add_grid_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid-min", type=float, default=1e-2, help="smallest penalty on the grid")
-    p.add_argument("--grid-max", type=float, default=1e3, help="largest penalty on the grid")
-    p.add_argument("--grid-size", type=int, default=40, help="number of log-spaced grid points")
+def _add_fit_flags(p: argparse.ArgumentParser) -> None:
+    """The adaptive exponent, the CV grid and the solver budget, with the defaults of a benchmark sweep."""
+    p.add_argument("--gamma", type=float, default=ExperimentConfig.gamma, help="adaptive weight exponent")
+    p.add_argument("--grid-min", type=float, default=ExperimentConfig.grid_min, help="smallest penalty on the grid")
+    p.add_argument("--grid-max", type=float, default=ExperimentConfig.grid_max, help="largest penalty on the grid")
+    p.add_argument("--grid-size", type=int, default=ExperimentConfig.grid_size, help="number of log-spaced penalties")
+    p.add_argument("--max-iters", type=int, default=ExperimentConfig.max_iters, help="solver iteration cap")
+    p.add_argument("--rel-tol", type=float, default=ExperimentConfig.rel_tol, help="relative objective tolerance")
+
+
+def _add_theory_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--theory-gamma", type=float, default=LambdaConfig.gamma, help="gamma of the theory penalty")
+    p.add_argument("--theory-eps0", type=float, default=LambdaConfig.epsilon0, help="epsilon0 of the theory penalty")
+
+
+def _flag_type(type_name: str):
+    """The parser of the flag for an ExperimentConfig annotation as ``_typed`` reads it; list[...] splits at commas."""
+    if type_name.startswith("list["):
+        item = _flag_type(type_name[5:-1])
+        return lambda text: [item(x) for x in text.split(",")]
+    return {"int": int, "float": float, "str": str}[type_name]
 
 
 def _make_drift(kind: str, d: int, s: int, alpha: float, w: float, seed: int) -> model.DriftMatrix:
@@ -91,7 +103,7 @@ def cmd_simulate(args) -> int:
     if args.T < args.dt:
         raise UsageError("--T must be at least --dt")
     seed = _resolve_seed(args.seed)
-    s = args.s if args.s is not None else max(1, round(0.2 * args.d))
+    s = args.s if args.s is not None else row_sparsity(args.d)
     drift = _make_drift(args.kind, args.d, s, args.alpha, args.w, seed)
     traj = sim.sample_trajectory(drift, args.T, args.dt, seed)
     sim.save_trajectory_csv(args.out, traj)
@@ -127,8 +139,7 @@ def cmd_fit(args) -> int:
         extra["cv_out"] = str(cv_out)
     else:
         if args.lam == "theory":
-            cfg = LambdaConfig(gamma=args.theory_gamma, epsilon0=args.theory_eps0)
-            lam = theoretical_lambda(stats, cfg)
+            lam = theoretical_lambda(stats, _lambda_config(args))
             extra["lambda_rule"] = "theory"
         else:
             try:
@@ -244,8 +255,7 @@ def cmd_diagnostics(args) -> int:
             truth = _load_drift(args.drift)
         else:
             truth = model.symmetrized_drift(model.generate_sparse_drift(args.d, args.s, seed))
-        cfg = LambdaConfig(gamma=args.theory_gamma, epsilon0=args.theory_eps0)
-        cov = metrics.oracle_coverage(truth, args.s, args.T, args.reps, cfg, seed, dt=args.dt)
+        cov = metrics.oracle_coverage(truth, args.s, args.T, args.reps, _lambda_config(args), seed, dt=args.dt)
         payload.update({"coverage": cov, "T": args.T, "reps": args.reps})
     else:
         raise UsageError(f"unknown diagnostic {args.which!r}")
@@ -268,11 +278,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a drift and sample a trajectory")
     p.add_argument("--kind", choices=["sparse", "two-group", "shifted-antisym"], default="sparse")
     p.add_argument("--d", type=int, required=True, help="process dimension")
-    p.add_argument("--s", type=int, default=None, help="row sparsity (default: 0.2 d)")
+    p.add_argument("--s", type=int, default=None, help=f"row sparsity (default {ExperimentConfig.s_rule:g} d)")
     p.add_argument("--alpha", type=float, default=0.5, help="diagonal level for shifted-antisym")
     p.add_argument("--w", type=float, default=1.0, help="coupling weight for shifted-antisym")
     p.add_argument("--T", type=float, required=True, help="horizon")
-    p.add_argument("--dt", type=float, default=0.01, help="sampling step")
+    p.add_argument("--dt", type=float, default=ExperimentConfig.dt, help="sampling step")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="trajectory CSV path")
     p.add_argument("--drift-out", default=None, help="drift output path (.csv or .json)")
@@ -282,54 +292,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--traj", required=True)
     p.add_argument("--method", choices=["mle", "lasso", "adalasso"], default="lasso")
     p.add_argument("--lambda", dest="lam", default="cv", help="penalty: number, 'theory' or 'cv'")
-    p.add_argument("--gamma", type=float, default=1.0, help="adaptive weight exponent")
-    p.add_argument("--theory-gamma", type=float, default=2.0, help="gamma in the theoretical penalty")
-    p.add_argument("--theory-eps0", type=float, default=0.1, help="epsilon0 in the theoretical penalty")
     p.add_argument("--truth", default=None, help="optional drift file; adds an error/support report")
     p.add_argument("--zero-tol", type=float, default=1e-10)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="estimate JSON path")
     p.add_argument("--cv-out", default=None, help="CV result JSON path (with --lambda cv)")
-    _add_grid_flags(p)
-    _add_solver_flags(p)
+    _add_fit_flags(p)
+    _add_theory_flags(p)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("cv", help="cross-validate the penalty level")
     p.add_argument("--traj", required=True)
     p.add_argument("--method", choices=["lasso", "adalasso"], default="lasso")
-    p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--out", required=True)
-    _add_grid_flags(p)
-    _add_solver_flags(p)
+    _add_fit_flags(p)
     p.set_defaults(func=cmd_cv)
 
     p = sub.add_parser("benchmark", help="run a replicated sweep, emit tidy CSV + summary JSON")
     p.add_argument("--config", default=None, help="JSON config file; flags override its keys")
-    p.add_argument("--kind", choices=list(BENCHMARK_KINDS), default=None)
-    p.add_argument("--d-values", dest="d_values", type=lambda s: [int(x) for x in s.split(",")], default=None)
-    p.add_argument("--t-values", dest="t_values", type=lambda s: [float(x) for x in s.split(",")], default=None)
-    p.add_argument("--dt-values", dest="dt_values", type=lambda s: [float(x) for x in s.split(",")], default=None)
-    p.add_argument("--dt", type=float, default=None, help="observation step (default 0.01)")
-    p.add_argument("--s-rule", dest="s_rule", type=float, default=None, help="row sparsity as a fraction of d")
-    p.add_argument("--reps", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--grid-min", dest="grid_min", type=float, default=None)
-    p.add_argument("--grid-max", dest="grid_max", type=float, default=None)
-    p.add_argument("--grid-size", dest="grid_size", type=int, default=None)
-    p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
-    p.add_argument("--max-iters", dest="max_iters", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None, help="worker processes (0 = all cores)")
-    p.add_argument("--out", default=None)
+    for f in fields(ExperimentConfig):
+        flag = "--" + f.name.replace("_", "-")
+        p.add_argument(flag, dest=f.name, type=_flag_type(f.type), default=None, **f.metadata)
     p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser("finance", help="price CSV -> EMA log-returns -> sigma-aware sparse fit")
     p.add_argument("--prices", required=True, help="CSV with header date,ticker1,...")
     p.add_argument("--span", type=int, default=10, help="EMA span in days")
-    p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--out", required=True, help="fitted model JSON")
-    _add_grid_flags(p)
-    _add_solver_flags(p)
+    _add_fit_flags(p)
     p.set_defaults(func=cmd_finance)
 
     p = sub.add_parser("diagnostics", help="theory diagnostics: RE probe, deviation exponents, bound coverage")
@@ -343,12 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", default=None, help="comma-separated direction vector")
     p.add_argument("--r-values", default="0.1,0.2,0.5,1.0", help="comma-separated deviation levels")
     p.add_argument("--T", type=float, default=200.0)
-    p.add_argument("--dt", type=float, default=0.01)
+    p.add_argument("--dt", type=float, default=ExperimentConfig.dt)
     p.add_argument("--reps", type=int, default=20)
-    p.add_argument("--theory-gamma", type=float, default=2.0)
-    p.add_argument("--theory-eps0", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
+    _add_theory_flags(p)
     p.set_defaults(func=cmd_diagnostics)
 
     return parser

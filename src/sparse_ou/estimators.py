@@ -131,10 +131,14 @@ def _validated_weights(weights, d: int) -> np.ndarray:
     return w
 
 
-def _adaptive_weights(mle_matrix: np.ndarray, gamma: float) -> np.ndarray:
-    """1 / |A_mle|^gamma, capped at WEIGHT_CAP so a zero entry stays finite."""
+def _adaptive_start(stats: SufficientStats, gamma: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """The adaptive warm start A_mle, weights 1 / |A_mle|^gamma capped at WEIGHT_CAP, and float(gamma)."""
+    if not gamma >= 0:
+        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    a_mle = mle(stats).matrix
     with np.errstate(divide="ignore"):
-        return np.minimum(np.abs(mle_matrix) ** (-gamma), WEIGHT_CAP)
+        weights = np.minimum(np.abs(a_mle) ** (-gamma), WEIGHT_CAP)
+    return a_mle, weights, float(gamma)
 
 
 def _quad(a: np.ndarray, c: np.ndarray, p: np.ndarray | None) -> np.ndarray:
@@ -317,11 +321,8 @@ def adaptive_lasso(
     infinite threshold; the cap exceeds any penalty of practical interest.
     Starts from the MLE (a warm start, not a requirement).
     """
-    if not gamma >= 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    a_mle = mle(stats).matrix
-    problem = _Problem.of(stats.c_hat, stats.g_hat, None, _adaptive_weights(a_mle, gamma), opts)
-    return problem.fit(lam, init=a_mle, gamma=float(gamma))
+    a_mle, weights, gamma = _adaptive_start(stats, gamma)
+    return _Problem.of(stats.c_hat, stats.g_hat, None, weights, opts).fit(lam, init=a_mle, gamma=gamma)
 
 
 def _precision(sigma, d: int) -> np.ndarray:

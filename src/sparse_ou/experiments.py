@@ -1,7 +1,7 @@
 """Replicated Monte Carlo experiments behind ``sparse-ou benchmark``.
 
 Sweep point i, of dimension d, draws its truth from ``derive_seed(seed, 900000 + d)``:
-``generate_sparse_drift`` with ``max(1, round(s_rule * d))`` entries per row,
+``generate_sparse_drift`` with ``row_sparsity(d, s_rule)`` entries per row,
 symmetrized for ``oracle_coverage``; for ``finance``, m and Sigma come from
 ``derive_seed(seed, 900002)``.  Replication r of point i samples its path from
 ``derive_seed(seed, i * reps + r)``, so scheduling across processes changes no result.
@@ -27,7 +27,7 @@ from .stats import LambdaConfig, sufficient_stats, theoretical_lambda
 BENCHMARK_COLUMNS = ["method", "d", "T", "dt", "rep", "frobenius", "l1", "f1", "wall_time"]
 BENCHMARK_KINDS = ("d_sweep", "t_sweep", "f1_study", "dt_study", "oracle_coverage", "finance")
 CV_METHODS = {"lasso": "lasso", "adalasso": "adaptive_lasso"}
-ORACLE_LAMBDA = LambdaConfig(gamma=2.0, epsilon0=0.1)
+ORACLE_LAMBDA = LambdaConfig()
 
 
 def _typed(value, type_name: str) -> bool:
@@ -41,14 +41,17 @@ def _typed(value, type_name: str) -> bool:
 
 @dataclass
 class ExperimentConfig:
-    """One sweep; every field is echoed in the summary JSON.  An ill-typed field raises UsageError."""
+    """One sweep; every field is echoed in the summary JSON.  An ill-typed field raises UsageError.
 
-    kind: str
+    Each field is the ``sparse-ou benchmark`` flag of its name; its ``metadata`` holds the flag's help and choices.
+    """
+
+    kind: str = field(metadata={"choices": BENCHMARK_KINDS})
     d_values: list[int] = field(default_factory=lambda: [10])
     t_values: list[float] = field(default_factory=lambda: [10.0])
     dt_values: list[float] = field(default_factory=lambda: [1.0, 0.1, 0.01, 0.001])
-    dt: float = 0.01
-    s_rule: float = 0.2
+    dt: float = field(default=0.01, metadata={"help": "observation step"})
+    s_rule: float = field(default=0.2, metadata={"help": "row sparsity as a fraction of d"})
     reps: int = 20
     seed: int = 0
     gamma: float = 1.0
@@ -57,7 +60,7 @@ class ExperimentConfig:
     grid_size: int = 40
     rel_tol: float = 1e-7
     max_iters: int = 10000
-    jobs: int = 1
+    jobs: int = field(default=1, metadata={"help": "worker processes; the CLI runs all cores at 0 or when unset"})
     out: str = "benchmark.csv"
 
     def __post_init__(self) -> None:
@@ -74,22 +77,28 @@ class ExperimentConfig:
         for name in ("dt_values", "t_values"):
             if not all(x > 0 for x in getattr(self, name)):
                 raise UsageError(f"{name} entries must be > 0, got {getattr(self, name)!r}")
-        if self.kind == "dt_study":
-            # each step size subsamples one path sampled at the smallest
-            dt_fine = min(self.dt_values)
-            for dt in self.dt_values:
-                ratio = dt / dt_fine
-                if abs(ratio - round(ratio)) > 1e-9 * ratio:
-                    raise UsageError(f"dt_values must be integer multiples of the smallest, {dt_fine!r}; got {dt!r}")
+        # a path has n = round(T / step) steps of the smallest step; dt_study subsamples it to every entry
+        steps = self.dt_values if self.kind == "dt_study" else [self.dt]
+        step = min(steps)
+        for dt in steps:
+            ratio = dt / step
+            if abs(ratio - round(ratio)) > 1e-9 * ratio:
+                raise UsageError(f"dt_values must be integer multiples of the smallest, {step!r}; got {dt!r}")
+        for T in self.t_values:
+            n = round(T / step)
+            if n < 1 or any(n % round(dt / step) for dt in steps):
+                raise UsageError(f"t_values entries must round to a positive whole number of steps of each of "
+                                 f"{steps!r}; {T!r} is {n} steps of {step!r}")
 
 
-def _sparsity(cfg: ExperimentConfig, d: int) -> int:
-    return max(1, round(cfg.s_rule * d))
+def row_sparsity(d: int, s_rule: float = ExperimentConfig.s_rule) -> int:
+    """Nonzero entries per row of a generated truth of dimension d: ``max(1, round(s_rule * d))``."""
+    return max(1, round(s_rule * d))
 
 
 def _truth(cfg: ExperimentConfig, d: int):
     """The ground truth of sweep point d: a drift, or ``(drift, m, Sigma)`` for finance."""
-    drift = model.generate_sparse_drift(d, _sparsity(cfg, d), sim.derive_seed(cfg.seed, 900000 + d))
+    drift = model.generate_sparse_drift(d, row_sparsity(d, cfg.s_rule), sim.derive_seed(cfg.seed, 900000 + d))
     if cfg.kind == "oracle_coverage":
         # the coverage guarantee is proved for symmetric drifts
         return model.symmetrized_drift(drift)
@@ -135,7 +144,7 @@ def _replicate(payload) -> list:
         t0 = time.perf_counter()
         fit = lasso(stats, lam, opts=opts)
         wall = time.perf_counter() - t0
-        bound = metrics.oracle_bound(truth, lam, ORACLE_LAMBDA.gamma, _sparsity(cfg, d))
+        bound = metrics.oracle_bound(truth, lam, ORACLE_LAMBDA.gamma, row_sparsity(d, cfg.s_rule))
         return [_row("lasso_theory", truth, fit.matrix, stats, d, T, cfg.dt, rep, wall, bound=bound)]
     if cfg.kind == "dt_study":
         # one fine path per replication, subsampled to each step size

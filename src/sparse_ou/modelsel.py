@@ -22,11 +22,10 @@ import numpy as np
 from .estimators import (
     Estimate,
     SolverOptions,
-    _adaptive_weights,
+    _adaptive_start,
     _centered,
     _precision,
     _Problem,
-    mle,
 )
 from .sim import Trajectory
 from .stats import neg_log_likelihood, sufficient_stats
@@ -99,8 +98,6 @@ def _select(grid: np.ndarray, fits: list[Estimate], scores) -> CvResult:
 
 def _cross_validate(traj: Trajectory, p, gamma: float | None, grid, opts: SolverOptions | None) -> CvResult:
     """Hold-out selection with precision ``p`` (None: P = I) and adaptive weights when ``gamma`` is set."""
-    if gamma is not None and not gamma >= 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
     grid = np.asarray(default_lambda_grid() if grid is None else grid, dtype=float)
     if grid.size == 0:
         raise ValueError("lambda grid must be non-empty")
@@ -111,17 +108,15 @@ def _cross_validate(traj: Trajectory, p, gamma: float | None, grid, opts: Solver
     train_stats = sufficient_stats(train)
     valid_stats = sufficient_stats(valid)
 
-    weights = warm = fit_gamma = None
+    weights = warm = None
     if gamma is not None:
         # -G C^{-1} minimizes <A, P G> + 1/2 tr(P A C A^T) for every P > 0
-        warm = mle(train_stats).matrix
-        weights = _adaptive_weights(warm, gamma)
-        fit_gamma = float(gamma)
+        warm, weights, gamma = _adaptive_start(train_stats, gamma)
     problem = _Problem.of(train_stats.c_hat, train_stats.g_hat, p, weights, opts)
 
     fits: list[Estimate] = []
     for lam in grid[::-1]:
-        fits.append(problem.fit(float(lam), init=warm, gamma=fit_gamma))
+        fits.append(problem.fit(float(lam), init=warm, gamma=gamma))
         warm = fits[-1].matrix
     fits.reverse()
     return _select(grid, fits, [neg_log_likelihood(f.matrix, valid_stats, p) for f in fits])

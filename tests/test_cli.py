@@ -1,5 +1,8 @@
 import csv
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,8 @@ from sparse_ou import model
 from sparse_ou.cli import main
 from sparse_ou.errors import GenerationError
 from sparse_ou.experiments import ExperimentConfig
+
+CONFIG_FIELDS = [f.name for f in fields(ExperimentConfig)]
 
 
 def run(args):
@@ -111,6 +116,14 @@ class TestFit:
                 f1[method] = json.loads(out.read_text())["report"]["f1"]
             wins += f1["adalasso"] > f1["lasso"]
         assert wins >= 3
+
+    def test_no_acceleration_flag_is_usage_error(self, sim_files, tmp_path, capsys):
+        # the CLI always runs FISTA with restarts
+        traj, _ = sim_files
+        with pytest.raises(SystemExit) as exc:
+            run(["fit", "--traj", traj, "--lambda", 0.1, "--no-acceleration", "--out", tmp_path / "o.json"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no-acceleration" in capsys.readouterr().err
 
     def test_missing_file_is_runtime_error(self, tmp_path):
         assert run(["fit", "--traj", tmp_path / "nope.csv", "--out", tmp_path / "o.json"]) == 1
@@ -217,6 +230,8 @@ class TestBenchmark:
         ("d_sweep", ["--t-values", "-1"], "t_values entries must be > 0"),
         ("dt_study", ["--dt-values", "0.1,-0.05"], "dt_values entries must be > 0"),
         ("dt_study", ["--dt-values", "0.1,0"], "dt_values entries must be > 0"),
+        ("d_sweep", ["--t-values", "0.005", "--dt", "0.01"], "t_values entries must round to a positive whole"),
+        ("dt_study", ["--dt-values", "2,1"], "t_values entries must round to a positive whole"),
     ])
     def test_non_positive_step_or_horizon_is_usage_error(self, tmp_path, capsys, kind, flags, message):
         out = tmp_path / "b.csv"
@@ -238,6 +253,34 @@ class TestBenchmark:
         summary = json.loads(open(str(out) + ".summary.json").read())
         assert summary["config"]["reps"] == 2
         assert summary["config"]["kind"] == "f1_study"
+
+    def test_flags_and_config_keys_give_the_same_config(self, tmp_path):
+        settings = {"kind": "f1_study", "d_values": [3, 5], "t_values": [2.0, 4.0], "dt_values": [0.1, 0.05],
+                    "dt": 0.02, "s_rule": 0.4, "reps": 1, "seed": 8, "gamma": 2.0, "grid_min": 0.1,
+                    "grid_max": 10.0, "grid_size": 3, "rel_tol": 1e-6, "max_iters": 500, "jobs": 1,
+                    "out": str(tmp_path / "b.csv")}
+        assert list(settings) == CONFIG_FIELDS
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(settings))
+        flags = []
+        for key, value in settings.items():
+            flags += ["--" + key.replace("_", "-"), ",".join(map(str, value)) if isinstance(value, list) else value]
+        echoed = []
+        for argv in (flags, ["--config", cfg]):
+            assert run(["benchmark", *argv]) == 0
+            echoed.append(json.loads((tmp_path / "b.csv.summary.json").read_text())["config"])
+        assert echoed[0] == echoed[1] == settings
+
+    def test_flags_and_readme_keys_are_the_config_fields(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["benchmark", "--help"])
+        assert exc.value.code == 0
+        flags = re.findall(r"^  --([a-z-]+)", capsys.readouterr().out, re.M)
+        assert flags[0] == "config"
+        assert [f.replace("-", "_") for f in flags[1:]] == CONFIG_FIELDS
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        keys = re.search(r"`--config` reads a JSON object.*?\((.*?)\);", readme, re.S).group(1)
+        assert re.findall(r"`(\w+)`", keys) == CONFIG_FIELDS
 
     def test_oracle_coverage_kind(self, tmp_path):
         out = tmp_path / "oc.csv"

@@ -9,6 +9,8 @@ move a seed unnoticed.
 import csv
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparse_ou import (
     LambdaConfig,
@@ -29,9 +31,11 @@ from sparse_ou import (
     support_report,
     theoretical_lambda,
 )
+from sparse_ou.errors import UsageError
 from sparse_ou.experiments import ExperimentConfig, run_benchmark
 from sparse_ou.metrics import oracle_bound
 from sparse_ou.model import symmetrized_drift
+from sparse_ou.sim import subsample
 
 GRID = default_lambda_grid(5, 1e-2, 1e3)
 OPTS = SolverOptions(max_iters=10000, rel_tol=1e-7, acceleration=True)
@@ -97,3 +101,29 @@ def test_finance_seed_layout(tmp_path):
         "_sigma_rel_err": float(np.linalg.norm(sigma_hat @ sigma_hat.T - s_true) / np.linalg.norm(s_true)),
     }
     assert rows[1] == expected_row("sigma_adalasso_cv", drift, fit.matrix, stats, 4, 50.0, 0.01, 1, **extra)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    T=st.floats(min_value=0.01, max_value=5.0),
+    step=st.floats(min_value=0.05, max_value=1.0),
+    factors=st.lists(st.integers(min_value=1, max_value=4), max_size=3),
+    dt_study=st.booleans(),
+)
+def test_config_accepts_a_horizon_iff_its_paths_can_be_sampled(T, step, factors, dt_study):
+    # dt_study samples one path at the smallest step and subsamples it to every dt_values entry
+    dt_values = [step * f for f in [1, *factors]]
+    steps = dt_values if dt_study else [step]
+    try:
+        ExperimentConfig(kind="dt_study" if dt_study else "d_sweep", t_values=[T], dt=step, dt_values=dt_values)
+        accepted = True
+    except UsageError:
+        accepted = False
+    try:
+        path = sample_trajectory(generate_sparse_drift(2, 1, 0), T, step, 0)
+        for dt in steps:
+            subsample(path, round(dt / step))
+        sampled = True
+    except ValueError:
+        sampled = False
+    assert accepted == sampled
