@@ -44,7 +44,7 @@ def _resolve_seed(seed) -> int:
 
 
 def _solver_options(args) -> SolverOptions:
-    return SolverOptions(max_iters=args.max_iters, rel_tol=args.rel_tol, acceleration=True)
+    return SolverOptions(max_iters=args.max_iters, rel_tol=args.rel_tol)
 
 
 def _lambda_grid(args) -> np.ndarray:
@@ -100,8 +100,8 @@ def _load_drift(path) -> model.DriftMatrix:
 def cmd_simulate(args) -> int:
     if args.d < 1:
         raise UsageError(f"--d must be >= 1, got {args.d}")
-    if args.T < args.dt:
-        raise UsageError("--T must be at least --dt")
+    if not args.dt > 0 or round(args.T / args.dt) < 1:
+        raise UsageError(f"--T must round to at least one step of --dt > 0, got --T {args.T:g} --dt {args.dt:g}")
     seed = _resolve_seed(args.seed)
     s = args.s if args.s is not None else row_sparsity(args.d)
     drift = _make_drift(args.kind, args.d, s, args.alpha, args.w, seed)

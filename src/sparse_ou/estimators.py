@@ -8,10 +8,11 @@ with P = (Sigma Sigma^T)^{-1} for the Sigma-aware model and P = I for the
 (Adaptive) Lasso.  It is strictly convex whenever C and P are positive
 definite, so every solver run converges to the same minimizer regardless of
 initialization.  The smooth gradient P G + P A C has Lipschitz constant
-||P||_op ||C||_op, which fixes the default step size.  Iterates are
-soft-thresholded gradient steps, optionally with FISTA momentum and
-function-value restarts.  :class:`_Problem` computes the step, the weights,
-P G and the KKT scale once per path, not once per penalty.  Its loop carries
+||P||_op ||C||_op, which fixes the default step size.  Iterates are FISTA
+steps, soft-thresholded gradient steps with momentum and function-value
+restarts; ``SolverOptions(acceleration=False)`` drops the momentum (ISTA).
+:class:`_Problem` computes the step, the weights, P G and the KKT scale once
+per path, not once per penalty.  Its loop carries
 the gradient g and the gradient point u = A - step g of the accepted iterate;
 the extrapolated point's gradient point follows from them by linearity, so a
 step costs one product, P A C at the new iterate, which the objective and the
@@ -56,9 +57,11 @@ WEIGHT_CAP = 1e12
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """The solver budget and tolerance; the defaults are the FISTA run of every CLI and benchmark fit."""
+
     max_iters: int = 10000
-    rel_tol: float = 1e-8
-    acceleration: bool = False
+    rel_tol: float = 1e-7
+    acceleration: bool = True
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -296,8 +299,8 @@ def lasso(
         Penalty level, >= 0.  At 0 the fit coincides with the MLE.
     weights : array or None
         Entrywise positive penalty weights W (all ones when None).
-    opts : SolverOptions
-        Iteration budget, tolerance and FISTA toggle.
+    opts : SolverOptions or None
+        Iteration budget and tolerance; None means ``SolverOptions()``, FISTA with restarts.
     init : array or None
         Starting point; zero when None.  Convexity makes the minimizer
         independent of this, so it is a pure warm-start device.

@@ -20,14 +20,13 @@ import numpy as np
 
 from . import metrics, model, modelsel, sim
 from .errors import UsageError
-from .estimators import SolverOptions, lasso, mle
+from .estimators import SolverOptions, mle
 from .finance import estimate_mean_sigma, sample_sigma_trajectory
-from .stats import LambdaConfig, sufficient_stats, theoretical_lambda
+from .stats import LambdaConfig, sufficient_stats
 
 BENCHMARK_COLUMNS = ["method", "d", "T", "dt", "rep", "frobenius", "l1", "f1", "wall_time"]
 BENCHMARK_KINDS = ("d_sweep", "t_sweep", "f1_study", "dt_study", "oracle_coverage", "finance")
 CV_METHODS = {"lasso": "lasso", "adalasso": "adaptive_lasso"}
-ORACLE_LAMBDA = LambdaConfig()
 
 
 def _typed(value, type_name: str) -> bool:
@@ -58,8 +57,8 @@ class ExperimentConfig:
     grid_min: float = 1e-2
     grid_max: float = 1e3
     grid_size: int = 40
-    rel_tol: float = 1e-7
-    max_iters: int = 10000
+    rel_tol: float = SolverOptions.rel_tol
+    max_iters: int = SolverOptions.max_iters
     jobs: int = field(default=1, metadata={"help": "worker processes; the CLI runs all cores at 0 or when unset"})
     out: str = "benchmark.csv"
 
@@ -110,14 +109,9 @@ def _truth(cfg: ExperimentConfig, d: int):
     return drift
 
 
-def _row(method, truth, matrix, stats, d, T, dt, rep, wall, bound=None, **extra) -> dict:
-    """Score ``matrix`` against the truth as one CSV row; with ``bound``, also ``_bound_holds``.
-
-    ``stats`` enters only the empirical norm that ``bound`` is checked against; it may be None without ``bound``.
-    """
-    err = metrics.error_report(matrix, truth, stats)
-    if bound is not None:
-        extra["_bound_holds"] = bool(err.empirical <= bound)
+def _row(method, truth, matrix, d, T, dt, rep, wall, **extra) -> dict:
+    """Score ``matrix`` against the truth as one CSV row; ``extra`` adds the kind's ``_`` columns."""
+    err = metrics.error_report(matrix, truth, None)
     f1 = metrics.support_report(matrix, truth).f1
     return dict(zip(BENCHMARK_COLUMNS, (method, d, T, dt, rep, err.frobenius, err.l1, f1, wall)), **extra)
 
@@ -126,7 +120,7 @@ def _replicate(payload) -> list:
     """One replication ``(cfg, truth, d, T, rep, rep_seed)``: sample, fit, score; must stay picklable."""
     cfg, truth, d, T, rep, rep_seed = payload
     grid = modelsel.default_lambda_grid(cfg.grid_size, cfg.grid_min, cfg.grid_max)
-    opts = SolverOptions(max_iters=cfg.max_iters, rel_tol=cfg.rel_tol, acceleration=True)
+    opts = SolverOptions(max_iters=cfg.max_iters, rel_tol=cfg.rel_tol)
     if cfg.kind == "finance":
         drift, m_true, sigma_true = truth
         traj = sample_sigma_trajectory(drift.matrix, m_true, sigma_true, T, cfg.dt, rep_seed)
@@ -136,16 +130,14 @@ def _replicate(payload) -> list:
         wall = time.perf_counter() - t0
         s_true = sigma_true @ sigma_true.T
         s_rel = float(np.linalg.norm(sigma_hat @ sigma_hat.T - s_true) / np.linalg.norm(s_true))
-        return [_row("sigma_adalasso_cv", drift, cv.best_estimate.matrix, None, d, T, cfg.dt, rep, wall,
+        return [_row("sigma_adalasso_cv", drift, cv.best_estimate.matrix, d, T, cfg.dt, rep, wall,
                      _m_err=float(np.linalg.norm(m_hat - m_true)), _sigma_rel_err=s_rel)]
     if cfg.kind == "oracle_coverage":
         stats = sufficient_stats(sim.sample_trajectory(truth, T, cfg.dt, rep_seed))
-        lam = theoretical_lambda(stats, ORACLE_LAMBDA)
         t0 = time.perf_counter()
-        fit = lasso(stats, lam, opts=opts)
+        fit, holds = metrics._oracle_step(truth, stats, row_sparsity(d, cfg.s_rule), LambdaConfig(), opts)
         wall = time.perf_counter() - t0
-        bound = metrics.oracle_bound(truth, lam, ORACLE_LAMBDA.gamma, row_sparsity(d, cfg.s_rule))
-        return [_row("lasso_theory", truth, fit.matrix, stats, d, T, cfg.dt, rep, wall, bound=bound)]
+        return [_row("lasso_theory", truth, fit.matrix, d, T, cfg.dt, rep, wall, _bound_holds=holds)]
     if cfg.kind == "dt_study":
         # one fine path per replication, subsampled to each step size
         dt_fine = min(cfg.dt_values)
@@ -163,7 +155,7 @@ def _replicate(payload) -> list:
             else:
                 cv = modelsel.cross_validate(traj, CV_METHODS[method], gamma=cfg.gamma, grid=grid, opts=opts)
                 fit = cv.best_estimate
-            rows.append(_row(method, truth, fit.matrix, stats, d, T, dt, rep, time.perf_counter() - t0))
+            rows.append(_row(method, truth, fit.matrix, d, T, dt, rep, time.perf_counter() - t0))
     return rows
 
 

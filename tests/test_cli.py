@@ -7,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparse_ou import model
+from sparse_ou import lasso, model, sufficient_stats
 from sparse_ou.cli import main
 from sparse_ou.errors import GenerationError
 from sparse_ou.experiments import ExperimentConfig
+from sparse_ou.sim import load_trajectory_csv
 
 CONFIG_FIELDS = [f.name for f in fields(ExperimentConfig)]
 
@@ -36,9 +37,22 @@ class TestSimulate:
             run(["simulate", "--d", 4, "--s", 1, "--T", 2, "--seed", 3, "--out", out])
         assert a.read_text() == b.read_text()
 
-    def test_zero_dimension_is_usage_error(self, tmp_path):
-        code = run(["simulate", "--d", 0, "--T", 1, "--out", tmp_path / "x.csv"])
-        assert code == 2
+    @pytest.mark.parametrize("flags, message", [
+        (["--d", 0, "--T", 1], "--d must be >= 1"),
+        (["--d", 3, "--T", 0.004, "--dt", 0.01], "--T must round to at least one step of --dt > 0"),
+        (["--d", 3, "--T", 1, "--dt", 0], "--T must round to at least one step of --dt > 0"),
+        (["--d", 3, "--T", 1, "--dt", -0.5], "--T must round to at least one step of --dt > 0"),
+    ])
+    def test_bad_dimension_step_or_horizon_is_usage_error(self, tmp_path, capsys, flags, message):
+        assert run(["simulate", *flags, "--out", tmp_path / "x.csv"]) == 2
+        assert capsys.readouterr().err.startswith(f"usage error: {message}")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_horizon_that_rounds_to_one_step_is_sampled(self, tmp_path):
+        # n = round(T / dt) steps, as the sampler and ExperimentConfig count them
+        out = tmp_path / "x.csv"
+        assert run(["simulate", "--d", 3, "--T", 0.006, "--dt", 0.01, "--out", out]) == 0
+        assert len(out.read_text().splitlines()) == 3  # header + 2 states
 
     def test_generation_failure_is_runtime_error(self, tmp_path, monkeypatch, capsys):
         def fail(d, s, seed):
@@ -93,6 +107,16 @@ class TestFit:
         cv = json.loads((tmp_path / "est.json.cv.json").read_text())
         assert est["lambda"] == cv["best_lambda"]
         assert len(cv["lambda_grid"]) == 8
+
+    def test_library_default_solver_is_the_cli_default(self, sim_files, tmp_path):
+        traj, _ = sim_files
+        out = tmp_path / "est.json"
+        assert run(["fit", "--traj", traj, "--method", "lasso", "--lambda", 0.05, "--out", out]) == 0
+        est = json.loads(out.read_text())
+        fit = lasso(sufficient_stats(load_trajectory_csv(traj)), 0.05)
+        assert np.count_nonzero(fit.matrix) > 0
+        assert est["matrix"] == fit.matrix.reshape(-1).tolist()
+        assert est["iterations"] == fit.iterations
 
     def test_theory_lambda(self, sim_files, tmp_path):
         traj, _ = sim_files

@@ -31,6 +31,7 @@ from sparse_ou import (
     support_report,
     theoretical_lambda,
 )
+from sparse_ou import metrics
 from sparse_ou.errors import UsageError
 from sparse_ou.experiments import ExperimentConfig, run_benchmark
 from sparse_ou.metrics import oracle_bound
@@ -81,6 +82,32 @@ def test_oracle_coverage_seed_layout(tmp_path):
     fit = lasso(stats, lam, opts=OPTS)
     holds = bool(error_report(fit.matrix, truth, stats).empirical <= oracle_bound(truth, lam, 2.0, 1))
     assert rows[1] == expected_row("lasso_theory", truth, fit.matrix, stats, 4, 30.0, 0.01, 1, _bound_holds=holds)
+
+
+def test_oracle_coverage_equals_the_benchmark_bound_column(tmp_path, monkeypatch):
+    # each replication's bound sits at the empirical norm of its Lasso fit with the default SolverOptions,
+    # met for even r and missed by one ulp for odd r: the two routines agree only on bit-identical fits
+    d, T, dt, reps, seed = 4, 1000.0, 0.1, 4, 0
+    truth = symmetrized_drift(generate_sparse_drift(d, 1, derive_seed(seed, 900000 + d)))
+    bounds = {}
+    for r in range(reps):
+        stats = sufficient_stats(sample_trajectory(truth, T, dt, derive_seed(seed, r)))
+        lam = theoretical_lambda(stats, LambdaConfig())
+        fit = lasso(stats, lam)
+        assert np.count_nonzero(fit.matrix) > 0
+        norm = error_report(fit.matrix, truth, stats).empirical
+        bounds[lam] = norm if r % 2 == 0 else np.nextafter(norm, 0.0)
+    monkeypatch.setattr(metrics, "oracle_bound", lambda truth, lam, gamma, s: bounds[lam])
+    rows = benchmark_rows(tmp_path, kind="oracle_coverage", d_values=[d], t_values=[T], dt=dt, reps=reps, seed=seed)
+    holds = [row["_bound_holds"] == "True" for row in rows]
+    assert holds == [True, False, True, False]
+    assert metrics.oracle_coverage(truth, 1, T, reps, LambdaConfig(), seed, dt=dt) == np.mean(holds)
+
+
+def test_config_solver_defaults_are_those_of_solver_options():
+    cfg = ExperimentConfig(kind="d_sweep")
+    assert SolverOptions(max_iters=cfg.max_iters, rel_tol=cfg.rel_tol) == SolverOptions()
+    assert SolverOptions() == SolverOptions(max_iters=10000, rel_tol=1e-7, acceleration=True)
 
 
 def test_finance_seed_layout(tmp_path):

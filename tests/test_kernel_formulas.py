@@ -84,7 +84,7 @@ def test_fit_reports_the_where_form_residual(acceleration, preconditioned, max_i
 def test_ista_never_restarts():
     for seed in range(4):
         c, g, p, weights, _ = random_problem(seed, 5, seed % 2 == 1, True)
-        problem = _Problem.of(c, g, p, weights, SolverOptions(max_iters=50_000, rel_tol=1e-8))
+        problem = _Problem.of(c, g, p, weights, SolverOptions(max_iters=50_000, rel_tol=1e-8, acceleration=False))
         fit = problem.fit(0.05 * float(np.max(np.abs(problem.pg))))
         assert fit.converged and fit.restarts == 0
 
