@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import fields
@@ -70,6 +71,12 @@ def _add_theory_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theory-eps0", type=float, default=LambdaConfig.epsilon0, help="epsilon0 of the theory penalty")
 
 
+def _check_horizon(T: float, dt: float) -> None:
+    """Reject a --T and --dt that do not make a finite path of at least one step."""
+    if not (0 < dt < math.inf and math.isfinite(T / dt)) or round(T / dt) < 1:
+        raise UsageError(f"--T must round to at least one step of --dt > 0, got --T {T:g} --dt {dt:g}")
+
+
 def _flag_type(type_name: str):
     """The parser of the flag for an ExperimentConfig annotation as ``_typed`` reads it; list[...] splits at commas."""
     if type_name.startswith("list["):
@@ -100,8 +107,7 @@ def _load_drift(path) -> model.DriftMatrix:
 def cmd_simulate(args) -> int:
     if args.d < 1:
         raise UsageError(f"--d must be >= 1, got {args.d}")
-    if not args.dt > 0 or round(args.T / args.dt) < 1:
-        raise UsageError(f"--T must round to at least one step of --dt > 0, got --T {args.T:g} --dt {args.dt:g}")
+    _check_horizon(args.T, args.dt)
     seed = _resolve_seed(args.seed)
     s = args.s if args.s is not None else row_sparsity(args.d)
     drift = _make_drift(args.kind, args.d, s, args.alpha, args.w, seed)
@@ -251,6 +257,7 @@ def cmd_diagnostics(args) -> int:
             for r in r_values
         ]
     elif args.which == "oracle-coverage":
+        _check_horizon(args.T, args.dt)
         if args.drift:
             truth = _load_drift(args.drift)
         else:

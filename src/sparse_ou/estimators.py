@@ -10,9 +10,8 @@ definite, so every solver run converges to the same minimizer regardless of
 initialization.  The smooth gradient P G + P A C has Lipschitz constant
 ||P||_op ||C||_op, which fixes the default step size.  Iterates are FISTA
 steps, soft-thresholded gradient steps with momentum and function-value
-restarts; ``SolverOptions(acceleration=False)`` drops the momentum (ISTA).
-:class:`_Problem` computes the step, the weights, P G and the KKT scale once
-per path, not once per penalty.  Its loop carries
+restarts.  :class:`_Problem` computes the step, the weights, P G and the KKT
+scale once per path, not once per penalty.  Its loop carries
 the gradient g and the gradient point u = A - step g of the accepted iterate;
 the extrapolated point's gradient point follows from them by linearity, so a
 step costs one product, P A C at the new iterate, which the objective and the
@@ -31,7 +30,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -57,17 +56,20 @@ WEIGHT_CAP = 1e12
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """The solver budget and tolerance; the defaults are the FISTA run of every CLI and benchmark fit."""
+    """FISTA's budget and tolerance; ``acceleration`` is accepted, as True only, for callers that still pass it."""
 
     max_iters: int = 10000
     rel_tol: float = 1e-7
-    acceleration: bool = True
+    # kept only because bench/harness.py passes acceleration=True
+    acceleration: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, acceleration):
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not self.rel_tol > 0:
-            raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
+        if not 0 < self.rel_tol < math.inf:
+            raise ValueError(f"rel_tol must be > 0 and finite, got {self.rel_tol}")
+        if acceleration is not True:
+            raise ValueError(f"acceleration must be True, got {acceleration!r}")
 
 
 @dataclass(frozen=True)
@@ -185,9 +187,9 @@ class _Problem:
     def fit(self, lam: float, init=None, callback=None, gamma: float | None = None) -> Estimate:
         """Proximal-gradient solve at penalty ``lam`` from ``init`` (zero when None).
 
-        A step soft-thresholds a gradient point: u = A - step g of the accepted
-        iterate for a plain step or a restart, and for FISTA u_new + beta (u_new - u),
-        which is y - step (P G + P y C) at y = A_new + beta (A_new - A).
+        A step soft-thresholds the gradient point u_new + beta (u_new - u), which
+        is y - step (P G + P y C) at y = A_new + beta (A_new - A); a restart
+        soft-thresholds u = A - step g of the accepted iterate instead.
 
         Once the objective settles, the KKT residual is swept in full only when
         the witness, the most violating entry of the last failed sweep, is
@@ -215,7 +217,7 @@ class _Problem:
         z, t, restarts, converged, witness = u, 1.0, 0, False, None
         for it in range(1, opts.max_iters + 1):
             a_new, q_new, f_new = descend(z)
-            if opts.acceleration and f_new > f_cur:
+            if f_new > f_cur:
                 # momentum overshot: restart from the last accepted iterate
                 t = 1.0
                 restarts += 1
@@ -223,14 +225,11 @@ class _Problem:
             a = a_new
             g = self.pg + q_new
             u_new = a - step * g
-            if opts.acceleration:
-                t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-                z = u_new - u
-                z *= (t - 1.0) / t_new
-                z += u_new
-                t = t_new
-            else:
-                z = u_new
+            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            z = u_new - u
+            z *= (t - 1.0) / t_new
+            z += u_new
+            t = t_new
             u = u_new
             if callback is not None:
                 callback(it, f_new)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -71,11 +72,15 @@ class ExperimentConfig:
             raise UsageError(f"unknown benchmark kind {self.kind!r}")
         if self.reps < 1:
             raise UsageError("reps must be >= 1")
-        if not self.dt > 0:
-            raise UsageError(f"dt must be > 0, got {self.dt!r}")
+        try:
+            SolverOptions(max_iters=self.max_iters, rel_tol=self.rel_tol)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        if not 0 < self.dt < math.inf:
+            raise UsageError(f"dt must be > 0 and finite, got {self.dt!r}")
         for name in ("dt_values", "t_values"):
-            if not all(x > 0 for x in getattr(self, name)):
-                raise UsageError(f"{name} entries must be > 0, got {getattr(self, name)!r}")
+            if not all(0 < x < math.inf for x in getattr(self, name)):
+                raise UsageError(f"{name} entries must be > 0 and finite, got {getattr(self, name)!r}")
         # a path has n = round(T / step) steps of the smallest step; dt_study subsamples it to every entry
         steps = self.dt_values if self.kind == "dt_study" else [self.dt]
         step = min(steps)
@@ -84,8 +89,9 @@ class ExperimentConfig:
             if abs(ratio - round(ratio)) > 1e-9 * ratio:
                 raise UsageError(f"dt_values must be integer multiples of the smallest, {step!r}; got {dt!r}")
         for T in self.t_values:
-            n = round(T / step)
-            if n < 1 or any(n % round(dt / step) for dt in steps):
+            n = T / step
+            n = round(n) if n < math.inf else n
+            if not 1 <= n < math.inf or any(n % round(dt / step) for dt in steps):
                 raise UsageError(f"t_values entries must round to a positive whole number of steps of each of "
                                  f"{steps!r}; {T!r} is {n} steps of {step!r}")
 

@@ -13,6 +13,7 @@ is the only source of time-step effects downstream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,15 +124,19 @@ def sample_trajectory(
 
     When ``init`` is omitted, X_0 is drawn from the stationary law
     N(0, C).  Passing a precomputed ``kernel`` skips rebuilding (phi, Q)
-    in replication loops.  Deterministic given ``seed``.
+    in replication loops; it must be built for ``dt``.  Deterministic given ``seed``.
     """
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
+    if not math.isfinite(T / dt):
+        raise ValueError(f"T / dt must be finite, got T={T}, dt={dt}")
     n = int(round(T / dt))
     if n < 1:
         raise ValueError(f"need T >= dt, got T={T}, dt={dt}")
     if kernel is None:
         kernel = transition_kernel(drift, dt)
+    elif kernel.dt != dt:
+        raise ValueError(f"kernel was built for dt={kernel.dt}, not dt={dt}")
     d = drift.dim
     rng = np.random.default_rng(seed)
     if init is None:

@@ -41,8 +41,8 @@ from sparse_ou.sim import derive_seed
 
 from conftest import random_stable_matrix, random_stats
 
-CV_OPTS = SolverOptions(acceleration=True, rel_tol=1e-7)
-TIGHT = SolverOptions(acceleration=True, rel_tol=1e-10, max_iters=100_000)
+CV_OPTS = SolverOptions(rel_tol=1e-7)
+TIGHT = SolverOptions(rel_tol=1e-10, max_iters=100_000)
 GRID = default_lambda_grid()
 
 

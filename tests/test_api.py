@@ -41,6 +41,7 @@ def test_removed_surface_is_gone():
     estimate_fields = {f.name for f in fields(sparse_ou.Estimate)}
     assert not {"support", "weights"} & (estimate_fields | set(dir(sparse_ou.Estimate)))
     assert "tau" not in {f.name for f in fields(sparse_ou.LambdaConfig)}
+    assert "acceleration" not in {f.name for f in fields(sparse_ou.SolverOptions)}
     assert not hasattr(metrics.ErrorReport, "to_json")
     assert not hasattr(metrics.SupportReport, "to_json")
     assert "d" not in inspect.signature(metrics.oracle_coverage).parameters

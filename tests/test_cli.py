@@ -42,6 +42,9 @@ class TestSimulate:
         (["--d", 3, "--T", 0.004, "--dt", 0.01], "--T must round to at least one step of --dt > 0"),
         (["--d", 3, "--T", 1, "--dt", 0], "--T must round to at least one step of --dt > 0"),
         (["--d", 3, "--T", 1, "--dt", -0.5], "--T must round to at least one step of --dt > 0"),
+        (["--d", 3, "--T", "inf"], "--T must round to at least one step of --dt > 0"),
+        (["--d", 3, "--T", "nan"], "--T must round to at least one step of --dt > 0"),
+        (["--d", 3, "--T", 1, "--dt", "inf"], "--T must round to at least one step of --dt > 0"),
     ])
     def test_bad_dimension_step_or_horizon_is_usage_error(self, tmp_path, capsys, flags, message):
         assert run(["simulate", *flags, "--out", tmp_path / "x.csv"]) == 2
@@ -256,6 +259,12 @@ class TestBenchmark:
         ("dt_study", ["--dt-values", "0.1,0"], "dt_values entries must be > 0"),
         ("d_sweep", ["--t-values", "0.005", "--dt", "0.01"], "t_values entries must round to a positive whole"),
         ("dt_study", ["--dt-values", "2,1"], "t_values entries must round to a positive whole"),
+        ("d_sweep", ["--dt", "inf"], "dt must be > 0"),
+        ("d_sweep", ["--t-values", "inf"], "t_values entries must be > 0"),
+        ("d_sweep", ["--t-values", "1e300", "--dt", "1e-10"], "t_values entries must round to a positive whole"),
+        ("dt_study", ["--dt-values", "0.1,inf"], "dt_values entries must be > 0"),
+        ("d_sweep", ["--rel-tol", "0"], "rel_tol must be > 0"),
+        ("d_sweep", ["--rel-tol", "inf"], "rel_tol must be > 0"),
     ])
     def test_non_positive_step_or_horizon_is_usage_error(self, tmp_path, capsys, kind, flags, message):
         out = tmp_path / "b.csv"
@@ -400,6 +409,13 @@ class TestDiagnostics:
                     "--T", 30, "--reps", 3, "--seed", 2, "--out", out])
         assert code == 0
         assert 0.0 <= json.loads(out.read_text())["coverage"] <= 1.0
+
+    @pytest.mark.parametrize("flags", [["--T", "inf"], ["--T", "nan"], ["--T", 0.001], ["--dt", "inf"], ["--dt", 0]])
+    def test_oracle_coverage_bad_step_or_horizon_is_usage_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "cov.json"
+        assert run(["diagnostics", "--which", "oracle-coverage", "--d", 4, "--s", 1, *flags, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("usage error: --T must round to at least one step of --dt > 0")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("which, missing", [("re-constant", "--traj"), ("deviation-bounds", "--drift")])
     def test_missing_input_is_usage_error(self, tmp_path, capsys, which, missing):

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +24,19 @@ from sparse_ou.sim import derive_seed
 
 from conftest import random_stats
 
-FAST = SolverOptions(acceleration=True, rel_tol=1e-10, max_iters=100_000)
+FAST = SolverOptions(rel_tol=1e-10, max_iters=100_000)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"max_iters": 0}, "max_iters must be >= 1"),
+    ({"rel_tol": 0.0}, "rel_tol must be > 0"),
+    ({"rel_tol": math.nan}, "rel_tol must be > 0"),
+    ({"rel_tol": math.inf}, "rel_tol must be > 0"),
+    ({"acceleration": False}, "acceleration must be True"),
+], ids=["max_iters=0", "rel_tol=0", "rel_tol=nan", "rel_tol=inf", "acceleration=False"])
+def test_solver_options_rejects_bad_settings(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        SolverOptions(**kwargs)
 
 
 def restricted_least_squares(stats, support_mask):
@@ -117,18 +130,10 @@ class TestLasso:
                 )[0, 0]
         assert np.linalg.norm(fit.matrix - expected) <= 1e-8
 
-    def test_objective_monotone_without_acceleration(self, rng):
-        st = random_stats(rng, 4)
-        values = []
-        ista = SolverOptions(max_iters=500, rel_tol=1e-8, acceleration=False)
-        lasso(st, 0.05, opts=ista, callback=lambda it, f: values.append(f))
-        diffs = np.diff(values)
-        assert np.all(diffs <= 1e-12 * np.maximum(1.0, np.abs(values[:-1])))
-
     def test_kkt_certificate(self, rng):
         for lam in (0.0, 0.01, 0.1, 1.0):
             st = random_stats(rng, 4)
-            opts = SolverOptions(acceleration=True, rel_tol=1e-8, max_iters=100_000)
+            opts = SolverOptions(rel_tol=1e-8, max_iters=100_000)
             fit = lasso(st, lam, opts=opts)
             if fit.converged:
                 assert fit.kkt_residual <= 10 * opts.rel_tol * np.max(np.abs(st.g_hat))
@@ -199,7 +204,7 @@ class TestAdaptiveLasso:
         drift = generate_sparse_drift(20, 2, seed=55)
         kernel = transition_kernel(drift, 0.01)
         true_support = np.argwhere(drift.matrix)
-        opts = SolverOptions(acceleration=True, rel_tol=1e-7)
+        opts = SolverOptions(rel_tol=1e-7)
         hits = 0
         reps = 50
         for rep in range(reps):

@@ -66,13 +66,12 @@ def test_kkt_residual_matches_where_form(seed, d, lam_zero, capped):
     assert _kkt_residual(a, g, lamw, np.empty_like(a)) == where_kkt_residual(a, g, lamw)
 
 
-@pytest.mark.parametrize("acceleration", [False, True])
 @pytest.mark.parametrize("preconditioned", [False, True])
 @pytest.mark.parametrize("max_iters", [3, 50_000])
-def test_fit_reports_the_where_form_residual(acceleration, preconditioned, max_iters):
+def test_fit_reports_the_where_form_residual(preconditioned, max_iters):
     for seed in range(4):
         c, g, p, weights, _ = random_problem(seed, 3 + seed, preconditioned, True)
-        problem = _Problem.of(c, g, p, weights, SolverOptions(max_iters=max_iters, rel_tol=1e-8, acceleration=acceleration))
+        problem = _Problem.of(c, g, p, weights, SolverOptions(max_iters=max_iters, rel_tol=1e-8))
         for lam_frac in (0.0, 0.05, 0.5):
             lam = lam_frac * float(np.max(np.abs(problem.pg)))
             fit = problem.fit(lam)
@@ -81,19 +80,11 @@ def test_fit_reports_the_where_form_residual(acceleration, preconditioned, max_i
             assert fit.kkt_residual == where_kkt_residual(a, problem.pg + _quad(a, c, p), lam * problem.w)
 
 
-def test_ista_never_restarts():
-    for seed in range(4):
-        c, g, p, weights, _ = random_problem(seed, 5, seed % 2 == 1, True)
-        problem = _Problem.of(c, g, p, weights, SolverOptions(max_iters=50_000, rel_tol=1e-8, acceleration=False))
-        fit = problem.fit(0.05 * float(np.max(np.abs(problem.pg))))
-        assert fit.converged and fit.restarts == 0
-
-
 def test_fista_restarts_are_counted_and_keep_the_objective_monotone():
     restarted = 0
     for seed in range(6):
         c, g, p, weights, warm = random_problem(seed, 6, seed % 2 == 1, seed % 3 == 0)
-        problem = _Problem.of(c, g, p, weights, SolverOptions(max_iters=50_000, rel_tol=1e-8, acceleration=True))
+        problem = _Problem.of(c, g, p, weights, SolverOptions(max_iters=50_000, rel_tol=1e-8))
         for lam_frac in (0.01, 0.1):
             values = []
             fit = problem.fit(lam_frac * float(np.max(np.abs(problem.pg))), init=warm,

@@ -41,14 +41,13 @@ def kkt_violation(a, pg, pac, lamw) -> float:
     d=dims,
     preconditioned=st.booleans(),
     weighted=st.booleans(),
-    acceleration=st.booleans(),
     warm=st.booleans(),
     lam_frac=st.floats(min_value=0.0, max_value=1.5),
     rel_tol=st.sampled_from([1e-6, 1e-7, 1e-8]),
 )
-def test_converged_fit_carries_kkt_certificate(seed, d, preconditioned, weighted, acceleration, warm, lam_frac, rel_tol):
+def test_converged_fit_carries_kkt_certificate(seed, d, preconditioned, weighted, warm, lam_frac, rel_tol):
     c, g, p, weights, warm_start = random_problem(seed, d, preconditioned, weighted)
-    problem = _Problem.of(c, g, p, weights, SolverOptions(max_iters=50_000, rel_tol=rel_tol, acceleration=acceleration))
+    problem = _Problem.of(c, g, p, weights, SolverOptions(max_iters=50_000, rel_tol=rel_tol))
     pg = g if p is None else p @ g
     lam = lam_frac * float(np.max(np.abs(pg)))
     fit = problem.fit(lam, init=warm_start if warm else None)
@@ -62,11 +61,11 @@ def test_converged_fit_carries_kkt_certificate(seed, d, preconditioned, weighted
 
 
 @PROPERTY
-@given(seed=seeds, d=dims, acceleration=st.booleans())
-def test_zero_penalty_gives_the_mle(seed, d, acceleration):
+@given(seed=seeds, d=dims)
+def test_zero_penalty_gives_the_mle(seed, d):
     c, g, _, _, _ = random_problem(seed, d, False, False)
     stats = SufficientStats(c_hat=c, g_hat=g, horizon=1.0)
-    fit = lasso(stats, 0.0, opts=SolverOptions(max_iters=100_000, rel_tol=1e-10, acceleration=acceleration))
+    fit = lasso(stats, 0.0, opts=SolverOptions(max_iters=100_000, rel_tol=1e-10))
     assert fit.converged
     # (A - A_mle) C = G + A C, so ||A - A_mle||_F <= d * max|G + A C| / lambda_min(C)
     bound = d * fit.kkt_residual / float(np.linalg.eigvalsh(c)[0])
@@ -78,10 +77,9 @@ def test_zero_penalty_gives_the_mle(seed, d, acceleration):
     seed=seeds,
     d=dims,
     weighted=st.booleans(),
-    acceleration=st.booleans(),
     lam_frac=st.floats(min_value=0.0, max_value=1.5),
 )
-def test_identity_sigma_at_zero_mean_is_the_lasso(seed, d, weighted, acceleration, lam_frac):
+def test_identity_sigma_at_zero_mean_is_the_lasso(seed, d, weighted, lam_frac):
     rng = np.random.default_rng(seed)
     states = np.zeros((400, d))
     for k in range(1, states.shape[0]):
@@ -90,7 +88,7 @@ def test_identity_sigma_at_zero_mean_is_the_lasso(seed, d, weighted, acceleratio
     stats = sufficient_stats(traj)
     weights = rng.uniform(0.2, 3.0, size=(d, d)) if weighted else None
     lam = lam_frac * float(np.max(np.abs(stats.g_hat)))
-    opts = SolverOptions(rel_tol=1e-8, acceleration=acceleration)
+    opts = SolverOptions(rel_tol=1e-8)
     sig = fit_sigma_model(traj, np.zeros(d), np.eye(d), lam, weights=weights, opts=opts)
     plain = lasso(stats, lam, weights=weights, opts=opts)
     # P = I exactly, so both run the same arithmetic step for step

@@ -136,14 +136,13 @@ def events(monkeypatch):
 @pytest.mark.parametrize("seed", [3, 11])
 @pytest.mark.parametrize("preconditioned", [False, True], ids=["P=I", "P-spd"])
 @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
-@pytest.mark.parametrize("acceleration", [False, True], ids=["ista", "fista"])
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
-def test_fit_matches_reference(events, seed, preconditioned, weighted, acceleration, warm):
+def test_fit_matches_reference(events, seed, preconditioned, weighted, warm):
     c, g, p, weights, init = random_problem(seed, 6, preconditioned, weighted)
     skipped = 0
     for rel_tol in (1e-7, 1e-10):
         for max_iters in (10000, 25):
-            opts = SolverOptions(max_iters=max_iters, rel_tol=rel_tol, acceleration=acceleration)
+            opts = SolverOptions(max_iters=max_iters, rel_tol=rel_tol)
             problem = _Problem.of(c, g, p, weights, opts)
             lam_max = float(np.max(np.abs(problem.pg) / problem.w))
             for frac in (0.0, 0.003, 0.03, 0.3, 1.2):
@@ -171,19 +170,17 @@ def test_cv_path_with_witness_crossing_zero_matches_reference(events, monkeypatc
     # a short path on which a witness entry leaves the support between checks
     traj = sample_trajectory(generate_sparse_drift(6, 1, 3), 3.0, 0.01, 3)
     grid = default_lambda_grid(20)
-    for acceleration in (False, True):
-        opts = SolverOptions(rel_tol=1e-7, acceleration=acceleration)
-        del events[:]
-        got = cross_validate(traj, "lasso", grid=grid, opts=opts)
-        assert _witness_crossings(events) > 0
-        assert any(kind == "gate" and sign == 0.0 for kind, _, sign, _ in events)  # the A == 0 branch ran
-        with monkeypatch.context() as m:
-            m.setattr(_Problem, "fit", reference_fit)
-            want = cross_validate(traj, "lasso", grid=grid, opts=opts)
-        assert got.best_lambda == want.best_lambda
-        assert np.array_equal(got.validation_scores, want.validation_scores)
-        for got_fit, want_fit in zip(got.fits, want.fits, strict=True):
-            assert_same_fit(got_fit, want_fit)
+    opts = SolverOptions(rel_tol=1e-7)
+    got = cross_validate(traj, "lasso", grid=grid, opts=opts)
+    assert _witness_crossings(events) > 0
+    assert any(kind == "gate" and sign == 0.0 for kind, _, sign, _ in events)  # the A == 0 branch ran
+    with monkeypatch.context() as m:
+        m.setattr(_Problem, "fit", reference_fit)
+        want = cross_validate(traj, "lasso", grid=grid, opts=opts)
+    assert got.best_lambda == want.best_lambda
+    assert np.array_equal(got.validation_scores, want.validation_scores)
+    for got_fit, want_fit in zip(got.fits, want.fits, strict=True):
+        assert_same_fit(got_fit, want_fit)
 
 
 # -- the saving, as a count ---------------------------------------------------------
@@ -193,7 +190,7 @@ def test_full_sweeps_on_under_a_quarter_of_cv_path_iterations(events):
     # on this path the reference loop sweeps on 330 of 628 iterations (53%),
     # the gated loop on 85 (14%)
     traj = sample_trajectory(generate_sparse_drift(10, 2, 0), 50.0, 0.01, 0)
-    res = cross_validate(traj, "adaptive_lasso", opts=SolverOptions(rel_tol=1e-7, acceleration=True))
+    res = cross_validate(traj, "adaptive_lasso", opts=SolverOptions(rel_tol=1e-7))
     iterations = sum(f.iterations for f in res.fits)
     sweeps = sum(kind == "sweep" for kind, _, _, _ in events)
     assert all(f.converged for f in res.fits)

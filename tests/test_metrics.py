@@ -227,7 +227,7 @@ class TestOracleCoverage:
         norms = []
         for rep in range(4):
             st = sufficient_stats(sample_trajectory(truth, 20.0, 0.01, derive_seed(3, rep), kernel=kernel))
-            delta = lasso(st, theoretical_lambda(st, cfg), opts=SolverOptions(acceleration=True)).matrix - truth.matrix
+            delta = lasso(st, theoretical_lambda(st, cfg), opts=SolverOptions()).matrix - truth.matrix
             norms.append(math.sqrt(np.trace(delta @ st.c_hat @ delta.T)))
         bound = float(np.median(norms))
         monkeypatch.setattr(metrics, "oracle_bound", lambda *args: bound)

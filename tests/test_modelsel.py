@@ -19,7 +19,7 @@ from sparse_ou.estimators import _Problem
 from sparse_ou.modelsel import save_cv_json, split_trajectory
 from sparse_ou.sim import Trajectory
 
-FAST = SolverOptions(acceleration=True, rel_tol=1e-10, max_iters=100_000)
+FAST = SolverOptions(rel_tol=1e-10, max_iters=100_000)
 
 
 @pytest.fixture(scope="module")

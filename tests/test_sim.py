@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import ttest_ind
@@ -135,6 +137,13 @@ class TestSampleTrajectory:
             sample_trajectory(drift3, T=0.001, dt=0.01, seed=0)
         with pytest.raises(ValueError):
             sample_trajectory(drift3, T=1.0, dt=0.01, seed=0, init=np.zeros(2))
+        for T in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="T / dt must be finite"):
+                sample_trajectory(drift3, T=T, dt=0.01, seed=0)
+
+    def test_kernel_for_another_step_is_rejected(self, drift3):
+        with pytest.raises(ValueError, match="kernel was built for dt=0.01, not dt=0.1"):
+            sample_trajectory(drift3, T=1.0, dt=0.1, seed=1, kernel=transition_kernel(drift3, 0.01))
 
 
 def reference_sample_states(drift, T, dt, seed, init=None, kernel=None):

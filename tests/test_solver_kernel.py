@@ -119,11 +119,10 @@ def reference_fit(c, g, p, lam, weights, opts, init):
 # -- parity ----------------------------------------------------------------------
 
 CASES = [
-    pytest.param(seed, pre, acc, wt, warm, id=f"{seed}-{'spd' if pre else 'I'}-{'fista' if acc else 'ista'}"
+    pytest.param(seed, pre, wt, warm, id=f"{seed}-{'spd' if pre else 'I'}"
                  f"-{'weighted' if wt else 'unweighted'}-{'warm' if warm else 'zero'}")
     for seed in range(6)
     for pre in (False, True)
-    for acc in (False, True)
     for wt in (False, True)
     for warm in (False, True)
 ]
@@ -133,11 +132,11 @@ def _rel_diff(a, b) -> float:
     return float(np.linalg.norm(a - b) / max(1.0, np.linalg.norm(b)))
 
 
-def _fits(seed, preconditioned, acceleration, weighted, warm, rel_tol):
+def _fits(seed, preconditioned, weighted, warm, rel_tol):
     """(reference, kernel) pairs over penalties from 0 to beyond lambda_max."""
     d = 3 + seed % 4
     c, g, p, weights, warm_start = random_problem(seed, d, preconditioned, weighted)
-    opts = SolverOptions(max_iters=20000, rel_tol=rel_tol, acceleration=acceleration)
+    opts = SolverOptions(max_iters=20000, rel_tol=rel_tol)
     init = warm_start if warm else None
     problem = _Problem.of(c, g, p, weights, opts)
     lam_max = float(np.max(np.abs(problem.pg)))
@@ -145,12 +144,10 @@ def _fits(seed, preconditioned, acceleration, weighted, warm, rel_tol):
         yield (c, p), reference_fit(c, g, p, lam, weights, opts, init), problem.fit(lam, init=init)
 
 
-@pytest.mark.parametrize("seed, preconditioned, acceleration, weighted, warm", CASES)
-def test_kernel_matches_closure_loop(seed, preconditioned, acceleration, weighted, warm):
+@pytest.mark.parametrize("seed, preconditioned, weighted, warm", CASES)
+def test_kernel_matches_closure_loop(seed, preconditioned, weighted, warm):
     # rel_tol 1e-7 is the command-line and benchmark default
-    for _, (a_ref, iters, f_ref, kkt_ref, conv_ref), fit in _fits(
-        seed, preconditioned, acceleration, weighted, warm, rel_tol=1e-7
-    ):
+    for _, (a_ref, iters, f_ref, kkt_ref, conv_ref), fit in _fits(seed, preconditioned, weighted, warm, rel_tol=1e-7):
         assert fit.iterations == iters
         assert fit.converged == conv_ref
         assert _rel_diff(fit.matrix, a_ref) <= 1e-12
@@ -158,8 +155,8 @@ def test_kernel_matches_closure_loop(seed, preconditioned, acceleration, weighte
         assert fit.kkt_residual == pytest.approx(kkt_ref, rel=1e-9, abs=1e-15)
 
 
-@pytest.mark.parametrize("seed, preconditioned, acceleration, weighted, warm", CASES)
-def test_kernel_reaches_the_same_minimizer_at_tight_tolerance(seed, preconditioned, acceleration, weighted, warm):
+@pytest.mark.parametrize("seed, preconditioned, weighted, warm", CASES)
+def test_kernel_reaches_the_same_minimizer_at_tight_tolerance(seed, preconditioned, weighted, warm):
     """At rel_tol 1e-10 the KKT certificate is met only once successive
     objective values agree to rounding, where the restart test compares two
     numbers that differ in their last bits.  The two loops round the
@@ -168,9 +165,7 @@ def test_kernel_reaches_the_same_minimizer_at_tight_tolerance(seed, precondition
     minimizer.  With strong convexity mu = lambda_min(P) lambda_min(C), two
     points whose subgradient residuals are at most eps entrywise lie within
     2 d eps / mu of each other in Frobenius norm."""
-    for (c, p), (a_ref, _, f_ref, kkt_ref, conv_ref), fit in _fits(
-        seed, preconditioned, acceleration, weighted, warm, rel_tol=1e-10
-    ):
+    for (c, p), (a_ref, _, f_ref, kkt_ref, conv_ref), fit in _fits(seed, preconditioned, weighted, warm, rel_tol=1e-10):
         assert fit.converged and conv_ref
         mu = float(np.linalg.eigvalsh(c)[0]) * (1.0 if p is None else float(np.linalg.eigvalsh(p)[0]))
         d = c.shape[0]
@@ -182,14 +177,14 @@ def test_public_lasso_callback_sees_every_step():
     c, g, _, _, _ = random_problem(11, 4, False, False)
     st = SufficientStats(c_hat=c, g_hat=g, horizon=1.0)
     seen = []
-    fit = lasso(st, 0.05, opts=SolverOptions(acceleration=True), callback=lambda it, f: seen.append((it, f)))
+    fit = lasso(st, 0.05, opts=SolverOptions(), callback=lambda it, f: seen.append((it, f)))
     assert [it for it, _ in seen] == list(range(1, fit.iterations + 1))
     assert seen[-1][1] == fit.final_objective
 
 
 # -- hoisted CV routines against per-penalty public fits ------------------------
 
-TIGHT = SolverOptions(acceleration=True, rel_tol=1e-10, max_iters=100_000)
+TIGHT = SolverOptions(rel_tol=1e-10, max_iters=100_000)
 GRID = np.logspace(-3, 1, 9)
 
 
