@@ -66,15 +66,16 @@ def test_kkt_residual_matches_where_form(seed, d, lam_zero, capped):
     assert _kkt_residual(a, g, lamw, np.empty_like(a)) == where_kkt_residual(a, g, lamw)
 
 
+@pytest.mark.parametrize("warm", [False, True])
 @pytest.mark.parametrize("preconditioned", [False, True])
 @pytest.mark.parametrize("max_iters", [3, 50_000])
-def test_fit_reports_the_where_form_residual(preconditioned, max_iters):
+def test_fit_reports_the_where_form_residual(warm, preconditioned, max_iters):
     for seed in range(4):
-        c, g, p, weights, _ = random_problem(seed, 3 + seed, preconditioned, True)
+        c, g, p, weights, warm_start = random_problem(seed, 3 + seed, preconditioned, True)
         problem = _Problem.of(c, g, p, weights, SolverOptions(max_iters=max_iters, rel_tol=1e-8))
         for lam_frac in (0.0, 0.05, 0.5):
             lam = lam_frac * float(np.max(np.abs(problem.pg)))
-            fit = problem.fit(lam)
+            fit = problem.fit(lam, init=warm_start if warm else None)
             a = fit.matrix
             assert fit.converged == (max_iters > 3)
             assert fit.kkt_residual == where_kkt_residual(a, problem.pg + _quad(a, c, p), lam * problem.w)

@@ -133,7 +133,7 @@ def events(monkeypatch):
 # -- parity -------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("seed", [3, 11, 19])
 @pytest.mark.parametrize("preconditioned", [False, True], ids=["P=I", "P-spd"])
 @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
