@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import fields
@@ -21,14 +20,8 @@ import numpy as np
 
 from . import metrics, model, modelsel, sim
 from .errors import GenerationError, IngestionError, NumericError, StabilityError, UsageError
-from .estimators import (
-    SolverOptions,
-    adaptive_lasso,
-    lasso,
-    mle,
-    save_estimate_json,
-)
-from .experiments import CV_METHODS, ExperimentConfig, row_sparsity, run_benchmark
+from .estimators import adaptive_lasso, lasso, mle, save_estimate_json
+from .experiments import CV_METHODS, ExperimentConfig, fit_settings, row_sparsity, run_benchmark
 from .finance import (
     ema_log_returns,
     estimate_mean_sigma,
@@ -42,14 +35,6 @@ def _resolve_seed(seed) -> int:
     if seed is not None:
         return seed
     return int(os.environ.get("SPARSE_OU_SEED", "0"))
-
-
-def _solver_options(args) -> SolverOptions:
-    return SolverOptions(max_iters=args.max_iters, rel_tol=args.rel_tol)
-
-
-def _lambda_grid(args) -> np.ndarray:
-    return modelsel.default_lambda_grid(args.grid_size, args.grid_min, args.grid_max)
 
 
 def _lambda_config(args) -> LambdaConfig:
@@ -71,10 +56,9 @@ def _add_theory_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theory-eps0", type=float, default=LambdaConfig.epsilon0, help="epsilon0 of the theory penalty")
 
 
-def _check_horizon(T: float, dt: float) -> None:
-    """Reject a --T and --dt that do not make a finite path of at least one step."""
-    if not (0 < dt < math.inf and math.isfinite(T / dt)) or round(T / dt) < 1:
-        raise UsageError(f"--T must round to at least one step of --dt > 0, got --T {T:g} --dt {dt:g}")
+def penalty(text: str):
+    """The --lambda value, 'theory', 'cv' or a float; argparse reports any other text as an invalid penalty value."""
+    return text if text in ("theory", "cv") else float(text)
 
 
 def _flag_type(type_name: str):
@@ -90,9 +74,7 @@ def _make_drift(kind: str, d: int, s: int, alpha: float, w: float, seed: int) ->
         return model.generate_sparse_drift(d, s, seed)
     if kind == "two-group":
         return model.generate_two_group(d)
-    if kind == "shifted-antisym":
-        return model.generate_shifted_antisymmetric(d, alpha, w, s, seed)
-    raise UsageError(f"unknown drift kind {kind!r}")
+    return model.generate_shifted_antisymmetric(d, alpha, w, s, seed)
 
 
 def _load_drift(path) -> model.DriftMatrix:
@@ -107,7 +89,7 @@ def _load_drift(path) -> model.DriftMatrix:
 def cmd_simulate(args) -> int:
     if args.d < 1:
         raise UsageError(f"--d must be >= 1, got {args.d}")
-    _check_horizon(args.T, args.dt)
+    sim.step_count(args.T, args.dt)
     seed = _resolve_seed(args.seed)
     s = args.s if args.s is not None else row_sparsity(args.d)
     drift = _make_drift(args.kind, args.d, s, args.alpha, args.w, seed)
@@ -126,9 +108,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    grid, opts, gamma = fit_settings(args)
     traj = sim.load_trajectory_csv(args.traj)
     stats = sufficient_stats(traj)
-    opts = _solver_options(args)
     seed = _resolve_seed(args.seed)
     extra = {"method": args.method, "traj": str(args.traj), "seed": seed}
 
@@ -137,7 +119,7 @@ def cmd_fit(args) -> int:
         extra["lambda_rule"] = "none"
     elif args.lam == "cv":
         method = CV_METHODS[args.method]
-        cv = modelsel.cross_validate(traj, method, gamma=args.gamma, grid=_lambda_grid(args), opts=opts)
+        cv = modelsel.cross_validate(traj, method, gamma=gamma, grid=grid, opts=opts)
         fit = cv.best_estimate
         cv_out = args.cv_out or (str(args.out) + ".cv.json")
         modelsel.save_cv_json(cv_out, cv)
@@ -148,13 +130,10 @@ def cmd_fit(args) -> int:
             lam = theoretical_lambda(stats, _lambda_config(args))
             extra["lambda_rule"] = "theory"
         else:
-            try:
-                lam = float(args.lam)
-            except ValueError:
-                raise UsageError(f"--lambda must be a number, 'theory' or 'cv', got {args.lam!r}")
+            lam = args.lam
             extra["lambda_rule"] = "fixed"
         if args.method == "adalasso":
-            fit = adaptive_lasso(stats, lam, gamma=args.gamma, opts=opts)
+            fit = adaptive_lasso(stats, lam, gamma=gamma, opts=opts)
         else:
             fit = lasso(stats, lam, opts=opts)
 
@@ -179,10 +158,9 @@ def cmd_fit(args) -> int:
 
 
 def cmd_cv(args) -> int:
+    grid, opts, gamma = fit_settings(args)
     traj = sim.load_trajectory_csv(args.traj)
-    cv = modelsel.cross_validate(
-        traj, CV_METHODS[args.method], gamma=args.gamma, grid=_lambda_grid(args), opts=_solver_options(args)
-    )
+    cv = modelsel.cross_validate(traj, CV_METHODS[args.method], gamma=gamma, grid=grid, opts=opts)
     modelsel.save_cv_json(args.out, cv)
     print(f"best lambda {cv.best_lambda:.6g} -> {args.out}")
     return 0
@@ -218,12 +196,11 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_finance(args) -> int:
+    grid, opts, gamma = fit_settings(args)
     panel = load_prices(args.prices)
     traj = ema_log_returns(panel, span=args.span)
     m_hat, sigma_hat = estimate_mean_sigma(traj)
-    cv = modelsel.cross_validate_sigma(
-        traj, m_hat, sigma_hat, gamma=args.gamma, grid=_lambda_grid(args), opts=_solver_options(args)
-    )
+    cv = modelsel.cross_validate_sigma(traj, m_hat, sigma_hat, gamma=gamma, grid=grid, opts=opts)
     save_finance_model_json(args.out, panel.tickers, m_hat, sigma_hat, cv.best_estimate.matrix, cv.best_lambda)
     print(f"fitted {len(panel.tickers)} tickers, lambda {cv.best_lambda:.6g} -> {args.out}")
     return 0
@@ -256,16 +233,14 @@ def cmd_diagnostics(args) -> int:
             dict(zip(("R", "h1", "h2"), (r, *metrics.deviation_bounds(r, u, drift.stationary_cov))))
             for r in r_values
         ]
-    elif args.which == "oracle-coverage":
-        _check_horizon(args.T, args.dt)
+    else:  # oracle-coverage
+        sim.step_count(args.T, args.dt)
         if args.drift:
             truth = _load_drift(args.drift)
         else:
             truth = model.symmetrized_drift(model.generate_sparse_drift(args.d, args.s, seed))
         cov = metrics.oracle_coverage(truth, args.s, args.T, args.reps, _lambda_config(args), seed, dt=args.dt)
         payload.update({"coverage": cov, "T": args.T, "reps": args.reps})
-    else:
-        raise UsageError(f"unknown diagnostic {args.which!r}")
     with open(args.out, "w") as fh:
         json.dump(payload, fh, indent=2)
     print(f"wrote {args.out}")
@@ -298,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a drift estimate from a trajectory CSV")
     p.add_argument("--traj", required=True)
     p.add_argument("--method", choices=["mle", "lasso", "adalasso"], default="lasso")
-    p.add_argument("--lambda", dest="lam", default="cv", help="penalty: number, 'theory' or 'cv'")
+    p.add_argument("--lambda", dest="lam", type=penalty, default="cv", help="penalty: number, 'theory' or 'cv'")
     p.add_argument("--truth", default=None, help="optional drift file; adds an error/support report")
     p.add_argument("--zero-tol", type=float, default=1e-10)
     p.add_argument("--seed", type=int, default=None)

@@ -1,7 +1,10 @@
 """Exception types shared across the package.
 
-Invalid arguments raise plain ``ValueError``; the classes below mark
-failures of numerical preconditions or external inputs.
+A value that a command-line flag or a config key can supply is rejected with
+:class:`UsageError` by the code that uses it; the CLI exits with
+code 2 for it and with code 1 for any other error.  An argument no flag can
+supply, such as a wrongly shaped array, raises plain ``ValueError``; the
+other classes mark failures of numerical preconditions or external inputs.
 """
 
 __all__ = [
@@ -35,4 +38,4 @@ class IngestionError(RuntimeError):
 
 
 class UsageError(ValueError):
-    """A command-line flag or experiment setting is invalid; the CLI exits with code 2."""
+    """A setting is invalid; raised where the setting is used, and the CLI exits with code 2."""

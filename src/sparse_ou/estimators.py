@@ -34,7 +34,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .errors import ConditioningError
+from .errors import ConditioningError, UsageError
 from .sim import Trajectory
 from .stats import SufficientStats, grad_neg_log_likelihood, neg_log_likelihood, sufficient_stats
 
@@ -65,9 +65,9 @@ class SolverOptions:
 
     def __post_init__(self, acceleration):
         if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+            raise UsageError(f"max_iters must be >= 1, got {self.max_iters}")
         if not 0 < self.rel_tol < math.inf:
-            raise ValueError(f"rel_tol must be > 0 and finite, got {self.rel_tol}")
+            raise UsageError(f"rel_tol must be > 0 and finite, got {self.rel_tol}")
         if acceleration is not True:
             raise ValueError(f"acceleration must be True, got {acceleration!r}")
 
@@ -136,14 +136,20 @@ def _validated_weights(weights, d: int) -> np.ndarray:
     return w
 
 
+def _adaptive_gamma(gamma: float) -> float:
+    """The adaptive weight exponent as a float; UsageError unless it is finite and >= 0."""
+    if not 0 <= gamma < math.inf:
+        raise UsageError(f"gamma must be >= 0 and finite, got {gamma}")
+    return float(gamma)
+
+
 def _adaptive_start(stats: SufficientStats, gamma: float) -> tuple[np.ndarray, np.ndarray, float]:
     """The adaptive warm start A_mle, weights 1 / |A_mle|^gamma capped at WEIGHT_CAP, and float(gamma)."""
-    if not gamma >= 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    gamma = _adaptive_gamma(gamma)
     a_mle = mle(stats).matrix
     with np.errstate(divide="ignore"):
         weights = np.minimum(np.abs(a_mle) ** (-gamma), WEIGHT_CAP)
-    return a_mle, weights, float(gamma)
+    return a_mle, weights, gamma
 
 
 def _quad(a: np.ndarray, c: np.ndarray, p: np.ndarray | None) -> np.ndarray:
@@ -195,8 +201,8 @@ class _Problem:
         the witness, the most violating entry of the last failed sweep, is
         within ``kkt_tol``; a fit that stops unconverged sweeps it at exit.
         """
-        if not lam >= 0:
-            raise ValueError(f"lambda must be >= 0, got {lam}")
+        if not 0 <= lam < math.inf:
+            raise UsageError(f"lambda must be >= 0 and finite, got {lam}")
         opts, step = self.opts, self.step
         lamw = lam * self.w
         thresholds = step * lam * self.w

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import metrics, model, modelsel, sim
 from .errors import UsageError
-from .estimators import SolverOptions, mle
+from .estimators import SolverOptions, _adaptive_gamma, mle
 from .finance import estimate_mean_sigma, sample_sigma_trajectory
 from .stats import LambdaConfig, sufficient_stats
 
@@ -72,28 +72,29 @@ class ExperimentConfig:
             raise UsageError(f"unknown benchmark kind {self.kind!r}")
         if self.reps < 1:
             raise UsageError("reps must be >= 1")
-        try:
-            SolverOptions(max_iters=self.max_iters, rel_tol=self.rel_tol)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        if not 0 < self.dt < math.inf:
-            raise UsageError(f"dt must be > 0 and finite, got {self.dt!r}")
-        for name in ("dt_values", "t_values"):
-            if not all(0 < x < math.inf for x in getattr(self, name)):
-                raise UsageError(f"{name} entries must be > 0 and finite, got {getattr(self, name)!r}")
-        # a path has n = round(T / step) steps of the smallest step; dt_study subsamples it to every entry
+        if not all(d >= 1 for d in self.d_values):
+            raise UsageError(f"d_values entries must be >= 1, got {self.d_values!r}")
+        if not 0 < self.s_rule <= 1:
+            raise UsageError(f"s_rule must be in (0, 1], got {self.s_rule!r}")
+        fit_settings(self)
+        # one path of sim.step_count(T, step) steps at the smallest step; dt_study subsamples it to every entry
         steps = self.dt_values if self.kind == "dt_study" else [self.dt]
         step = min(steps)
+        counts = [sim.step_count(T, step) for T in self.t_values]
         for dt in steps:
             ratio = dt / step
-            if abs(ratio - round(ratio)) > 1e-9 * ratio:
+            if not (ratio < math.inf and abs(ratio - round(ratio)) <= 1e-9 * ratio):
                 raise UsageError(f"dt_values must be integer multiples of the smallest, {step!r}; got {dt!r}")
-        for T in self.t_values:
-            n = T / step
-            n = round(n) if n < math.inf else n
-            if not 1 <= n < math.inf or any(n % round(dt / step) for dt in steps):
-                raise UsageError(f"t_values entries must round to a positive whole number of steps of each of "
-                                 f"{steps!r}; {T!r} is {n} steps of {step!r}")
+            for T, n in zip(self.t_values, counts):
+                if n % round(ratio):
+                    raise UsageError(f"t_values entries must round to a positive whole number of steps of each of "
+                                     f"{steps!r}; {T!r} is {n} steps of {step!r}")
+
+
+def fit_settings(cfg) -> tuple[np.ndarray, SolverOptions, float]:
+    """The CV grid, solver options and adaptive exponent that ``cfg``, a config or the parsed fit flags, names."""
+    grid = modelsel.default_lambda_grid(cfg.grid_size, cfg.grid_min, cfg.grid_max)
+    return grid, SolverOptions(max_iters=cfg.max_iters, rel_tol=cfg.rel_tol), _adaptive_gamma(cfg.gamma)
 
 
 def row_sparsity(d: int, s_rule: float = ExperimentConfig.s_rule) -> int:
@@ -125,14 +126,13 @@ def _row(method, truth, matrix, d, T, dt, rep, wall, **extra) -> dict:
 def _replicate(payload) -> list:
     """One replication ``(cfg, truth, d, T, rep, rep_seed)``: sample, fit, score; must stay picklable."""
     cfg, truth, d, T, rep, rep_seed = payload
-    grid = modelsel.default_lambda_grid(cfg.grid_size, cfg.grid_min, cfg.grid_max)
-    opts = SolverOptions(max_iters=cfg.max_iters, rel_tol=cfg.rel_tol)
+    grid, opts, gamma = fit_settings(cfg)
     if cfg.kind == "finance":
         drift, m_true, sigma_true = truth
         traj = sample_sigma_trajectory(drift.matrix, m_true, sigma_true, T, cfg.dt, rep_seed)
         m_hat, sigma_hat = estimate_mean_sigma(traj)
         t0 = time.perf_counter()
-        cv = modelsel.cross_validate_sigma(traj, m_hat, sigma_hat, gamma=cfg.gamma, grid=grid, opts=opts)
+        cv = modelsel.cross_validate_sigma(traj, m_hat, sigma_hat, gamma=gamma, grid=grid, opts=opts)
         wall = time.perf_counter() - t0
         s_true = sigma_true @ sigma_true.T
         s_rel = float(np.linalg.norm(sigma_hat @ sigma_hat.T - s_true) / np.linalg.norm(s_true))
@@ -159,7 +159,7 @@ def _replicate(payload) -> list:
             if method == "mle":
                 fit = mle(stats)
             else:
-                cv = modelsel.cross_validate(traj, CV_METHODS[method], gamma=cfg.gamma, grid=grid, opts=opts)
+                cv = modelsel.cross_validate(traj, CV_METHODS[method], gamma=gamma, grid=grid, opts=opts)
                 fit = cv.best_estimate
             rows.append(_row(method, truth, fit.matrix, d, T, dt, rep, time.perf_counter() - t0))
     return rows

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IngestionError, NumericError
+from .errors import IngestionError, NumericError, UsageError
 from .model import make_drift
 from .sim import Trajectory, sample_trajectory
 
@@ -89,7 +89,7 @@ def ema_log_returns(panel: PricePanel, span: int = 10) -> Trajectory:
     ``span`` is the smoothing span in days; the EMA weight is 2 / (span + 1).
     """
     if span < 1:
-        raise ValueError(f"span must be >= 1, got {span}")
+        raise UsageError(f"span must be >= 1, got {span}")
     if panel.prices.shape[0] < 2:
         raise ValueError("panel needs at least 2 dates")
     returns = np.diff(np.log(panel.prices), axis=0)

@@ -16,6 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .errors import UsageError
 from .estimators import Estimate, SolverOptions, lasso
 from .model import DriftMatrix
 from .sim import derive_seed, sample_trajectory, transition_kernel
@@ -86,8 +87,8 @@ def support_report(estimate, truth: DriftMatrix, zero_tol: float = DEFAULT_ZERO_
     there are no detections (or no true positives) the undefined
     precision/recall are reported as 0, hence F1 = 0.
     """
-    if zero_tol < 0:
-        raise ValueError(f"zero_tol must be >= 0, got {zero_tol}")
+    if not zero_tol >= 0:
+        raise UsageError(f"zero_tol must be >= 0, got {zero_tol}")
     detected = np.abs(np.asarray(estimate, dtype=float)) > zero_tol
     true_supp = truth.matrix != 0.0
     tp = int(np.sum(detected & true_supp))
@@ -123,11 +124,11 @@ def deviation_bounds(R: float, u, c_inf) -> tuple[float, float]:
         H2(R) = -(r + log(1 - r)) / 8   for r < 1, +inf otherwise.
     """
     if not R > 0:
-        raise ValueError(f"R must be > 0, got {R}")
+        raise UsageError(f"R must be > 0, got {R}")
     u = np.asarray(u, dtype=float)
-    if np.linalg.norm(u) > 1.0 + 1e-12:
-        raise ValueError("u must satisfy ||u||_2 <= 1")
     c = np.asarray(c_inf, dtype=float)
+    if u.shape != c.shape[:1] or not 0 < np.linalg.norm(u) <= 1.0 + 1e-12:
+        raise UsageError(f"u must be a nonzero vector of length {c.shape[0]} with ||u||_2 <= 1, got {u.tolist()}")
     quad = float(u @ c @ u)
     if quad <= 0:
         raise ValueError("u^T C u must be > 0 (C SPD and u != 0)")
@@ -164,9 +165,11 @@ def re_constant(
     can only overestimate the true cone constant.
     """
     if not 1 <= s <= stats.dim:
-        raise ValueError(f"need 1 <= s <= d, got s={s}, d={stats.dim}")
+        raise UsageError(f"need 1 <= s <= d, got s={s}, d={stats.dim}")
     if not c0 > 0:
-        raise ValueError(f"c0 must be > 0, got {c0}")
+        raise UsageError(f"c0 must be > 0, got {c0}")
+    if n_probes < 1:
+        raise UsageError(f"n_probes must be >= 1, got {n_probes}")
     rng = np.random.default_rng(seed)
     c = stats.c_hat
     best = math.inf
@@ -186,7 +189,7 @@ def restricted_sparse_min(stats: SufficientStats, s: int) -> float:
     if d > 12:
         raise ValueError(f"exact enumeration limited to d <= 12, got d={d}")
     if not 1 <= s <= d:
-        raise ValueError(f"need 1 <= s <= d, got s={s}")
+        raise UsageError(f"need 1 <= s <= d, got s={s}")
     c = stats.c_hat
     best = math.inf
     for support in combinations(range(d), s):
@@ -238,7 +241,9 @@ def oracle_coverage(
     non-symmetric input triggers a warning but runs.
     """
     if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
+        raise UsageError(f"reps must be >= 1, got {reps}")
+    if not 1 <= s <= truth.dim:
+        raise UsageError(f"need 1 <= s <= d, got s={s}, d={truth.dim}")
     if not np.allclose(truth.matrix, truth.matrix.T, atol=1e-12):
         warnings.warn("oracle coverage guarantee is proved for symmetric drifts only")
     kernel = transition_kernel(truth, dt)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GenerationError, StabilityError
+from .errors import GenerationError, StabilityError, UsageError
 from .linops import as_square_matrix, solve_lyapunov
 
 __all__ = [
@@ -60,7 +60,7 @@ def make_drift(matrix, stationary_cov: np.ndarray | None = None) -> DriftMatrix:
 def random_sign_pattern(d: int, s: int, seed: int) -> np.ndarray:
     """Matrix with exactly ``s`` random +-1 entries per row (diagonal allowed)."""
     if not 1 <= s <= d:
-        raise ValueError(f"need 1 <= s <= d, got s={s}, d={d}")
+        raise UsageError(f"need 1 <= s <= d, got s={s}, d={d}")
     rng = np.random.default_rng(seed)
     pattern = np.zeros((d, d))
     for i in range(d):
@@ -95,7 +95,7 @@ def generate_two_group(d: int) -> DriftMatrix:
     -1/(group size), giving block eigenvalues 1/g and 1 + 1/g.
     """
     if d < 2 or d % 2 != 0:
-        raise ValueError(f"d must be even and >= 2, got {d}")
+        raise UsageError(f"d must be even and >= 2, got {d}")
     g = d // 2
     block = np.full((g, g), -1.0 / g)
     np.fill_diagonal(block, 1.0)
@@ -114,10 +114,10 @@ def generate_shifted_antisymmetric(
     non-zeros per row.  The stationary covariance is exactly I/(2 alpha)
     regardless of B, which makes this family a convenient analytic oracle.
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    if not (0 < alpha < np.inf and np.isfinite(w)):
+        raise UsageError(f"alpha must be finite and > 0, and w finite, got alpha={alpha}, w={w}")
     if not 0 <= s < d:
-        raise ValueError(f"need 0 <= s < d, got s={s}, d={d}")
+        raise UsageError(f"need 0 <= s < d, got s={s}, d={d}")
     rng = np.random.default_rng(seed)
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     rng.shuffle(pairs)

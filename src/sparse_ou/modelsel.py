@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import UsageError
 from .estimators import (
     Estimate,
     SolverOptions,
@@ -55,7 +56,9 @@ class CvResult:
 
 
 def default_lambda_grid(num: int = 40, low: float = 1e-2, high: float = 1e3) -> np.ndarray:
-    """``num`` log-spaced penalty levels from ``low`` to ``high``, 40 from 1e-2 to 1e3 by default."""
+    """``num`` >= 1 log-spaced penalty levels from ``low`` to ``high``, finite and > 0; 40 from 1e-2 to 1e3 by default."""
+    if not (num >= 1 and 0 < low < math.inf and 0 < high < math.inf):
+        raise UsageError(f"a lambda grid needs num >= 1 and finite bounds > 0, got num={num}, low={low}, high={high}")
     return np.logspace(math.log10(low), math.log10(high), num)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import NumericError, UsageError
 from .linops import matrix_exponential
 from .model import DriftMatrix
 
@@ -26,6 +26,7 @@ __all__ = [
     "Trajectory",
     "TransitionKernel",
     "transition_kernel",
+    "step_count",
     "sample_trajectory",
     "subsample",
     "save_trajectory_csv",
@@ -112,6 +113,14 @@ def _cholesky_psd(q: np.ndarray) -> np.ndarray:
             raise NumericError(f"noise covariance is not positive semidefinite: {exc}") from exc
 
 
+def step_count(T: float, dt: float) -> int:
+    """The n = round(T / dt) steps of a path of horizon T sampled every dt; UsageError unless n is finite and >= 1."""
+    if not (0 < dt < math.inf and math.isfinite(T / dt) and round(T / dt) >= 1):
+        raise UsageError(f"dt must be > 0 and finite, and T / dt must be finite and round to at least 1; "
+                         f"got T={T!r}, dt={dt!r}")
+    return round(T / dt)
+
+
 def sample_trajectory(
     drift: DriftMatrix,
     T: float,
@@ -120,19 +129,13 @@ def sample_trajectory(
     init=None,
     kernel: TransitionKernel | None = None,
 ) -> Trajectory:
-    """Sample a path of n = round(T / dt) exact transition steps.
+    """Sample a path of :func:`step_count` (T, dt) exact transition steps.
 
     When ``init`` is omitted, X_0 is drawn from the stationary law
     N(0, C).  Passing a precomputed ``kernel`` skips rebuilding (phi, Q)
     in replication loops; it must be built for ``dt``.  Deterministic given ``seed``.
     """
-    if not dt > 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    if not math.isfinite(T / dt):
-        raise ValueError(f"T / dt must be finite, got T={T}, dt={dt}")
-    n = int(round(T / dt))
-    if n < 1:
-        raise ValueError(f"need T >= dt, got T={T}, dt={dt}")
+    n = step_count(T, dt)
     if kernel is None:
         kernel = transition_kernel(drift, dt)
     elif kernel.dt != dt:

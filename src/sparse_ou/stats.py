@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import UsageError
 from .sim import Trajectory
 
 __all__ = [
@@ -54,9 +55,9 @@ class LambdaConfig:
 
     def __post_init__(self):
         if not self.gamma > 1:
-            raise ValueError(f"gamma must be > 1, got {self.gamma}")
+            raise UsageError(f"gamma must be > 1, got {self.gamma}")
         if not 0 < self.epsilon0 < 1:
-            raise ValueError(f"epsilon0 must be in (0, 1), got {self.epsilon0}")
+            raise UsageError(f"epsilon0 must be in (0, 1), got {self.epsilon0}")
 
 
 def sufficient_stats(traj: Trajectory) -> SufficientStats:

@@ -14,6 +14,7 @@ from sparse_ou.experiments import ExperimentConfig
 from sparse_ou.sim import load_trajectory_csv
 
 CONFIG_FIELDS = [f.name for f in fields(ExperimentConfig)]
+HORIZON_RULE = "dt must be > 0 and finite, and T / dt must be finite and round to at least 1"
 
 
 def run(args):
@@ -39,12 +40,12 @@ class TestSimulate:
 
     @pytest.mark.parametrize("flags, message", [
         (["--d", 0, "--T", 1], "--d must be >= 1"),
-        (["--d", 3, "--T", 0.004, "--dt", 0.01], "--T must round to at least one step of --dt > 0"),
-        (["--d", 3, "--T", 1, "--dt", 0], "--T must round to at least one step of --dt > 0"),
-        (["--d", 3, "--T", 1, "--dt", -0.5], "--T must round to at least one step of --dt > 0"),
-        (["--d", 3, "--T", "inf"], "--T must round to at least one step of --dt > 0"),
-        (["--d", 3, "--T", "nan"], "--T must round to at least one step of --dt > 0"),
-        (["--d", 3, "--T", 1, "--dt", "inf"], "--T must round to at least one step of --dt > 0"),
+        (["--d", 3, "--T", 0.004, "--dt", 0.01], HORIZON_RULE),
+        (["--d", 3, "--T", 1, "--dt", 0], HORIZON_RULE),
+        (["--d", 3, "--T", 1, "--dt", -0.5], HORIZON_RULE),
+        (["--d", 3, "--T", "inf"], HORIZON_RULE),
+        (["--d", 3, "--T", "nan"], HORIZON_RULE),
+        (["--d", 3, "--T", 1, "--dt", "inf"], HORIZON_RULE),
     ])
     def test_bad_dimension_step_or_horizon_is_usage_error(self, tmp_path, capsys, flags, message):
         assert run(["simulate", *flags, "--out", tmp_path / "x.csv"]) == 2
@@ -155,16 +156,20 @@ class TestFit:
     def test_missing_file_is_runtime_error(self, tmp_path):
         assert run(["fit", "--traj", tmp_path / "nope.csv", "--out", tmp_path / "o.json"]) == 1
 
-    def test_bad_lambda_is_usage_error(self, sim_files, tmp_path):
+    def test_bad_lambda_is_usage_error(self, sim_files, tmp_path, capsys):
         traj, _ = sim_files
-        assert run(["fit", "--traj", traj, "--lambda", "garbage", "--out", tmp_path / "o.json"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            run(["fit", "--traj", traj, "--lambda", "garbage", "--out", tmp_path / "o.json"])
+        assert exc.value.code == 2
+        assert "argument --lambda: invalid penalty value: 'garbage'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
     @pytest.mark.parametrize("method", ["lasso", "adalasso"])
-    def test_nan_lambda_is_runtime_error(self, sim_files, tmp_path, capsys, method):
+    def test_non_finite_lambda_is_usage_error(self, sim_files, tmp_path, capsys, method, lam):
         traj, _ = sim_files
         out = tmp_path / "o.json"
-        assert run(["fit", "--traj", traj, "--method", method, "--lambda", "nan", "--out", out]) == 1
-        assert capsys.readouterr().err.startswith("error: lambda must be >= 0")
+        assert run(["fit", "--traj", traj, "--method", method, "--lambda", lam, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("usage error: lambda must be >= 0 and finite")
         assert not out.exists()
 
 
@@ -178,19 +183,19 @@ class TestCv:
         assert payload["best_lambda"] in payload["lambda_grid"]
         assert len(payload["iterations"]) == len(payload["converged"]) == 6
 
-    def test_negative_gamma_is_runtime_error(self, sim_files, tmp_path, capsys):
+    def test_negative_gamma_is_usage_error(self, sim_files, tmp_path, capsys):
         traj, _ = sim_files
         out = tmp_path / "cv.json"
-        assert run(["cv", "--traj", traj, "--method", "adalasso", "--gamma", -1, "--out", out]) == 1
+        assert run(["cv", "--traj", traj, "--method", "adalasso", "--gamma", -1, "--out", out]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: gamma must be >= 0")
+        assert err.startswith("usage error: gamma must be >= 0")
         assert not out.exists()
 
-    def test_nan_grid_is_runtime_error(self, sim_files, tmp_path, capsys):
+    def test_nan_grid_is_usage_error(self, sim_files, tmp_path, capsys):
         traj, _ = sim_files
         out = tmp_path / "cv.json"
-        assert run(["cv", "--traj", traj, "--grid-min", "nan", "--out", out]) == 1
-        assert capsys.readouterr().err.startswith("error: lambda grid entries must be >= 0")
+        assert run(["cv", "--traj", traj, "--grid-min", "nan", "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("usage error: a lambda grid needs num >= 1 and finite bounds > 0")
         assert not out.exists()
 
 
@@ -254,17 +259,19 @@ class TestBenchmark:
     @pytest.mark.parametrize("kind, flags, message", [
         ("d_sweep", ["--dt", "-0.1"], "dt must be > 0"),
         ("d_sweep", ["--dt", "0"], "dt must be > 0"),
-        ("d_sweep", ["--t-values", "-1"], "t_values entries must be > 0"),
-        ("dt_study", ["--dt-values", "0.1,-0.05"], "dt_values entries must be > 0"),
-        ("dt_study", ["--dt-values", "0.1,0"], "dt_values entries must be > 0"),
-        ("d_sweep", ["--t-values", "0.005", "--dt", "0.01"], "t_values entries must round to a positive whole"),
+        ("d_sweep", ["--t-values", "-1"], HORIZON_RULE),
+        ("dt_study", ["--dt-values", "0.1,-0.05"], HORIZON_RULE),
+        ("dt_study", ["--dt-values", "0.1,0"], HORIZON_RULE),
+        ("d_sweep", ["--t-values", "0.005", "--dt", "0.01"], HORIZON_RULE),
         ("dt_study", ["--dt-values", "2,1"], "t_values entries must round to a positive whole"),
         ("d_sweep", ["--dt", "inf"], "dt must be > 0"),
-        ("d_sweep", ["--t-values", "inf"], "t_values entries must be > 0"),
-        ("d_sweep", ["--t-values", "1e300", "--dt", "1e-10"], "t_values entries must round to a positive whole"),
-        ("dt_study", ["--dt-values", "0.1,inf"], "dt_values entries must be > 0"),
+        ("d_sweep", ["--t-values", "inf"], HORIZON_RULE),
+        ("d_sweep", ["--t-values", "1e300", "--dt", "1e-10"], HORIZON_RULE),
+        ("dt_study", ["--dt-values", "0.1,inf"], "dt_values must be integer multiples"),
         ("d_sweep", ["--rel-tol", "0"], "rel_tol must be > 0"),
         ("d_sweep", ["--rel-tol", "inf"], "rel_tol must be > 0"),
+        ("d_sweep", ["--d-values", "0"], "d_values entries must be >= 1"),
+        ("d_sweep", ["--s-rule", "-1"], "s_rule must be in (0, 1]"),
     ])
     def test_non_positive_step_or_horizon_is_usage_error(self, tmp_path, capsys, kind, flags, message):
         out = tmp_path / "b.csv"
@@ -356,18 +363,19 @@ class TestBenchmark:
         assert not (tmp_path / "b.csv.summary.json").exists()
 
 
-class TestFinanceCommand:
-    def _write_prices(self, path, n_days=1500, n_assets=4, seed=3):
-        rng = np.random.default_rng(seed)
-        log_p = np.cumsum(rng.normal(0.0002, 0.01, size=(n_days, n_assets)), axis=0)
-        lines = ["date," + ",".join(f"S{j}" for j in range(n_assets))]
-        for k in range(n_days):
-            lines.append(f"day{k:05d}," + ",".join(f"{np.exp(v):.10f}" for v in log_p[k]))
-        path.write_text("\n".join(lines) + "\n")
-        return path
+def write_prices(path, n_days=1500, n_assets=4, seed=3):
+    rng = np.random.default_rng(seed)
+    log_p = np.cumsum(rng.normal(0.0002, 0.01, size=(n_days, n_assets)), axis=0)
+    lines = ["date," + ",".join(f"S{j}" for j in range(n_assets))]
+    for k in range(n_days):
+        lines.append(f"day{k:05d}," + ",".join(f"{np.exp(v):.10f}" for v in log_p[k]))
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
+
+class TestFinanceCommand:
     def test_pipeline_and_heavy_diagonal(self, tmp_path):
-        prices = self._write_prices(tmp_path / "prices.csv")
+        prices = write_prices(tmp_path / "prices.csv")
         out = tmp_path / "model.json"
         code = run(["finance", "--prices", prices, "--span", 10, "--gamma", 2,
                     "--grid-size", 10, "--out", out])
@@ -414,7 +422,7 @@ class TestDiagnostics:
     def test_oracle_coverage_bad_step_or_horizon_is_usage_error(self, tmp_path, capsys, flags):
         out = tmp_path / "cov.json"
         assert run(["diagnostics", "--which", "oracle-coverage", "--d", 4, "--s", 1, *flags, "--out", out]) == 2
-        assert capsys.readouterr().err.startswith("usage error: --T must round to at least one step of --dt > 0")
+        assert capsys.readouterr().err.startswith(f"usage error: {HORIZON_RULE}")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("which, missing", [("re-constant", "--traj"), ("deviation-bounds", "--drift")])
@@ -425,3 +433,47 @@ class TestDiagnostics:
         assert err.startswith(f"usage error: --which {which} needs {missing}")
         assert "Traceback" not in err
         assert not out.exists()
+
+
+BAD_FIT_FLAGS = [["--rel-tol", 0], ["--max-iters", 0], ["--grid-size", 0], ["--grid-min", -1],
+                 ["--grid-min", "nan"], ["--grid-max", "inf"], ["--gamma", -1]]
+FIT_COMMANDS = {
+    "fit": ["fit", "--traj", "{traj}", "--method", "adalasso"],
+    "cv": ["cv", "--traj", "{traj}", "--method", "adalasso"],
+    "finance": ["finance", "--prices", "{prices}"],
+    "benchmark-jobs1": ["benchmark", "--kind", "f1_study", "--d-values", 3, "--t-values", 1, "--reps", 1, "--jobs", 1],
+    "benchmark-jobs2": ["benchmark", "--kind", "f1_study", "--d-values", 3, "--t-values", 1, "--reps", 1, "--jobs", 2],
+}
+ORACLE_COVERAGE = ["diagnostics", "--which", "oracle-coverage", "--d", 4, "--s", 1]
+BAD_SETTINGS = [
+    *[(argv + flags, f"{name} {flags[0]} {flags[1]}") for name, argv in FIT_COMMANDS.items() for flags in BAD_FIT_FLAGS],
+    (["fit", "--traj", "{traj}", "--lambda", "theory", "--theory-gamma", 0.5], "fit --theory-gamma 0.5"),
+    ([*ORACLE_COVERAGE, "--theory-gamma", 0.5], "oracle-coverage --theory-gamma 0.5"),
+    ([*ORACLE_COVERAGE, "--reps", 0], "oracle-coverage --reps 0"),
+    (["finance", "--prices", "{prices}", "--span", 0], "finance --span 0"),
+    (["diagnostics", "--which", "re-constant", "--traj", "{traj}", "--probes", 0], "re-constant --probes 0"),
+    (["diagnostics", "--which", "re-constant", "--traj", "{traj}", "--c0", 0], "re-constant --c0 0"),
+    (["diagnostics", "--which", "deviation-bounds", "--drift", "{drift}", "--r-values", -1], "deviation-bounds --r-values -1"),
+    (["diagnostics", "--which", "deviation-bounds", "--drift", "{drift}", "--u", "2,0"], "deviation-bounds --u 2,0"),
+    (["diagnostics", "--which", "deviation-bounds", "--drift", "{drift}", "--u", "0.5,0"], "deviation-bounds --u of length 2"),
+    ([*ORACLE_COVERAGE, "--drift", "{drift}", "--s", 0], "oracle-coverage --drift --s 0"),
+    (["simulate", "--d", 3, "--s", 0, "--T", 1], "simulate --s 0"),
+    (["simulate", "--kind", "two-group", "--d", 3, "--T", 1], "simulate two-group --d 3"),
+    (["simulate", "--kind", "shifted-antisym", "--d", 4, "--s", 1, "--w", "nan", "--T", 1], "simulate --w nan"),
+    (["fit", "--traj", "{traj}", "--lambda", 0.1, "--truth", "{drift}", "--zero-tol", -1], "fit --zero-tol -1"),
+]
+
+
+@pytest.fixture(scope="module")
+def inputs(sim_files, tmp_path_factory):
+    traj, drift = sim_files
+    return {"traj": traj, "drift": drift, "prices": write_prices(tmp_path_factory.mktemp("prices") / "p.csv", 300, 3)}
+
+
+@pytest.mark.parametrize("argv", [pytest.param(argv, id=name) for argv, name in BAD_SETTINGS])
+def test_bad_setting_is_usage_error(inputs, tmp_path, capsys, argv):
+    # each setting is rejected by the code that uses it, before any output is written
+    argv = [str(a).format(**inputs) for a in argv]
+    assert run([*argv, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert list(tmp_path.iterdir()) == []

@@ -17,7 +17,7 @@ from sparse_ou import (
     soft_threshold,
     sufficient_stats,
 )
-from sparse_ou.errors import ConditioningError
+from sparse_ou.errors import ConditioningError, UsageError
 from sparse_ou.estimators import load_estimate_json, save_estimate_json
 from sparse_ou.modelsel import cross_validate, default_lambda_grid
 from sparse_ou.sim import derive_seed
@@ -157,6 +157,8 @@ class TestLasso:
             lasso(st, -1.0)
         with pytest.raises(ValueError, match="lambda must be >= 0"):
             lasso(st, float("nan"))
+        with pytest.raises(UsageError, match="lambda must be >= 0 and finite, got inf"):
+            lasso(st, math.inf)
         with pytest.raises(ValueError):
             lasso(st, 1.0, weights=np.zeros((3, 3)))
         with pytest.raises(ValueError):

@@ -24,6 +24,7 @@ from sparse_ou import (
 )
 
 from sparse_ou import metrics
+from sparse_ou.errors import UsageError
 from sparse_ou.metrics import oracle_bound
 from sparse_ou.sim import derive_seed
 
@@ -189,6 +190,12 @@ class TestReConstant:
             st = sufficient_stats(traj)
             probe = re_constant(st, s=2, c0=3.0, n_probes=150, seed=rep)
             assert probe >= restricted_sparse_min(st, 2) - 1e-12
+
+    @pytest.mark.parametrize("n_probes", [0, -1])
+    def test_no_probe_is_usage_error(self, n_probes):
+        # with no probe the sampled infimum would be +inf
+        with pytest.raises(UsageError, match=f"n_probes must be >= 1, got {n_probes}"):
+            re_constant(self._stats_from_cov(np.eye(3)), s=1, c0=3.0, n_probes=n_probes)
 
     def test_enumeration_limit(self, rng):
         st = random_stats(rng, 13)
