@@ -14,7 +14,7 @@ from .errors import (
     NumericError,
     StabilityError,
 )
-from .linops import matrix_exponential, solve_lyapunov
+from .linops import solve_lyapunov
 from .model import (
     DriftMatrix,
     generate_shifted_antisymmetric,

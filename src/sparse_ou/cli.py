@@ -21,7 +21,7 @@ import numpy as np
 from . import metrics, model, modelsel, sim
 from .errors import GenerationError, IngestionError, NumericError, StabilityError, UsageError
 from .estimators import adaptive_lasso, lasso, mle, save_estimate_json
-from .experiments import CV_METHODS, ExperimentConfig, fit_settings, row_sparsity, run_benchmark
+from .experiments import CV_METHODS, ExperimentConfig, _typed, fit_settings, row_sparsity, run_benchmark
 from .finance import (
     ema_log_returns,
     estimate_mean_sigma,
@@ -32,9 +32,13 @@ from .stats import LambdaConfig, sufficient_stats, theoretical_lambda
 
 
 def _resolve_seed(seed) -> int:
-    if seed is not None:
-        return seed
-    return int(os.environ.get("SPARSE_OU_SEED", "0"))
+    """The base seed: ``seed`` if given, else SPARSE_OU_SEED, else 0; UsageError unless it is an integer >= 0."""
+    if seed is None:
+        seed = os.environ.get("SPARSE_OU_SEED", "0")
+        seed = int(seed) if seed.strip().isdecimal() else seed
+    if not _typed(seed, "int") or seed < 0:
+        raise UsageError(f"the seed (--seed, 'seed' or SPARSE_OU_SEED) must be an integer >= 0, got {seed!r}")
+    return seed
 
 
 def _lambda_config(args) -> LambdaConfig:
@@ -65,7 +69,10 @@ def _flag_type(type_name: str):
     """The parser of the flag for an ExperimentConfig annotation as ``_typed`` reads it; list[...] splits at commas."""
     if type_name.startswith("list["):
         item = _flag_type(type_name[5:-1])
-        return lambda text: [item(x) for x in text.split(",")]
+        def parse(text):
+            return [item(x) for x in text.split(",")]
+        parse.__name__ = f"comma-separated {item.__name__}"  # argparse reports "invalid <__name__> value"
+        return parse
     return {"int": int, "float": float, "str": str}[type_name]
 
 
@@ -89,7 +96,6 @@ def _load_drift(path) -> model.DriftMatrix:
 def cmd_simulate(args) -> int:
     if args.d < 1:
         raise UsageError(f"--d must be >= 1, got {args.d}")
-    sim.step_count(args.T, args.dt)
     seed = _resolve_seed(args.seed)
     s = args.s if args.s is not None else row_sparsity(args.d)
     drift = _make_drift(args.kind, args.d, s, args.alpha, args.w, seed)
@@ -184,8 +190,7 @@ def cmd_benchmark(args) -> int:
     if "kind" not in merged:
         raise UsageError("benchmark needs --kind (or 'kind' in --config)")
     merged["seed"] = _resolve_seed(merged.get("seed"))
-    if merged.get("jobs") in (None, 0):
-        merged["jobs"] = os.cpu_count() or 1
+    merged.setdefault("jobs", 0)
     cfg = ExperimentConfig(**merged)
     summary = run_benchmark(cfg)
     print(f"wrote {cfg.out} and {cfg.out}.summary.json ({len(summary['groups'])} groups)")
@@ -220,21 +225,19 @@ def cmd_diagnostics(args) -> int:
         stats = sufficient_stats(traj)
         value = metrics.re_constant(stats, args.s, args.c0, n_probes=args.probes, seed=seed)
         payload.update({"s": args.s, "c0": args.c0, "re_constant": value})
-        if stats.dim <= 12:
+        if stats.dim <= metrics.MAX_ENUMERATION_DIM:
             payload["restricted_sparse_min"] = metrics.restricted_sparse_min(stats, args.s)
     elif args.which == "deviation-bounds":
         drift = _load_drift(args.drift)
         u = np.zeros(drift.dim)
         u[0] = 1.0
         if args.u:
-            u = np.asarray([float(x) for x in args.u.split(",")])
-        r_values = [float(x) for x in args.r_values.split(",")]
+            u = np.asarray(args.u)
         payload["curves"] = [
             dict(zip(("R", "h1", "h2"), (r, *metrics.deviation_bounds(r, u, drift.stationary_cov))))
-            for r in r_values
+            for r in args.r_values
         ]
     else:  # oracle-coverage
-        sim.step_count(args.T, args.dt)
         if args.drift:
             truth = _load_drift(args.drift)
         else:
@@ -312,8 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, default=2)
     p.add_argument("--c0", type=float, default=3.0)
     p.add_argument("--probes", type=int, default=200)
-    p.add_argument("--u", default=None, help="comma-separated direction vector")
-    p.add_argument("--r-values", default="0.1,0.2,0.5,1.0", help="comma-separated deviation levels")
+    p.add_argument("--u", type=_flag_type("list[float]"), default=None, help="comma-separated direction vector")
+    p.add_argument("--r-values", type=_flag_type("list[float]"), default=[0.1, 0.2, 0.5, 1.0],
+                   help="comma-separated deviation levels")
     p.add_argument("--T", type=float, default=200.0)
     p.add_argument("--dt", type=float, default=ExperimentConfig.dt)
     p.add_argument("--reps", type=int, default=20)

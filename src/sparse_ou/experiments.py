@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import numbers
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
@@ -60,7 +61,7 @@ class ExperimentConfig:
     grid_size: int = 40
     rel_tol: float = SolverOptions.rel_tol
     max_iters: int = SolverOptions.max_iters
-    jobs: int = field(default=1, metadata={"help": "worker processes; the CLI runs all cores at 0 or when unset"})
+    jobs: int = field(default=1, metadata={"help": "worker processes, >= 0; 0 runs one per core (the CLI's default)"})
     out: str = "benchmark.csv"
 
     def __post_init__(self) -> None:
@@ -76,10 +77,13 @@ class ExperimentConfig:
             raise UsageError(f"d_values entries must be >= 1, got {self.d_values!r}")
         if not 0 < self.s_rule <= 1:
             raise UsageError(f"s_rule must be in (0, 1], got {self.s_rule!r}")
+        if self.jobs < 0:
+            raise UsageError(f"jobs must be >= 0, got {self.jobs!r}")
+        self.jobs = self.jobs or os.cpu_count() or 1
         fit_settings(self)
-        # one path of sim.step_count(T, step) steps at the smallest step; dt_study subsamples it to every entry
-        steps = self.dt_values if self.kind == "dt_study" else [self.dt]
-        step = min(steps)
+        # _replicate samples one path of sim.step_count(T, step) steps at the smallest step and subsamples it
+        steps = _steps(self)
+        step = steps[-1]
         counts = [sim.step_count(T, step) for T in self.t_values]
         for dt in steps:
             ratio = dt / step
@@ -89,6 +93,11 @@ class ExperimentConfig:
                 if n % round(ratio):
                     raise UsageError(f"t_values entries must round to a positive whole number of steps of each of "
                                      f"{steps!r}; {T!r} is {n} steps of {step!r}")
+
+
+def _steps(cfg: ExperimentConfig) -> list[float]:
+    """The observation steps a replication fits, largest first: every ``dt_values`` entry for dt_study, else ``dt``."""
+    return sorted(cfg.dt_values, reverse=True) if cfg.kind == "dt_study" else [cfg.dt]
 
 
 def fit_settings(cfg) -> tuple[np.ndarray, SolverOptions, float]:
@@ -144,15 +153,11 @@ def _replicate(payload) -> list:
         fit, holds = metrics._oracle_step(truth, stats, row_sparsity(d, cfg.s_rule), LambdaConfig(), opts)
         wall = time.perf_counter() - t0
         return [_row("lasso_theory", truth, fit.matrix, d, T, cfg.dt, rep, wall, _bound_holds=holds)]
-    if cfg.kind == "dt_study":
-        # one fine path per replication, subsampled to each step size
-        dt_fine = min(cfg.dt_values)
-        fine = sim.sample_trajectory(truth, T, dt_fine, rep_seed)
-        paths = ((dt, sim.subsample(fine, int(round(dt / dt_fine)))) for dt in sorted(cfg.dt_values, reverse=True))
-    else:
-        paths = [(cfg.dt, sim.sample_trajectory(truth, T, cfg.dt, rep_seed))]
+    steps = _steps(cfg)
+    fine = sim.sample_trajectory(truth, T, steps[-1], rep_seed)
     rows = []
-    for dt, traj in paths:
+    for dt in steps:
+        traj = sim.subsample(fine, round(dt / steps[-1]))
         stats = sufficient_stats(traj)
         for method in ("mle", "lasso", "adalasso"):
             t0 = time.perf_counter()

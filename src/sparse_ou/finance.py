@@ -107,11 +107,8 @@ def estimate_mean_sigma(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     Sigma is the lower Cholesky factor of (1/T) sum dR dR^T after
     symmetrization and a trace-scaled jitter.
     """
-    states = traj.states
-    if states.shape[0] < 2:
-        raise ValueError("trajectory must contain at least 2 states")
-    m = states.mean(axis=0)
-    dr = np.diff(states, axis=0)
+    m = traj.states.mean(axis=0)
+    dr = np.diff(traj.states, axis=0)
     qv = (dr.T @ dr) / traj.horizon
     qv = 0.5 * (qv + qv.T)
     d = traj.dim

@@ -1,4 +1,4 @@
-"""Dense linear-algebra primitives: matrix exponential and Lyapunov solve.
+"""Dense linear-algebra primitives: square-matrix validation and the Lyapunov solve.
 
 The Lyapunov solve uses the Bartels-Stewart algorithm (Bartels & Stewart,
 CACM 1972) on one real Schur form: O(d^3) time and O(d^2) memory.
@@ -15,7 +15,6 @@ from .errors import NumericError, StabilityError
 
 __all__ = [
     "as_square_matrix",
-    "matrix_exponential",
     "solve_lyapunov",
 ]
 
@@ -28,14 +27,6 @@ def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
     return m
-
-
-def matrix_exponential(a, t: float = 1.0) -> np.ndarray:
-    """Compute ``exp(a * t)`` by scaling-and-squaring with Pade approximants."""
-    m = as_square_matrix(a)
-    if not np.isfinite(t):
-        raise ValueError("t must be finite")
-    return scipy.linalg.expm(m * t)
 
 
 def solve_lyapunov(a) -> np.ndarray:

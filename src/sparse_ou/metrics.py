@@ -19,7 +19,7 @@ import numpy as np
 from .errors import UsageError
 from .estimators import Estimate, SolverOptions, lasso
 from .model import DriftMatrix
-from .sim import derive_seed, sample_trajectory, transition_kernel
+from .sim import derive_seed, sample_trajectory, step_count, transition_kernel
 from .stats import LambdaConfig, SufficientStats, sufficient_stats, theoretical_lambda
 
 __all__ = [
@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 DEFAULT_ZERO_TOL = 1e-10
+MAX_ENUMERATION_DIM = 12  # largest d for which restricted_sparse_min enumerates every support
 
 
 @dataclass(frozen=True)
@@ -182,12 +183,12 @@ def re_constant(
 def restricted_sparse_min(stats: SufficientStats, s: int) -> float:
     """Exact min of ||u^T X||_L over s-sparse unit vectors (enumerates supports).
 
-    Exponential in d; restricted to d <= 12 where full enumeration is cheap.
+    Exponential in d; restricted to d <= MAX_ENUMERATION_DIM where full enumeration is cheap.
     Serves as the lower-bound cross-check for :func:`re_constant`.
     """
     d = stats.dim
-    if d > 12:
-        raise ValueError(f"exact enumeration limited to d <= 12, got d={d}")
+    if d > MAX_ENUMERATION_DIM:
+        raise ValueError(f"exact enumeration limited to d <= {MAX_ENUMERATION_DIM}, got d={d}")
     if not 1 <= s <= d:
         raise UsageError(f"need 1 <= s <= d, got s={s}")
     c = stats.c_hat
@@ -244,6 +245,7 @@ def oracle_coverage(
         raise UsageError(f"reps must be >= 1, got {reps}")
     if not 1 <= s <= truth.dim:
         raise UsageError(f"need 1 <= s <= d, got s={s}, d={truth.dim}")
+    step_count(T, dt)
     if not np.allclose(truth.matrix, truth.matrix.T, atol=1e-12):
         warnings.warn("oracle coverage guarantee is proved for symmetric drifts only")
     kernel = transition_kernel(truth, dt)

@@ -17,9 +17,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import NumericError, UsageError
-from .linops import matrix_exponential
 from .model import DriftMatrix
 
 __all__ = [
@@ -91,9 +91,9 @@ class TransitionKernel:
 
 def transition_kernel(drift: DriftMatrix, dt: float) -> TransitionKernel:
     """Exact one-step kernel (phi, Q) for the given drift and step size."""
-    if not dt > 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    phi = matrix_exponential(drift.matrix, -dt)
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be > 0 and finite, got {dt}")
+    phi = scipy.linalg.expm(drift.matrix * -dt)
     c_inf = drift.stationary_cov
     q = c_inf - phi @ c_inf @ phi.T
     q = 0.5 * (q + q.T)

@@ -62,8 +62,6 @@ class LambdaConfig:
 
 def sufficient_stats(traj: Trajectory) -> SufficientStats:
     """Left-endpoint discretization of (C, G) from a sampled path."""
-    if traj.states.shape[0] < 2:
-        raise ValueError("trajectory must contain at least 2 states")
     x = traj.states[:-1]
     dx = np.diff(traj.states, axis=0)
     T = traj.horizon

@@ -31,10 +31,11 @@ def test_package_reexports_are_declared():
 
 
 def test_removed_surface_is_gone():
-    from sparse_ou import finance, metrics, model
+    from sparse_ou import finance, linops, metrics, model
 
-    for name in ("SparsityPattern", "EmaConfig"):
+    for name in ("SparsityPattern", "EmaConfig", "matrix_exponential"):
         assert not hasattr(sparse_ou, name)
+    assert not hasattr(linops, "matrix_exponential")
     assert not hasattr(model, "SparsityPattern")
     assert not hasattr(finance, "EmaConfig")
     assert not hasattr(model.DriftMatrix, "support")

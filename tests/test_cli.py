@@ -70,6 +70,13 @@ class TestSimulate:
         assert "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("seed", ["x", "-1", "1.5"])
+    def test_bad_env_seed_is_usage_error(self, tmp_path, monkeypatch, capsys, seed):
+        monkeypatch.setenv("SPARSE_OU_SEED", seed)
+        assert run(["simulate", "--d", 3, "--T", 1, "--out", tmp_path / "x.csv"]) == 2
+        assert capsys.readouterr().err.startswith("usage error: the seed (--seed, 'seed' or SPARSE_OU_SEED) must be")
+        assert list(tmp_path.iterdir()) == []
+
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SPARSE_OU_SEED", "11")
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -425,6 +432,15 @@ class TestDiagnostics:
         assert capsys.readouterr().err.startswith(f"usage error: {HORIZON_RULE}")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag, text", [("--r-values", "abc"), ("--u", "1,x")])
+    def test_unreadable_list_flag_is_rejected_by_the_parser(self, sim_files, tmp_path, capsys, flag, text):
+        _, drift = sim_files
+        with pytest.raises(SystemExit) as exc:
+            run(["diagnostics", "--which", "deviation-bounds", "--drift", drift, flag, text, "--out", tmp_path / "d.json"])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid comma-separated float value: {text!r}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("which, missing", [("re-constant", "--traj"), ("deviation-bounds", "--drift")])
     def test_missing_input_is_usage_error(self, tmp_path, capsys, which, missing):
         out = tmp_path / "x.json"
@@ -461,6 +477,11 @@ BAD_SETTINGS = [
     (["simulate", "--kind", "two-group", "--d", 3, "--T", 1], "simulate two-group --d 3"),
     (["simulate", "--kind", "shifted-antisym", "--d", 4, "--s", 1, "--w", "nan", "--T", 1], "simulate --w nan"),
     (["fit", "--traj", "{traj}", "--lambda", 0.1, "--truth", "{drift}", "--zero-tol", -1], "fit --zero-tol -1"),
+    (["simulate", "--d", 3, "--T", 1, "--seed", -1], "simulate --seed -1"),
+    (["fit", "--traj", "{traj}", "--method", "mle", "--seed", -1], "fit --seed -1"),
+    ([*FIT_COMMANDS["benchmark-jobs1"], "--seed", -1], "benchmark --seed -1"),
+    ([*ORACLE_COVERAGE, "--seed", -1], "oracle-coverage --seed -1"),
+    ([*FIT_COMMANDS["benchmark-jobs1"], "--jobs", -3], "benchmark --jobs -3"),
 ]
 
 

@@ -7,8 +7,10 @@ move a seed unnoticed.
 """
 
 import csv
+import os
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -102,6 +104,13 @@ def test_oracle_coverage_equals_the_benchmark_bound_column(tmp_path, monkeypatch
     holds = [row["_bound_holds"] == "True" for row in rows]
     assert holds == [True, False, True, False]
     assert metrics.oracle_coverage(truth, 1, T, reps, LambdaConfig(), seed, dt=dt) == np.mean(holds)
+
+
+def test_config_resolves_zero_jobs_to_all_cores_and_rejects_negative():
+    assert ExperimentConfig(kind="d_sweep", jobs=0).jobs == (os.cpu_count() or 1)
+    assert ExperimentConfig(kind="d_sweep", jobs=3).jobs == 3
+    with pytest.raises(UsageError, match="jobs must be >= 0"):
+        ExperimentConfig(kind="d_sweep", jobs=-1)
 
 
 def test_config_solver_defaults_are_those_of_solver_options():

@@ -1,42 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import quad_vec
 
-from sparse_ou import StabilityError, matrix_exponential, solve_lyapunov
+from sparse_ou import StabilityError, solve_lyapunov
 from sparse_ou.errors import NumericError
 from sparse_ou.linops import as_square_matrix
 
 from conftest import random_stable_matrix
-
-
-class TestMatrixExponential:
-    def test_zero_matrix(self):
-        assert np.allclose(matrix_exponential(np.zeros((3, 3)), 1.0), np.eye(3), atol=1e-14)
-
-    def test_diagonal(self):
-        a = np.diag([0.5, -1.0, 2.0])
-        t = 0.7
-        expected = np.diag(np.exp(np.array([0.5, -1.0, 2.0]) * t))
-        assert np.allclose(matrix_exponential(a, t), expected, rtol=1e-12)
-
-    def test_nilpotent(self):
-        a = np.array([[0.0, 1.0], [0.0, 0.0]])
-        assert np.allclose(matrix_exponential(a, 1.0), [[1.0, 1.0], [0.0, 1.0]], atol=1e-14)
-
-    def test_semigroup_property(self, rng):
-        for _ in range(10):
-            a = rng.normal(size=(4, 4))
-            a *= 2.0 / max(np.linalg.norm(a, 2), 1e-12)
-            t, s = rng.uniform(0.1, 2.0, size=2)
-            lhs = matrix_exponential(a, t) @ matrix_exponential(a, s)
-            rhs = matrix_exponential(a, t + s)
-            assert np.linalg.norm(lhs - rhs) <= 1e-10
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            matrix_exponential(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-        with pytest.raises(ValueError):
-            matrix_exponential(np.eye(2), np.inf)
 
 
 class TestSolveLyapunov:
@@ -72,13 +43,17 @@ class TestSolveLyapunov:
             a = random_stable_matrix(rng, 4)
             upper = 40.0 / np.linalg.eigvals(a).real.min()
             integral, _ = quad_vec(
-                lambda t: matrix_exponential(a, -t) @ matrix_exponential(a.T, -t),
+                lambda t: scipy.linalg.expm(a * -t) @ scipy.linalg.expm(a.T * -t),
                 0.0,
                 upper,
                 epsabs=1e-10,
                 epsrel=1e-10,
             )
             assert np.linalg.norm(integral - solve_lyapunov(a)) <= 1e-6
+
+    def test_non_finite_matrix_rejected(self):
+        with pytest.raises(ValueError, match="contains non-finite entries"):
+            solve_lyapunov(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
     def test_unstable_matrix_rejected(self):
         with pytest.raises(StabilityError):

@@ -216,6 +216,16 @@ class TestOracleCoverage:
             frac = oracle_coverage(truth, 2, T=20.0, reps=3, cfg=cfg, seed=1)
         assert 0.0 <= frac <= 1.0
 
+    @pytest.mark.parametrize("T, dt", [(0.004, 0.01), (1.0, 0.0), (math.inf, 0.01)])
+    def test_bad_horizon_is_usage_error_before_any_kernel(self, monkeypatch, T, dt):
+        def fail(*args):
+            raise AssertionError("transition_kernel ran")
+
+        monkeypatch.setattr(metrics, "transition_kernel", fail)
+        truth = make_drift(2.0 * np.eye(3))
+        with pytest.raises(UsageError, match="T / dt must be finite and round to at least 1"):
+            oracle_coverage(truth, 1, T=T, reps=2, cfg=LambdaConfig(), seed=0, dt=dt)
+
     def test_coverage_nondecreasing_in_horizon(self):
         rng = np.random.default_rng(2)
         w = rng.normal(size=(4, 4)) * 0.1

@@ -59,6 +59,11 @@ class TestTransitionKernel:
         k2 = transition_kernel(drift3, 2 * dt)
         assert np.linalg.norm(k2.phi - k1.phi @ k1.phi) <= 1e-10
 
+    @pytest.mark.parametrize("dt", [0.0, -0.1, math.inf, math.nan])
+    def test_step_must_be_positive_and_finite(self, drift3, dt):
+        with pytest.raises(ValueError, match="dt must be > 0 and finite"):
+            transition_kernel(drift3, dt)
+
     def test_chol_consistency(self, drift3):
         k = transition_kernel(drift3, 0.2)
         assert np.linalg.norm(k.noise_chol @ k.noise_chol.T - k.noise_cov) <= 1e-10
