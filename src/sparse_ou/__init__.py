@@ -37,16 +37,13 @@ from .stats import (
     neg_log_likelihood,
     sufficient_stats,
     theoretical_lambda,
-    theta,
 )
 from .estimators import (
     Estimate,
     SolverOptions,
     adaptive_lasso,
-    fit_sigma_model,
     lasso,
     mle,
-    soft_threshold,
 )
 from .modelsel import CvResult, cross_validate, cross_validate_sigma, default_lambda_grid
 from .metrics import (
@@ -54,9 +51,9 @@ from .metrics import (
     SupportReport,
     dense_baseline_f1,
     deviation_bounds,
+    eigen_floor,
     error_report,
     oracle_coverage,
-    re_constant,
     restricted_sparse_min,
     support_report,
 )

@@ -221,10 +221,9 @@ def cmd_diagnostics(args) -> int:
     if needed and getattr(args, needed) is None:
         raise UsageError(f"--which {args.which} needs --{needed}")
     if args.which == "re-constant":
-        traj = sim.load_trajectory_csv(args.traj)
-        stats = sufficient_stats(traj)
-        value = metrics.re_constant(stats, args.s, args.c0, n_probes=args.probes, seed=seed)
-        payload.update({"s": args.s, "c0": args.c0, "re_constant": value})
+        stats = sufficient_stats(sim.load_trajectory_csv(args.traj))
+        model._check_sparsity(args.s, stats.dim)
+        payload.update({"s": args.s, "eigen_floor": metrics.eigen_floor(stats)})
         if stats.dim <= metrics.MAX_ENUMERATION_DIM:
             payload["restricted_sparse_min"] = metrics.restricted_sparse_min(stats, args.s)
     elif args.which == "deviation-bounds":
@@ -307,15 +306,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fit_flags(p)
     p.set_defaults(func=cmd_finance)
 
-    p = sub.add_parser("diagnostics", help="theory diagnostics: RE probe, deviation exponents, bound coverage")
+    p = sub.add_parser("diagnostics", help="theory diagnostics: RE bracket, deviation exponents, bound coverage")
     p.add_argument("--which", choices=["re-constant", "deviation-bounds", "oracle-coverage"], required=True)
     p.add_argument("--traj", default=None, help="trajectory CSV (re-constant)")
     p.add_argument("--drift", default=None, help="drift file (deviation-bounds, oracle-coverage)")
     p.add_argument("--d", type=int, default=8)
     p.add_argument("--s", type=int, default=2)
-    p.add_argument("--c0", type=float, default=3.0)
-    p.add_argument("--probes", type=int, default=200)
-    p.add_argument("--u", type=_flag_type("list[float]"), default=None, help="comma-separated direction vector")
+    p.add_argument("--u", type=_flag_type("list[float]"), default=None,
+                   help="comma-separated direction vector; write --u=-0.6,0.8 when the first entry is negative")
     p.add_argument("--r-values", type=_flag_type("list[float]"), default=[0.1, 0.2, 0.5, 1.0],
                    help="comma-separated deviation levels")
     p.add_argument("--T", type=float, default=200.0)

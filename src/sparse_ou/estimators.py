@@ -36,16 +36,14 @@ import numpy as np
 
 from .errors import ConditioningError, UsageError
 from .sim import Trajectory
-from .stats import SufficientStats, grad_neg_log_likelihood, neg_log_likelihood, sufficient_stats
+from .stats import SufficientStats, grad_neg_log_likelihood, neg_log_likelihood
 
 __all__ = [
     "SolverOptions",
     "Estimate",
     "mle",
-    "soft_threshold",
     "lasso",
     "adaptive_lasso",
-    "fit_sigma_model",
     "save_estimate_json",
     "load_estimate_json",
 ]
@@ -84,15 +82,6 @@ class Estimate:
     converged: bool
     gamma: float | None = None
     restarts: int = 0
-
-
-def soft_threshold(m, thresholds) -> np.ndarray:
-    """Entrywise sign(m) * max(|m| - threshold, 0), up to the sign of a zero."""
-    m = np.asarray(m, dtype=float)
-    th = np.broadcast_to(np.asarray(thresholds, dtype=float), m.shape)
-    if not np.all(th >= 0):
-        raise ValueError("thresholds must be entrywise >= 0")
-    return _shrink(m, th, -th, np.empty_like(m))
 
 
 def _shrink(z, th, neg_th, buf) -> np.ndarray:
@@ -351,32 +340,6 @@ def _centered(traj: Trajectory, m) -> Trajectory:
     if m.shape != (traj.dim,):
         raise ValueError(f"m must have shape ({traj.dim},), got {m.shape}")
     return Trajectory(dt=traj.dt, states=traj.states - m)
-
-
-def fit_sigma_model(
-    traj: Trajectory,
-    m,
-    sigma,
-    lam: float,
-    weights=None,
-    opts: SolverOptions | None = None,
-) -> Estimate:
-    """Penalized drift fit for dR = -A (R - m) dt + Sigma dW.
-
-    Centers the path at ``m`` and minimizes the Sigma-aware objective
-
-        tr(A^T P G) + 1/2 tr(P A C A^T) + lam ||W o A||_1,
-        P = (Sigma Sigma^T)^{-1},
-
-    with (C, G) the sufficient statistics of the centered path.  The
-    smooth gradient P (G + A C) has Lipschitz constant
-    ||P||_op ||C||_op, which sets the step.  With Sigma = I and m = 0
-    this reduces exactly to :func:`lasso`.
-    """
-    centered = _centered(traj, m)
-    p = _precision(sigma, traj.dim)
-    stats = sufficient_stats(centered)
-    return _Problem.of(stats.c_hat, stats.g_hat, p, weights, opts).fit(lam)
 
 
 def save_estimate_json(path, estimate: Estimate, extra: dict | None = None) -> None:

@@ -90,8 +90,8 @@ def ema_log_returns(panel: PricePanel, span: int = 10) -> Trajectory:
     """
     if span < 1:
         raise UsageError(f"span must be >= 1, got {span}")
-    if panel.prices.shape[0] < 2:
-        raise ValueError("panel needs at least 2 dates")
+    if panel.prices.shape[0] < 3:
+        raise ValueError("panel needs at least 3 dates")
     returns = np.diff(np.log(panel.prices), axis=0)
     ema = np.empty_like(returns)
     ema[0] = returns[0]

@@ -2,9 +2,9 @@
 
 Covers entrywise error norms (including the trajectory-weighted empirical
 norm ||M X||_L^2 = tr(M C M^T)), precision/recall/F1 support scoring, the
-rank-one deviation exponents H1/H2, a randomized probe of the restricted
-eigenvalue constant, and Monte Carlo coverage of the empirical-norm
-oracle bound.
+rank-one deviation exponents H1/H2, the restricted-eigenvalue bracket
+sqrt(lambda_min(C)) <= cone constant <= s-sparse minimum, and Monte Carlo
+coverage of the empirical-norm oracle bound.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import UsageError
 from .estimators import Estimate, SolverOptions, lasso
-from .model import DriftMatrix
+from .model import DriftMatrix, _check_sparsity
 from .sim import derive_seed, sample_trajectory, step_count, transition_kernel
 from .stats import LambdaConfig, SufficientStats, sufficient_stats, theoretical_lambda
 
@@ -28,7 +28,7 @@ __all__ = [
     "error_report",
     "support_report",
     "deviation_bounds",
-    "re_constant",
+    "eigen_floor",
     "restricted_sparse_min",
     "oracle_bound",
     "oracle_coverage",
@@ -43,7 +43,6 @@ MAX_ENUMERATION_DIM = 12  # largest d for which restricted_sparse_min enumerates
 class ErrorReport:
     l1: float
     frobenius: float
-    lq: dict
     empirical: float
 
 
@@ -57,26 +56,20 @@ class SupportReport:
     f1: float
 
 
-def error_report(estimate, truth: DriftMatrix, stats: SufficientStats | None, qs=(1.0, 2.0)) -> ErrorReport:
-    """Entrywise l1/Frobenius/lq errors plus the empirical norm of the gap.
+def error_report(estimate, truth: DriftMatrix, stats: SufficientStats | None) -> ErrorReport:
+    """Entrywise l1/Frobenius errors plus the empirical norm of the gap.
 
     The empirical norm tr(M C M^T) needs the path's C; it is NaN when ``stats`` is None.
     """
     delta = np.asarray(estimate, dtype=float) - truth.matrix
     if delta.shape != truth.matrix.shape:
         raise ValueError("estimate and truth dimensions differ")
-    lq = {}
-    for q in qs:
-        if not 1.0 <= q <= 2.0:
-            raise ValueError(f"q must lie in [1, 2], got {q}")
-        lq[float(q)] = float(np.sum(np.abs(delta) ** q) ** (1.0 / q))
     empirical = math.nan
     if stats is not None:
         empirical = math.sqrt(max(float(np.sum((delta @ stats.c_hat) * delta)), 0.0))
     return ErrorReport(
         l1=float(np.sum(np.abs(delta))),
         frobenius=float(np.sqrt(np.sum(delta**2))),
-        lq=lq,
         empirical=empirical,
     )
 
@@ -139,58 +132,24 @@ def deviation_bounds(R: float, u, c_inf) -> tuple[float, float]:
     return h1, h2
 
 
-def _cone_probe(rng: np.random.Generator, d: int, s: int, c0: float) -> np.ndarray:
-    """Unit vector near the boundary of the cone ||u||_1 <= (1+c0) ||u_top-s||_1."""
-    support = rng.choice(d, size=s, replace=False)
-    head = rng.standard_normal(s)
-    head /= np.linalg.norm(head)
-    u = np.zeros(d)
-    u[support] = head
-    if s < d:
-        # dense tail of equal magnitudes, small enough to keep the head on top
-        tail_mag = min(c0 * np.sum(np.abs(head)) / (d - s), 0.999 * np.min(np.abs(head)))
-        mask = np.ones(d, dtype=bool)
-        mask[support] = False
-        u[mask] = tail_mag * rng.choice([-1.0, 1.0], size=d - s)
-    return u / np.linalg.norm(u)
+def eigen_floor(stats: SufficientStats) -> float:
+    """sqrt(lambda_min(C)): a certified lower bound of ||u^T X||_L / ||u||_2 on every cone, at every s.
 
-
-def re_constant(
-    stats: SufficientStats, s: int, c0: float, n_probes: int = 200, seed: int = 0
-) -> float:
-    """Randomized upper estimate of the restricted-cone infimum of ||u^T X||_L / ||u||_2.
-
-    Samples unit vectors sitting on (or inside) the cone boundary --
-    an s-sparse Gaussian head plus a uniformly-signed dense tail --
-    and returns the smallest sqrt(u^T C u).  Being a sampled infimum it
-    can only overestimate the true cone constant.
+    lambda_min(C) concentrates for the OU process, so no restricted-eigenvalue condition is needed.
     """
-    if not 1 <= s <= stats.dim:
-        raise UsageError(f"need 1 <= s <= d, got s={s}, d={stats.dim}")
-    if not c0 > 0:
-        raise UsageError(f"c0 must be > 0, got {c0}")
-    if n_probes < 1:
-        raise UsageError(f"n_probes must be >= 1, got {n_probes}")
-    rng = np.random.default_rng(seed)
-    c = stats.c_hat
-    best = math.inf
-    for _ in range(n_probes):
-        u = _cone_probe(rng, stats.dim, s, c0)
-        best = min(best, float(u @ c @ u))
-    return math.sqrt(max(best, 0.0))
+    return math.sqrt(max(float(np.linalg.eigvalsh(stats.c_hat)[0]), 0.0))
 
 
 def restricted_sparse_min(stats: SufficientStats, s: int) -> float:
     """Exact min of ||u^T X||_L over s-sparse unit vectors (enumerates supports).
 
     Exponential in d; restricted to d <= MAX_ENUMERATION_DIM where full enumeration is cheap.
-    Serves as the lower-bound cross-check for :func:`re_constant`.
+    It bounds the cone constant at this s from above for every c0; :func:`eigen_floor` bounds it from below.
     """
     d = stats.dim
     if d > MAX_ENUMERATION_DIM:
         raise ValueError(f"exact enumeration limited to d <= {MAX_ENUMERATION_DIM}, got d={d}")
-    if not 1 <= s <= d:
-        raise UsageError(f"need 1 <= s <= d, got s={s}")
+    _check_sparsity(s, d)
     c = stats.c_hat
     best = math.inf
     for support in combinations(range(d), s):
@@ -243,8 +202,7 @@ def oracle_coverage(
     """
     if reps < 1:
         raise UsageError(f"reps must be >= 1, got {reps}")
-    if not 1 <= s <= truth.dim:
-        raise UsageError(f"need 1 <= s <= d, got s={s}, d={truth.dim}")
+    _check_sparsity(s, truth.dim)
     step_count(T, dt)
     if not np.allclose(truth.matrix, truth.matrix.T, atol=1e-12):
         warnings.warn("oracle coverage guarantee is proved for symmetric drifts only")

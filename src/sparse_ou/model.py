@@ -57,10 +57,14 @@ def make_drift(matrix, stationary_cov: np.ndarray | None = None) -> DriftMatrix:
     return DriftMatrix(matrix=m, stationary_cov=stationary_cov)
 
 
-def random_sign_pattern(d: int, s: int, seed: int) -> np.ndarray:
-    """Matrix with exactly ``s`` random +-1 entries per row (diagonal allowed)."""
+def _check_sparsity(s: int, d: int) -> None:
     if not 1 <= s <= d:
         raise UsageError(f"need 1 <= s <= d, got s={s}, d={d}")
+
+
+def random_sign_pattern(d: int, s: int, seed: int) -> np.ndarray:
+    """Matrix with exactly ``s`` random +-1 entries per row (diagonal allowed)."""
+    _check_sparsity(s, d)
     rng = np.random.default_rng(seed)
     pattern = np.zeros((d, d))
     for i in range(d):

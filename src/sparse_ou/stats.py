@@ -29,7 +29,6 @@ __all__ = [
     "neg_log_likelihood",
     "grad_neg_log_likelihood",
     "theoretical_lambda",
-    "theta",
 ]
 
 
@@ -91,25 +90,17 @@ def grad_neg_log_likelihood(a, stats: SufficientStats) -> np.ndarray:
     return stats.g_hat + a @ stats.c_hat
 
 
-def theta(x: float, stats: SufficientStats) -> float:
-    """Deviation scale sqrt(4e/T |diag C|_inf (x + log(2 + |log(T diag C)|_inf))).
+def theoretical_lambda(stats: SufficientStats, cfg: LambdaConfig) -> float:
+    """Theory-driven penalty gamma * sqrt(4e/T |diag C|_inf (x + log(2 + |log(T diag C)|_inf))).
 
-    The inner log applies entrywise to T * diag(C); the sup-norm is the
-    largest absolute entry.
+    x = 1/2 log(2 pi^2 d^2 / (3 eps0)) > 0 as eps0 < 1; the inner log is entrywise, |.|_inf the largest entry.
     """
-    if not x > 0:
-        raise ValueError(f"x must be > 0, got {x}")
     diag = np.diag(stats.c_hat)
     if np.any(diag <= 0):
         raise ValueError("all diagonal entries of C must be strictly positive")
+    d = stats.dim
+    x = 0.5 * math.log(2.0 * math.pi**2 * d**2 / (3.0 * cfg.epsilon0))
     T = stats.horizon
     d_max = float(np.max(diag))
     log_term = math.log(2.0 + float(np.max(np.abs(np.log(T * diag)))))
-    return math.sqrt(4.0 * math.e * d_max / T * (x + log_term))
-
-
-def theoretical_lambda(stats: SufficientStats, cfg: LambdaConfig) -> float:
-    """Theory-driven penalty level gamma * theta(x) at x = 1/2 log(2 pi^2 d^2 / (3 eps0))."""
-    d = stats.dim
-    x = 0.5 * math.log(2.0 * math.pi**2 * d**2 / (3.0 * cfg.epsilon0))
-    return cfg.gamma * theta(x, stats)
+    return cfg.gamma * math.sqrt(4.0 * math.e * d_max / T * (x + log_term))

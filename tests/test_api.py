@@ -31,9 +31,11 @@ def test_package_reexports_are_declared():
 
 
 def test_removed_surface_is_gone():
-    from sparse_ou import finance, linops, metrics, model
+    from sparse_ou import estimators, finance, linops, metrics, model, stats
 
-    for name in ("SparsityPattern", "EmaConfig", "matrix_exponential"):
+    gone = ("SparsityPattern", "EmaConfig", "matrix_exponential", "soft_threshold", "fit_sigma_model", "theta",
+            "re_constant")
+    for name in gone:
         assert not hasattr(sparse_ou, name)
     assert not hasattr(linops, "matrix_exponential")
     assert not hasattr(model, "SparsityPattern")
@@ -47,3 +49,8 @@ def test_removed_surface_is_gone():
     assert not hasattr(metrics.SupportReport, "to_json")
     assert "d" not in inspect.signature(metrics.oracle_coverage).parameters
     assert list(inspect.signature(sparse_ou.ema_log_returns).parameters) == ["panel", "span"]
+    assert not hasattr(estimators, "soft_threshold") and not hasattr(estimators, "fit_sigma_model")
+    assert not hasattr(stats, "theta")
+    assert not hasattr(metrics, "re_constant") and not hasattr(metrics, "_cone_probe")
+    assert "lq" not in {f.name for f in fields(metrics.ErrorReport)}
+    assert "qs" not in inspect.signature(metrics.error_report).parameters

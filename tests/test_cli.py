@@ -396,6 +396,14 @@ class TestFinanceCommand:
         assert np.min(diag) > 0
         assert np.median(diag) > np.median(off)
 
+    def test_two_dates_is_runtime_error(self, tmp_path, capsys):
+        # two dates give one return, too few for a path of two states
+        prices = write_prices(tmp_path / "prices.csv", n_days=2)
+        out = tmp_path / "model.json"
+        assert run(["finance", "--prices", prices, "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("error: panel needs at least 3 dates")
+        assert not out.exists()
+
 
 class TestDiagnostics:
     def test_re_constant(self, sim_files, tmp_path):
@@ -405,8 +413,20 @@ class TestDiagnostics:
                     "--seed", 1, "--out", out])
         assert code == 0
         payload = json.loads(out.read_text())
-        assert payload["re_constant"] > 0
-        assert payload["restricted_sparse_min"] > 0  # d=6 <= 12
+        assert list(payload) == ["which", "seed", "s", "eigen_floor", "restricted_sparse_min"]  # d=6 <= 12
+        # the certified floor and the s-sparse minimum bracket every cone constant
+        assert 0 < payload["eigen_floor"] <= payload["restricted_sparse_min"]
+
+    def test_re_constant_beyond_enumeration_checks_s(self, tmp_path, capsys):
+        traj = tmp_path / "traj.csv"
+        assert run(["simulate", "--d", 13, "--T", 1, "--out", traj]) == 0
+        out = tmp_path / "re.json"
+        assert run(["diagnostics", "--which", "re-constant", "--traj", traj, "--out", out]) == 0
+        assert list(json.loads(out.read_text())) == ["which", "seed", "s", "eigen_floor"]  # d=13 > 12
+        out.unlink()
+        assert run(["diagnostics", "--which", "re-constant", "--traj", traj, "--s", 0, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("usage error: need 1 <= s <= d, got s=0, d=13")
+        assert not out.exists()
 
     def test_deviation_bounds(self, sim_files, tmp_path):
         _, drift = sim_files
@@ -467,8 +487,8 @@ BAD_SETTINGS = [
     ([*ORACLE_COVERAGE, "--theory-gamma", 0.5], "oracle-coverage --theory-gamma 0.5"),
     ([*ORACLE_COVERAGE, "--reps", 0], "oracle-coverage --reps 0"),
     (["finance", "--prices", "{prices}", "--span", 0], "finance --span 0"),
-    (["diagnostics", "--which", "re-constant", "--traj", "{traj}", "--probes", 0], "re-constant --probes 0"),
-    (["diagnostics", "--which", "re-constant", "--traj", "{traj}", "--c0", 0], "re-constant --c0 0"),
+    (["diagnostics", "--which", "re-constant", "--traj", "{traj}", "--s", 0], "re-constant --s 0"),
+    (["diagnostics", "--which", "re-constant", "--traj", "{traj}", "--s", 7], "re-constant --s 7"),
     (["diagnostics", "--which", "deviation-bounds", "--drift", "{drift}", "--r-values", -1], "deviation-bounds --r-values -1"),
     (["diagnostics", "--which", "deviation-bounds", "--drift", "{drift}", "--u", "2,0"], "deviation-bounds --u 2,0"),
     (["diagnostics", "--which", "deviation-bounds", "--drift", "{drift}", "--u", "0.5,0"], "deviation-bounds --u of length 2"),

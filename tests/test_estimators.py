@@ -9,17 +9,15 @@ from sparse_ou import (
     SufficientStats,
     Trajectory,
     adaptive_lasso,
-    fit_sigma_model,
     generate_shifted_antisymmetric,
     lasso,
     mle,
     sample_trajectory,
-    soft_threshold,
     sufficient_stats,
 )
 from sparse_ou.errors import ConditioningError, UsageError
-from sparse_ou.estimators import load_estimate_json, save_estimate_json
-from sparse_ou.modelsel import cross_validate, default_lambda_grid
+from sparse_ou.estimators import _centered, _precision, _Problem, load_estimate_json, save_estimate_json
+from sparse_ou.modelsel import cross_validate, cross_validate_sigma, default_lambda_grid
 from sparse_ou.sim import derive_seed
 
 from conftest import random_stats
@@ -49,22 +47,6 @@ def restricted_least_squares(stats, support_mask):
             sub = stats.c_hat[np.ix_(cols, cols)]
             out[i, cols] = -np.linalg.solve(sub, stats.g_hat[i, cols])
     return out
-
-
-class TestSoftThreshold:
-    def test_values(self):
-        assert soft_threshold(np.array([[1.5]]), 1.0)[0, 0] == pytest.approx(0.5)
-        assert soft_threshold(np.array([[-0.3]]), 1.0)[0, 0] == 0.0
-        assert soft_threshold(np.array([[-1.4]]), 1.0)[0, 0] == pytest.approx(-0.4)
-
-    def test_zero_threshold_is_identity(self, rng):
-        m = rng.normal(size=(3, 3))
-        assert np.array_equal(soft_threshold(m, 0.0), m)
-
-    @pytest.mark.parametrize("threshold", [-0.1, float("nan")])
-    def test_negative_threshold_rejected(self, threshold):
-        with pytest.raises(ValueError):
-            soft_threshold(np.ones((2, 2)), threshold)
 
 
 class TestMle:
@@ -122,12 +104,8 @@ class TestLasso:
         st = SufficientStats(c_hat=c, g_hat=g, horizon=1.0)
         lam = 0.3
         fit = lasso(st, lam, opts=FAST)
-        expected = np.zeros((2, 2))
-        for i in range(2):
-            for j in range(2):
-                expected[i, j] = soft_threshold(
-                    np.array([[-g[i, j] / c[j, j]]]), lam / c[j, j]
-                )[0, 0]
+        z = -g / np.diag(c)  # entry (i, j) is -g_ij / c_jj
+        expected = np.sign(z) * np.maximum(np.abs(z) - lam / np.diag(c), 0.0)
         assert np.linalg.norm(fit.matrix - expected) <= 1e-8
 
     def test_kkt_certificate(self, rng):
@@ -216,37 +194,16 @@ class TestAdaptiveLasso:
         assert hits >= 0.8 * reps
 
 
-class TestFitSigmaModel:
-    def test_identity_sigma_reduces_to_lasso(self, rng):
-        drift = generate_shifted_antisymmetric(3, alpha=0.5, w=1.0, s=2, seed=2)
-        traj = sample_trajectory(drift, 20.0, 0.02, seed=8)
-        st = sufficient_stats(traj)
-        direct = lasso(st, 0.05, opts=FAST)
-        viasigma = fit_sigma_model(traj, np.zeros(3), np.eye(3), 0.05, opts=FAST)
-        assert np.allclose(viasigma.matrix, direct.matrix, atol=1e-12)
-
+class TestSigmaModel:
     def test_scalar_sigma_rescales_lambda(self):
+        # P = I / 4 scales the smooth part by 1/4, so the penalty lam acts as 4 lam does in the Lasso
         drift = generate_shifted_antisymmetric(3, alpha=0.5, w=1.0, s=2, seed=2)
         traj = sample_trajectory(drift, 20.0, 0.02, seed=9)
-        st = sufficient_stats(traj)
         c_scale = 2.0
         lam = 0.08
-        scaled = fit_sigma_model(traj, np.zeros(3), c_scale * np.eye(3), lam, opts=FAST)
-        equivalent = lasso(st, lam * c_scale**2, opts=FAST)
-        assert np.linalg.norm(scaled.matrix - equivalent.matrix) <= 1e-6
-
-    def test_singular_sigma_rejected(self):
-        drift = generate_shifted_antisymmetric(2, alpha=0.5, w=1.0, s=1, seed=2)
-        traj = sample_trajectory(drift, 5.0, 0.05, seed=1)
-        with pytest.raises(ValueError):
-            fit_sigma_model(traj, np.zeros(2), np.zeros((2, 2)), 0.1)
-
-    @pytest.mark.parametrize("lam", [-0.1, float("nan")])
-    def test_bad_lambda_rejected(self, lam):
-        drift = generate_shifted_antisymmetric(2, alpha=0.5, w=1.0, s=1, seed=2)
-        traj = sample_trajectory(drift, 5.0, 0.05, seed=1)
-        with pytest.raises(ValueError, match="lambda must be >= 0"):
-            fit_sigma_model(traj, np.zeros(2), np.eye(2), lam)
+        scaled = cross_validate_sigma(traj, np.zeros(3), c_scale * np.eye(3), grid=[lam], opts=FAST)
+        equivalent = cross_validate(traj, "lasso", grid=[lam * c_scale**2], opts=FAST)
+        assert np.linalg.norm(scaled.best_estimate.matrix - equivalent.best_estimate.matrix) <= 1e-6
 
     def test_recovers_drift_monte_carlo(self):
         from sparse_ou import sample_sigma_trajectory
@@ -259,7 +216,8 @@ class TestFitSigmaModel:
         reps = 10
         for rep in range(reps):
             traj = sample_sigma_trajectory(a_true, m_true, sigma_true, 500.0, 0.01, derive_seed(3, rep))
-            fit = fit_sigma_model(traj, m_true, sigma_true, 0.0, opts=FAST)
+            st = sufficient_stats(_centered(traj, m_true))
+            fit = _Problem.of(st.c_hat, st.g_hat, _precision(sigma_true, 5), None, FAST).fit(0.0)
             hits += np.linalg.norm(fit.matrix - a_true) <= 0.5
         assert hits >= 0.9 * reps
 

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparse_ou import SolverOptions, soft_threshold
-from sparse_ou.estimators import WEIGHT_CAP, _kkt_residual, _Problem, _quad
+from sparse_ou import SolverOptions
+from sparse_ou.estimators import WEIGHT_CAP, _kkt_residual, _Problem, _quad, _shrink
 
 from conftest import random_problem
 
@@ -47,9 +47,9 @@ def test_soft_threshold_matches_sign_max_form(seed, d, lam_zero, capped):
     ties = rng.random((d, d)) < 0.3
     m[ties] = th[ties] * rng.choice([-1.0, 1.0], size=int(ties.sum()))  # |m| = th
     m[rng.random((d, d)) < 0.1] = -0.0
-    assert np.array_equal(soft_threshold(m, th), sign_max_soft_threshold(m, th))
+    assert np.array_equal(_shrink(m, th, -th, np.empty_like(m)), sign_max_soft_threshold(m, th))
     for scalar in (0.0, float(th.flat[0])):
-        assert np.array_equal(soft_threshold(m, scalar), sign_max_soft_threshold(m, scalar))
+        assert np.array_equal(_shrink(m, scalar, -scalar, np.empty_like(m)), sign_max_soft_threshold(m, scalar))
 
 
 @PROPERTY

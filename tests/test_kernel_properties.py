@@ -12,8 +12,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparse_ou import SolverOptions, SufficientStats, Trajectory, fit_sigma_model, lasso, mle, sufficient_stats
-from sparse_ou.estimators import _Problem
+from sparse_ou import SolverOptions, SufficientStats, Trajectory, lasso, mle, sufficient_stats
+from sparse_ou.estimators import _precision, _Problem
 from sparse_ou.modelsel import split_trajectory
 
 from conftest import random_problem
@@ -89,7 +89,7 @@ def test_identity_sigma_at_zero_mean_is_the_lasso(seed, d, weighted, lam_frac):
     weights = rng.uniform(0.2, 3.0, size=(d, d)) if weighted else None
     lam = lam_frac * float(np.max(np.abs(stats.g_hat)))
     opts = SolverOptions(rel_tol=1e-8)
-    sig = fit_sigma_model(traj, np.zeros(d), np.eye(d), lam, weights=weights, opts=opts)
+    sig = _Problem.of(stats.c_hat, stats.g_hat, _precision(np.eye(d), d), weights, opts).fit(lam)
     plain = lasso(stats, lam, weights=weights, opts=opts)
     # P = I exactly, so both run the same arithmetic step for step
     assert np.array_equal(sig.matrix, plain.matrix)

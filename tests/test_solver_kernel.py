@@ -2,7 +2,7 @@
 
 ``reference_fit`` below is a verbatim copy of the earlier solver: one
 ``_prox_gradient`` loop driven by ``smooth_grad``/``smooth_value`` closures,
-set up as ``lasso`` (P = I) and ``fit_sigma_model`` (P given) set it up.
+set up as ``lasso`` (P = I) and the Sigma-aware fit (P given) set it up.
 The kernel evaluates the same steps with P A C carried between uses, so
 iteration counts and the converged flag must match exactly and the iterates
 to rounding.
@@ -19,21 +19,26 @@ from sparse_ou import (
     adaptive_lasso,
     cross_validate,
     cross_validate_sigma,
-    fit_sigma_model,
     generate_shifted_antisymmetric,
     lasso,
     mle,
     sample_trajectory,
-    soft_threshold,
     sufficient_stats,
 )
-from sparse_ou.estimators import WEIGHT_CAP, _Problem
+from sparse_ou.estimators import WEIGHT_CAP, _precision, _Problem, _shrink
 from sparse_ou.modelsel import split_trajectory
 from sparse_ou.sim import Trajectory
 
 from conftest import random_problem
 
 # -- reference: the closure-based loop, verbatim -------------------------------
+
+
+def soft_threshold(m, thresholds) -> np.ndarray:
+    """The loop's prox: ``_shrink`` called as the library's former public wrapper called it."""
+    m = np.asarray(m, dtype=float)
+    th = np.broadcast_to(np.asarray(thresholds, dtype=float), m.shape)
+    return _shrink(m, th, -th, np.empty_like(m))
 
 
 def _kkt_residual(a: np.ndarray, grad: np.ndarray, lam: float, w: np.ndarray) -> float:
@@ -87,7 +92,7 @@ def _prox_gradient(smooth_grad, smooth_value, lam, w, step, opts, init, kkt_scal
 
 
 def reference_fit(c, g, p, lam, weights, opts, init):
-    """The earlier ``lasso`` (p None) or ``fit_sigma_model`` (p given) set-up around the loop."""
+    """The earlier ``lasso`` (p None) or Sigma-aware (p given) set-up around the loop."""
     d = c.shape[0]
     w = np.ones((d, d)) if weights is None else weights
     a0 = np.zeros((d, d)) if init is None else np.array(init, dtype=float)
@@ -204,16 +209,17 @@ def traj():
     return sample_trajectory(drift, T=40.0, dt=0.02, seed=17)
 
 
-def test_cross_validate_sigma_matches_fit_sigma_model(traj):
+def test_cross_validate_sigma_matches_problem_fit(traj):
     m = np.array([0.1, -0.2, 0.05, 0.3])
     sigma = np.array([[1.0, 0.0, 0.0, 0.0], [0.3, 0.8, 0.0, 0.0], [0.0, -0.2, 1.2, 0.0], [0.1, 0.0, 0.4, 0.6]])
     cv = cross_validate_sigma(traj, m, sigma, gamma=1.0, grid=GRID, opts=TIGHT)
     train, _ = split_trajectory(traj)
-    train_mle = mle(sufficient_stats(Trajectory(dt=train.dt, states=train.states - m)))
+    train_stats = sufficient_stats(Trajectory(dt=train.dt, states=train.states - m))
     with np.errstate(divide="ignore"):
-        weights = np.minimum(np.abs(train_mle.matrix) ** -1.0, WEIGHT_CAP)
-    fit = fit_sigma_model(train, m, sigma, cv.best_lambda, weights=weights, opts=TIGHT)
-    # the path warm-starts from the previous grid point, the public call starts at zero
+        weights = np.minimum(np.abs(mle(train_stats).matrix) ** -1.0, WEIGHT_CAP)
+    problem = _Problem.of(train_stats.c_hat, train_stats.g_hat, _precision(sigma, 4), weights, TIGHT)
+    fit = problem.fit(cv.best_lambda)
+    # the path warm-starts from the previous grid point, this fit starts at zero
     assert fit.converged and cv.best_estimate.converged
     assert _rel_diff(cv.best_estimate.matrix, fit.matrix) <= 1e-6
     assert np.array_equal(np.argwhere(cv.best_estimate.matrix), np.argwhere(fit.matrix))

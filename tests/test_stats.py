@@ -13,7 +13,6 @@ from sparse_ou import (
     sample_trajectory,
     sufficient_stats,
     theoretical_lambda,
-    theta,
 )
 from sparse_ou.sim import derive_seed
 
@@ -174,26 +173,19 @@ class TestTheoreticalLambda:
 
 
 class TestTheta:
-    def test_lambda_relation(self, rng):
-        st = random_stats(rng, 4)
-        cfg = LambdaConfig(gamma=3.0, epsilon0=0.2)
-        x = 0.5 * math.log(2 * math.pi**2 * st.dim**2 / (3 * cfg.epsilon0))
-        assert theoretical_lambda(st, cfg) == pytest.approx(cfg.gamma * theta(x, st), rel=1e-14)
+    """The deviation scale theta(x) = sqrt(4e/T |diag C|_inf (x + log(2 + |log(T diag C)|_inf))) inside the penalty."""
 
-    def test_increasing_in_x(self, rng):
+    def test_decreasing_in_epsilon0(self, rng):
+        # x = 1/2 log(2 pi^2 d^2 / (3 eps0)) falls as eps0 grows, and theta rises with x
         st = random_stats(rng, 3)
-        xs = np.linspace(0.1, 5.0, 20)
-        vals = [theta(x, st) for x in xs]
-        assert all(a < b for a, b in zip(vals, vals[1:]))
+        vals = [theoretical_lambda(st, LambdaConfig(epsilon0=e)) for e in np.linspace(0.01, 0.99, 20)]
+        assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_unit_case(self):
         st = SufficientStats(c_hat=np.array([[1.0]]), g_hat=np.zeros((1, 1)), horizon=1.0)
-        x = 0.7
-        assert theta(x, st) == pytest.approx(math.sqrt(4 * math.e * (x + math.log(2))), rel=1e-12)
-
-    def test_requires_positive_x(self, rng):
-        with pytest.raises(ValueError):
-            theta(0.0, random_stats(rng, 2))
+        cfg = LambdaConfig(gamma=2.0, epsilon0=0.1)
+        x = 0.5 * math.log(2 * math.pi**2 / (3 * cfg.epsilon0))
+        assert theoretical_lambda(st, cfg) == pytest.approx(2.0 * math.sqrt(4 * math.e * (x + math.log(2))), rel=1e-12)
 
 
 class TestLambdaConfig:
