@@ -461,6 +461,16 @@ class TestDiagnostics:
         assert f"argument {flag}: invalid comma-separated float value: {text!r}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag, value", [("--c0", 3.0), ("--probes", 200)])
+    def test_removed_probe_flag_is_rejected_by_the_parser(self, sim_files, tmp_path, capsys, flag, value):
+        # the certified floor needs no cone width and no sample count
+        traj, _ = sim_files
+        with pytest.raises(SystemExit) as exc:
+            run(["diagnostics", "--which", "re-constant", "--traj", traj, flag, value, "--out", tmp_path / "re.json"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("which, missing", [("re-constant", "--traj"), ("deviation-bounds", "--drift")])
     def test_missing_input_is_usage_error(self, tmp_path, capsys, which, missing):
         out = tmp_path / "x.json"

@@ -16,7 +16,7 @@ from sparse_ou import (
     sufficient_stats,
 )
 from sparse_ou.errors import ConditioningError, UsageError
-from sparse_ou.estimators import _centered, _precision, _Problem, load_estimate_json, save_estimate_json
+from sparse_ou.estimators import _centered, _precision, _Problem, _shrink, load_estimate_json, save_estimate_json
 from sparse_ou.modelsel import cross_validate, cross_validate_sigma, default_lambda_grid
 from sparse_ou.sim import derive_seed
 
@@ -47,6 +47,24 @@ def restricted_least_squares(stats, support_mask):
             sub = stats.c_hat[np.ix_(cols, cols)]
             out[i, cols] = -np.linalg.solve(sub, stats.g_hat[i, cols])
     return out
+
+
+def soft_threshold(m, threshold) -> np.ndarray:
+    """The kernel's prox ``_shrink`` at one threshold for every entry."""
+    m = np.asarray(m, dtype=float)
+    th = np.full(m.shape, float(threshold))
+    return _shrink(m, th, -th, np.empty_like(m))
+
+
+class TestSoftThreshold:
+    def test_values(self):
+        assert soft_threshold(np.array([[1.5]]), 1.0)[0, 0] == pytest.approx(0.5)
+        assert soft_threshold(np.array([[-0.3]]), 1.0)[0, 0] == 0.0
+        assert soft_threshold(np.array([[-1.4]]), 1.0)[0, 0] == pytest.approx(-0.4)
+
+    def test_zero_threshold_is_identity(self, rng):
+        m = rng.normal(size=(3, 3))
+        assert np.array_equal(soft_threshold(m, 0.0), m)
 
 
 class TestMle:
@@ -194,7 +212,29 @@ class TestAdaptiveLasso:
         assert hits >= 0.8 * reps
 
 
-class TestSigmaModel:
+class TestFitSigmaModel:
+    """The Sigma-aware fit: P = (Sigma Sigma^T)^{-1} on the path centred at m, as ``cross_validate_sigma`` runs it."""
+
+    def test_identity_sigma_reduces_to_lasso(self):
+        drift = generate_shifted_antisymmetric(3, alpha=0.5, w=1.0, s=2, seed=2)
+        traj = sample_trajectory(drift, 20.0, 0.02, seed=8)
+        st = sufficient_stats(traj)
+        direct = lasso(st, 0.05, opts=FAST)
+        viasigma = _Problem.of(st.c_hat, st.g_hat, _precision(np.eye(3), 3), None, FAST).fit(0.05)
+        assert np.allclose(viasigma.matrix, direct.matrix, atol=1e-12)
+
+    def test_singular_sigma_rejected(self):
+        with pytest.raises(ValueError, match="sigma is singular"):
+            _precision(np.zeros((2, 2)), 2)
+
+    @pytest.mark.parametrize("lam", [-0.1, float("nan")])
+    def test_bad_lambda_rejected(self, lam):
+        drift = generate_shifted_antisymmetric(2, alpha=0.5, w=1.0, s=1, seed=2)
+        st = sufficient_stats(sample_trajectory(drift, 5.0, 0.05, seed=1))
+        problem = _Problem.of(st.c_hat, st.g_hat, _precision(np.eye(2), 2), None, FAST)
+        with pytest.raises(ValueError, match="lambda must be >= 0"):
+            problem.fit(lam)
+
     def test_scalar_sigma_rescales_lambda(self):
         # P = I / 4 scales the smooth part by 1/4, so the penalty lam acts as 4 lam does in the Lasso
         drift = generate_shifted_antisymmetric(3, alpha=0.5, w=1.0, s=2, seed=2)

@@ -151,6 +151,10 @@ class TestReConstant:
         st = self._stats_from_cov(np.diag([eps, 1.0, 1.0, 1.0]))
         assert restricted_sparse_min(st, 1) == pytest.approx(math.sqrt(eps), abs=1e-12)
 
+    def test_floor_is_zero_on_indefinite_covariance(self):
+        # a negative smallest eigenvalue (rounding in C) certifies no positive bound
+        assert eigen_floor(self._stats_from_cov(np.diag([-1e-3, 1.0, 2.0]))) == 0.0
+
     def test_floor_below_sparse_min_on_random_stats(self, rng):
         # Cauchy interlacing: lambda_min(C) <= lambda_min(C_SS) for every support S
         for _ in range(5):

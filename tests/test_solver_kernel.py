@@ -209,7 +209,7 @@ def traj():
     return sample_trajectory(drift, T=40.0, dt=0.02, seed=17)
 
 
-def test_cross_validate_sigma_matches_problem_fit(traj):
+def test_cross_validate_sigma_matches_fit_sigma_model(traj):
     m = np.array([0.1, -0.2, 0.05, 0.3])
     sigma = np.array([[1.0, 0.0, 0.0, 0.0], [0.3, 0.8, 0.0, 0.0], [0.0, -0.2, 1.2, 0.0], [0.1, 0.0, 0.4, 0.6]])
     cv = cross_validate_sigma(traj, m, sigma, gamma=1.0, grid=GRID, opts=TIGHT)

@@ -175,6 +175,31 @@ class TestTheoreticalLambda:
 class TestTheta:
     """The deviation scale theta(x) = sqrt(4e/T |diag C|_inf (x + log(2 + |log(T diag C)|_inf))) inside the penalty."""
 
+    @staticmethod
+    def theta(x, stats):
+        """The deviation scale as a function of its own, in the order the penalty evaluates it."""
+        diag = np.diag(stats.c_hat)
+        T = stats.horizon
+        d_max = float(np.max(diag))
+        log_term = math.log(2.0 + float(np.max(np.abs(np.log(T * diag)))))
+        return math.sqrt(4.0 * math.e * d_max / T * (x + log_term))
+
+    def test_lambda_relation(self, rng):
+        st = random_stats(rng, 4)
+        cfg = LambdaConfig(gamma=3.0, epsilon0=0.2)
+        x = 0.5 * math.log(2 * math.pi**2 * st.dim**2 / (3 * cfg.epsilon0))
+        assert theoretical_lambda(st, cfg) == pytest.approx(cfg.gamma * self.theta(x, st), rel=1e-14)
+
+    @pytest.mark.parametrize("d", [1, 3, 10, 40])
+    @pytest.mark.parametrize("cfg", [LambdaConfig(), LambdaConfig(gamma=3.5, epsilon0=0.73)], ids=["default", "gamma=3.5"])
+    def test_penalty_bits_match_theta(self, d, cfg):
+        # the penalty is gamma * theta(x) at x = 1/2 log(2 pi^2 d^2 / (3 eps0)), bit for bit
+        rng = np.random.default_rng(d)
+        w = rng.normal(size=(d, d))
+        st = SufficientStats(c_hat=w @ w.T / d + 0.1 * np.eye(d), g_hat=rng.normal(size=(d, d)), horizon=37.5)
+        x = 0.5 * math.log(2.0 * math.pi**2 * d**2 / (3.0 * cfg.epsilon0))
+        assert theoretical_lambda(st, cfg) == cfg.gamma * self.theta(x, st)
+
     def test_decreasing_in_epsilon0(self, rng):
         # x = 1/2 log(2 pi^2 d^2 / (3 eps0)) falls as eps0 grows, and theta rises with x
         st = random_stats(rng, 3)
