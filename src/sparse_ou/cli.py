@@ -52,7 +52,7 @@ def _add_fit_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid-max", type=float, default=ExperimentConfig.grid_max, help="largest penalty on the grid")
     p.add_argument("--grid-size", type=int, default=ExperimentConfig.grid_size, help="number of log-spaced penalties")
     p.add_argument("--max-iters", type=int, default=ExperimentConfig.max_iters, help="solver iteration cap")
-    p.add_argument("--rel-tol", type=float, default=ExperimentConfig.rel_tol, help="relative objective tolerance")
+    p.add_argument("--rel-tol", type=float, default=ExperimentConfig.rel_tol, help="stop at KKT residual 10*rel_tol*max|PG|")
 
 
 def _add_theory_flags(p: argparse.ArgumentParser) -> None:

@@ -8,22 +8,24 @@ with P = (Sigma Sigma^T)^{-1} for the Sigma-aware model and P = I for the
 (Adaptive) Lasso.  It is strictly convex whenever C and P are positive
 definite, so every solver run converges to the same minimizer regardless of
 initialization.  The smooth gradient P G + P A C has Lipschitz constant
-||P||_op ||C||_op, which fixes the default step size.  Iterates are FISTA
-steps, soft-thresholded gradient steps with momentum and function-value
-restarts.  :class:`_Problem` computes the step, the weights, P G and the KKT
-scale once per path, not once per penalty.  Its loop carries
+L = ||P||_op ||C||_op, which fixes the step size, and the objective is
+sigma-strongly convex with sigma = lambda_min(C) lambda_min(P).  Iterates are
+FISTA steps, soft-thresholded gradient steps with momentum, capped at V-FISTA's
+(sqrt(L) - sqrt(sigma)) / (sqrt(L) + sqrt(sigma)) (Beck 2017, sec. 10.7.7), and
+function-value restarts until the momentum reaches the cap; from then on the
+steps converge linearly and compute no objective.  With sigma = 0 the cap is 1
+and never binds.  :class:`_Problem` computes the step, the cap, the weights,
+P G and the KKT scale once per path, not once per penalty.  Its loop carries
 the gradient g and the gradient point u = A - step g of the accepted iterate;
 the extrapolated point's gradient point follows from them by linearity, so a
-step costs one product, P A C at the new iterate, which the objective and the
-KKT residual then use exactly.
+step costs one product, P A C at the new iterate.
 
-A fit is declared converged when the relative objective change falls
-below ``rel_tol`` *and* the KKT residual certifies optimality at the
-matching scale (10 * rel_tol * ||P G||_inf); the residual is reported on
-every estimate either way.  After a failed certificate the loop keeps its
-most violating entry as a witness and sweeps the full residual again only
-once that one entry no longer violates: while it does, the maximum does
-too, so the test is the same one at the same iterations.
+A fit is declared converged when the KKT residual certifies optimality at
+the scale 10 * rel_tol * ||P G||_inf; the residual is reported on every
+estimate either way.  After a failed certificate the loop keeps its most
+violating entry as a witness and sweeps the full residual again only once
+that one entry no longer violates: while it does, the maximum does too, so
+the test is the same one at the same iterations.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 
 from .errors import ConditioningError, UsageError
 from .sim import Trajectory
-from .stats import SufficientStats, grad_neg_log_likelihood, neg_log_likelihood
+from .stats import SufficientStats, _spectrum_ends, grad_neg_log_likelihood, neg_log_likelihood
 
 __all__ = [
     "SolverOptions",
@@ -151,6 +153,7 @@ def _quad(a: np.ndarray, c: np.ndarray, p: np.ndarray | None) -> np.ndarray:
 class _Problem:
     """The penalty-independent part of one path's fits, built once per path.
 
+    ``beta``, the momentum cap, takes sigma = max(lambda_min(C), 0) lambda_min(P).
     A step of :meth:`fit` computes one product, P A C at the new iterate.
     """
 
@@ -159,6 +162,7 @@ class _Problem:
     p: np.ndarray | None
     w: np.ndarray
     step: float
+    beta: float
     kkt_tol: float
     opts: SolverOptions
 
@@ -166,14 +170,17 @@ class _Problem:
     def of(cls, c, g, p, weights, opts: SolverOptions | None) -> "_Problem":
         opts = opts or SolverOptions()
         w = _validated_weights(weights, c.shape[0])
-        lips = float(np.linalg.eigvalsh(c)[-1])
+        sigma, lips = _spectrum_ends(c)
         if p is not None:
-            lips = float(np.linalg.eigvalsh(p)[-1] * lips)
+            p_min, p_max = _spectrum_ends(p)
+            sigma, lips = sigma * p_min, p_max * lips
         step = 1.0 / lips if lips > 0 else 1.0
+        root = math.sqrt(sigma * step)  # sqrt(sigma / L); sigma = 0 when L = 0
+        beta = (1.0 - root) / (1.0 + root)
         pg = g if p is None else p @ g
         kkt_scale = float(np.max(np.abs(pg)))
         kkt_tol = 10.0 * opts.rel_tol * kkt_scale if kkt_scale > 0 else opts.rel_tol
-        return cls(c, pg, p, w, step, kkt_tol, opts)
+        return cls(c, pg, p, w, step, beta, kkt_tol, opts)
 
     def _objective(self, a, q, lamw, buf) -> float:
         """<A, P G> + 1/2 tr(P A C A^T) + lam ||W o A||_1, given q = P A C; ``buf`` is overwritten."""
@@ -183,69 +190,70 @@ class _Problem:
         """Proximal-gradient solve at penalty ``lam`` from ``init`` (zero when None).
 
         A step soft-thresholds the gradient point u_new + beta (u_new - u), which
-        is y - step (P G + P y C) at y = A_new + beta (A_new - A); a restart
-        soft-thresholds u = A - step g of the accepted iterate instead.
+        is y - step (P G + P y C) at y = A_new + beta (A_new - A), with beta =
+        min((t - 1) / t_new, self.beta).  Below the cap, a step that raises the
+        objective restarts: it soft-thresholds u = A - step g instead and resets t.
 
-        Once the objective settles, the KKT residual is swept in full only when
-        the witness, the most violating entry of the last failed sweep, is
-        within ``kkt_tol``; a fit that stops unconverged sweeps it at exit.
+        Every step tests the KKT residual, swept in full only when the witness,
+        the most violating entry of the last failed sweep, is within ``kkt_tol``;
+        a fit that stops unconverged sweeps it at exit.
         """
         if not 0 <= lam < math.inf:
             raise UsageError(f"lambda must be >= 0 and finite, got {lam}")
-        opts, step = self.opts, self.step
+        opts, step, cap = self.opts, self.step, self.beta
         lamw = lam * self.w
         thresholds = step * lam * self.w
         neg_thresholds = -thresholds
         buf = np.empty_like(self.c)
 
         def descend(u):
-            """The soft-thresholded point of gradient point u, with P A C and its objective."""
+            """The soft-thresholded point of gradient point u, with P A C."""
             a = _shrink(u, thresholds, neg_thresholds, buf)
-            q = _quad(a, self.c, self.p)
-            return a, q, self._objective(a, q, lamw, buf)
+            return a, _quad(a, self.c, self.p)
 
         a = np.zeros_like(self.c) if init is None else np.array(init, dtype=float)
         q = _quad(a, self.c, self.p)
         f_cur = self._objective(a, q, lamw, buf)
         g = self.pg + q
         u = a - step * g
-        z, t, restarts, converged, witness = u, 1.0, 0, False, None
+        z, t, beta, restarts, converged, witness = u, 1.0, 0.0, 0, False, None
         for it in range(1, opts.max_iters + 1):
-            a_new, q_new, f_new = descend(z)
-            if f_new > f_cur:
-                # momentum overshot: restart from the last accepted iterate
-                t = 1.0
-                restarts += 1
-                a_new, q_new, f_new = descend(u)
-            a = a_new
-            g = self.pg + q_new
+            a, q = descend(z)
+            if beta < cap:
+                f_new = self._objective(a, q, lamw, buf)
+                if f_new > f_cur:
+                    # momentum overshot: restart from the last accepted iterate
+                    t = 1.0
+                    restarts += 1
+                    a, q = descend(u)
+                    f_new = self._objective(a, q, lamw, buf)
+                f_cur = f_new
+            if callback is not None:
+                callback(it, self._objective(a, q, lamw, buf))
+            g = self.pg + q
             u_new = a - step * g
             t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            beta = min((t - 1.0) / t_new, cap)
             z = u_new - u
-            z *= (t - 1.0) / t_new
+            z *= beta
             z += u_new
             t = t_new
             u = u_new
-            if callback is not None:
-                callback(it, f_new)
-            small_change = abs(f_cur - f_new) <= opts.rel_tol * max(1.0, abs(f_new))
-            f_cur = f_new
-            if small_change:
-                # the witness entry bounds the maximum from below: above kkt_tol, the sweep cannot pass
-                if witness is not None and _entry_residual(a, g, lamw, witness) > self.kkt_tol:
-                    continue
-                kkt = _kkt_residual(a, g, lamw, buf)
-                if kkt <= self.kkt_tol:
-                    converged = True
-                    break
-                witness = int(np.argmax(buf))
+            # the witness entry bounds the maximum from below: above kkt_tol, the sweep cannot pass
+            if witness is not None and _entry_residual(a, g, lamw, witness) > self.kkt_tol:
+                continue
+            kkt = _kkt_residual(a, g, lamw, buf)
+            if kkt <= self.kkt_tol:
+                converged = True
+                break
+            witness = int(np.argmax(buf))
         if not converged:
             kkt = _kkt_residual(a, g, lamw, buf)
         return Estimate(
             matrix=a,
             lam=float(lam),
             iterations=it,
-            final_objective=f_cur,
+            final_objective=self._objective(a, q, lamw, buf),
             kkt_residual=kkt,
             converged=converged,
             gamma=gamma,

@@ -20,7 +20,7 @@ from .errors import UsageError
 from .estimators import Estimate, SolverOptions, lasso
 from .model import DriftMatrix, _check_sparsity
 from .sim import derive_seed, sample_trajectory, step_count, transition_kernel
-from .stats import LambdaConfig, SufficientStats, sufficient_stats, theoretical_lambda
+from .stats import LambdaConfig, SufficientStats, _spectrum_ends, sufficient_stats, theoretical_lambda
 
 __all__ = [
     "ErrorReport",
@@ -137,7 +137,7 @@ def eigen_floor(stats: SufficientStats) -> float:
 
     lambda_min(C) concentrates for the OU process, so no restricted-eigenvalue condition is needed.
     """
-    return math.sqrt(max(float(np.linalg.eigvalsh(stats.c_hat)[0]), 0.0))
+    return math.sqrt(_spectrum_ends(stats.c_hat)[0])
 
 
 def restricted_sparse_min(stats: SufficientStats, s: int) -> float:

@@ -70,6 +70,12 @@ def sufficient_stats(traj: Trajectory) -> SufficientStats:
     return SufficientStats(c_hat=c, g_hat=g, horizon=T)
 
 
+def _spectrum_ends(m: np.ndarray) -> tuple[float, float]:
+    """(max(lambda_min(M), 0), lambda_max(M)) of a symmetric M: rounding cannot make the floor negative."""
+    ev = np.linalg.eigvalsh(m)
+    return max(float(ev[0]), 0.0), float(ev[-1])
+
+
 def _check_dims(a: np.ndarray, stats: SufficientStats) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.shape != stats.c_hat.shape:

@@ -1,4 +1,4 @@
-"""The kernel's prox and KKT formulas against the textbook forms, and its restart count.
+"""The kernel's prox and KKT formulas against the textbook forms, its momentum cap and restart count.
 
 The soft-threshold is computed as z - clip(z, -th, th) and the KKT residual
 with ``np.putmask``; both must give the values of the ``np.sign``/``np.where``
@@ -81,11 +81,23 @@ def test_fit_reports_the_where_form_residual(warm, preconditioned, max_iters):
             assert fit.kkt_residual == where_kkt_residual(a, problem.pg + _quad(a, c, p), lam * problem.w)
 
 
-def test_fista_restarts_are_counted_and_keep_the_objective_monotone():
+def singular_problem(seed: int, d: int, preconditioned: bool, weighted: bool):
+    """``random_problem`` with C of rank d - 1 and G in C's row space, so the objective stays bounded."""
+    c, g, p, weights, warm = random_problem(seed, d, preconditioned, weighted)
+    v = np.random.default_rng(seed + 1000).normal(size=d)
+    proj = np.eye(d) - np.outer(v, v) / (v @ v)
+    c = proj @ c @ proj
+    return 0.5 * (c + c.T), g @ proj, p, weights, warm
+
+
+def test_fista_restarts_are_counted_and_keep_the_objective_monotone_on_singular_c():
     restarted = 0
     for seed in range(6):
-        c, g, p, weights, warm = random_problem(seed, 6, seed % 2 == 1, seed % 3 == 0)
+        c, g, p, weights, warm = singular_problem(seed, 6, seed % 2 == 1, seed % 3 == 0)
         problem = _Problem.of(c, g, p, weights, SolverOptions(max_iters=50_000, rel_tol=1e-8))
+        # lambda_min(C) is zero up to rounding, so the cap is beyond the momentum
+        # (t - 1) / t_new ~ 1 - 3 / k of any of these 50 000 steps
+        assert problem.beta > 1.0 - 1e-6
         for lam_frac in (0.01, 0.1):
             values = []
             fit = problem.fit(lam_frac * float(np.max(np.abs(problem.pg))), init=warm,
@@ -97,3 +109,48 @@ def test_fista_restarts_are_counted_and_keep_the_objective_monotone():
             assert np.all(np.diff(values) <= 0.0)
             restarted += fit.restarts > 0
     assert restarted > 0
+
+
+@pytest.mark.parametrize("c, p, beta", [
+    (np.diag([1.0, 4.0]), None, 1.0 / 3.0),
+    (np.eye(2), np.diag([1.0, 9.0]), 0.5),
+    (np.diag([1.0, 0.0]), None, 1.0),
+    (np.diag([1.0, -1e-12]), None, 1.0),
+    (np.diag([1.0, -1e-12]), np.diag([1.0, 9.0]), 1.0),
+], ids=["C-diag-1-4", "C-I-P-diag-1-9", "C-singular", "C-indefinite", "C-indefinite-P-diag-1-9"])
+def test_momentum_cap_is_v_fista_beta_of_the_strong_convexity(c, p, beta):
+    # (sqrt(L) - sqrt(sigma)) / (sqrt(L) + sqrt(sigma)), sigma = max(lambda_min(C), 0) lambda_min(P)
+    problem = _Problem.of(c, np.zeros((2, 2)), p, None, None)
+    assert problem.beta == pytest.approx(beta, rel=1e-15)
+
+
+@pytest.mark.parametrize("preconditioned", [False, True], ids=["P=I", "P-spd"])
+def test_callback_changes_no_fit_and_capped_steps_skip_the_objective(monkeypatch, preconditioned):
+    calls = []
+    objective = _Problem._objective
+
+    def counted(self, *args):
+        calls.append(1)
+        return objective(self, *args)
+
+    monkeypatch.setattr(_Problem, "_objective", counted)
+    skipped = 0
+    for seed in range(4):
+        c, g, p, weights, warm = random_problem(seed, 6, preconditioned, seed % 2 == 0)
+        problem = _Problem.of(c, g, p, weights, SolverOptions(max_iters=50_000, rel_tol=1e-8))
+        assert problem.beta < 1.0
+        for lam_frac in (0.0, 0.01, 0.1):
+            lam = lam_frac * float(np.max(np.abs(problem.pg)))
+            init = warm if seed % 2 else None
+            del calls[:]
+            plain = problem.fit(lam, init=init)
+            skipped += len(calls) < plain.iterations
+            seen = []
+            watched = problem.fit(lam, init=init, callback=lambda it, f: seen.append(it))
+            assert seen == list(range(1, plain.iterations + 1))
+            assert np.array_equal(watched.matrix, plain.matrix)
+            assert (watched.iterations, watched.restarts, watched.converged) == (
+                plain.iterations, plain.restarts, plain.converged)
+            assert watched.kkt_residual == plain.kkt_residual
+            assert watched.final_objective == plain.final_objective
+    assert skipped > 0  # some fits ran capped steps, which compute no objective

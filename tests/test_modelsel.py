@@ -10,11 +10,13 @@ from sparse_ou import (
     cross_validate_sigma,
     default_lambda_grid,
     generate_shifted_antisymmetric,
+    generate_sparse_drift,
     mle,
     neg_log_likelihood,
     sample_trajectory,
     sufficient_stats,
 )
+from sparse_ou.errors import ConditioningError
 from sparse_ou.estimators import _Problem
 from sparse_ou.modelsel import save_cv_json, split_trajectory
 from sparse_ou.sim import Trajectory
@@ -100,6 +102,19 @@ class TestCrossValidate:
             warnings.simplefilter("error")
             res = cross_validate(traj, "lasso", grid=[0.01, 0.1], opts=FAST)
         assert res.best_estimate.converged
+
+    def test_lasso_path_certifies_where_the_mle_does_not_exist(self):
+        # n = 15 steps for d = 20 states: C is singular on the path and on its training part
+        short = sample_trajectory(generate_sparse_drift(20, 4, 2), T=0.15, dt=0.01, seed=0)
+        train_stats = sufficient_stats(split_trajectory(short)[0])
+        for st in (sufficient_stats(short), train_stats):
+            with pytest.raises(ConditioningError):
+                mle(st)
+        problem = _Problem.of(train_stats.c_hat, train_stats.g_hat, None, None, None)
+        # sigma is zero up to rounding, so the momentum cap never binds: FISTA with restarts
+        assert problem.beta > 1.0 - 1e-6
+        res = cross_validate(short, "lasso")
+        assert all(f.converged and f.kkt_residual <= problem.kkt_tol for f in res.fits)
 
     def test_deterministic(self, traj):
         a = cross_validate(traj, "adaptive_lasso", gamma=1.0, grid=[0.01, 0.1, 1.0])

@@ -1,11 +1,12 @@
-"""Parity of the fused proximal-gradient kernel with the closure-based loop it replaced.
+"""Parity of the fused proximal-gradient kernel with a closure-based loop.
 
-``reference_fit`` below is a verbatim copy of the earlier solver: one
-``_prox_gradient`` loop driven by ``smooth_grad``/``smooth_value`` closures,
-set up as ``lasso`` (P = I) and the Sigma-aware fit (P given) set it up.
-The kernel evaluates the same steps with P A C carried between uses, so
-iteration counts and the converged flag must match exactly and the iterates
-to rounding.
+``reference_fit`` below is the earlier solver's form, one ``_prox_gradient``
+loop driven by ``smooth_grad``/``smooth_value`` closures, set up as ``lasso``
+(P = I) and the Sigma-aware fit (P given) set it up, with the kernel's step
+rule: momentum capped at the strong-convexity value, restarts only below the
+cap, and a stop on the KKT certificate alone.  The kernel evaluates the same
+steps with P A C carried between uses, so iteration counts and the converged
+flag must match exactly and the iterates to rounding.
 """
 
 import math
@@ -49,55 +50,53 @@ def _kkt_residual(a: np.ndarray, grad: np.ndarray, lam: float, w: np.ndarray) ->
     return float(viol.max())
 
 
-def _prox_gradient(smooth_grad, smooth_value, lam, w, step, opts, init, kkt_scale, callback):
+def _prox_gradient(smooth_grad, smooth_value, lam, w, step, beta_cap, opts, init, kkt_scale):
     """Shared proximal-gradient loop; returns (matrix, iters, f, kkt, converged)."""
+
+    def value(a):
+        return smooth_value(a) + lam * float(np.sum(w * np.abs(a)))
+
     a = init.copy()
-    f_cur = smooth_value(a) + lam * float(np.sum(w * np.abs(a)))
+    f_cur = value(a)
     kkt_tol = 10.0 * opts.rel_tol * kkt_scale if kkt_scale > 0 else opts.rel_tol
     thresholds = step * lam * w
     y = a
     t = 1.0
+    beta = 0.0
     converged = False
-    kkt = math.inf
     iterations = 0
     for it in range(1, opts.max_iters + 1):
-        if opts.acceleration:
-            a_new = soft_threshold(y - step * smooth_grad(y), thresholds)
-            f_new = smooth_value(a_new) + lam * float(np.sum(w * np.abs(a_new)))
+        a_new = soft_threshold(y - step * smooth_grad(y), thresholds)
+        if beta < beta_cap:
+            f_new = value(a_new)
             if f_new > f_cur:
                 # momentum overshot: restart from the last accepted iterate
                 t = 1.0
                 a_new = soft_threshold(a - step * smooth_grad(a), thresholds)
-                f_new = smooth_value(a_new) + lam * float(np.sum(w * np.abs(a_new)))
-            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            y = a_new + ((t - 1.0) / t_new) * (a_new - a)
-            t = t_new
-        else:
-            a_new = soft_threshold(a - step * smooth_grad(a), thresholds)
-            f_new = smooth_value(a_new) + lam * float(np.sum(w * np.abs(a_new)))
+                f_new = value(a_new)
+            f_cur = f_new
+        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        beta = min((t - 1.0) / t_new, beta_cap)
+        y = a_new + beta * (a_new - a)
+        t = t_new
         a = a_new
         iterations = it
-        if callback is not None:
-            callback(it, f_new)
-        small_change = abs(f_cur - f_new) <= opts.rel_tol * max(1.0, abs(f_new))
-        f_cur = f_new
-        if small_change:
-            kkt = _kkt_residual(a, smooth_grad(a), lam, w)
-            if kkt <= kkt_tol:
-                converged = True
-                break
-    if not math.isfinite(kkt) or not converged:
         kkt = _kkt_residual(a, smooth_grad(a), lam, w)
-    return a, iterations, f_cur, kkt, converged
+        if kkt <= kkt_tol:
+            converged = True
+            break
+    return a, iterations, value(a), kkt, converged
 
 
 def reference_fit(c, g, p, lam, weights, opts, init):
-    """The earlier ``lasso`` (p None) or Sigma-aware (p given) set-up around the loop."""
+    """The ``lasso`` (p None) or Sigma-aware (p given) set-up around the loop."""
     d = c.shape[0]
     w = np.ones((d, d)) if weights is None else weights
     a0 = np.zeros((d, d)) if init is None else np.array(init, dtype=float)
+    eig_c = np.linalg.eigvalsh(c)
+    sigma = max(float(eig_c[0]), 0.0)
     if p is None:
-        lips = float(np.linalg.eigvalsh(c)[-1])
+        lips = float(eig_c[-1])
 
         def smooth_grad(a):
             return g + a @ c
@@ -107,7 +106,9 @@ def reference_fit(c, g, p, lam, weights, opts, init):
 
         kkt_scale = float(np.max(np.abs(g)))
     else:
-        lips = float(np.linalg.eigvalsh(p)[-1] * np.linalg.eigvalsh(c)[-1])
+        eig_p = np.linalg.eigvalsh(p)
+        lips = float(eig_p[-1] * eig_c[-1])
+        sigma *= float(eig_p[0])
         pg = p @ g
 
         def smooth_grad(a):
@@ -118,7 +119,10 @@ def reference_fit(c, g, p, lam, weights, opts, init):
 
         kkt_scale = float(np.max(np.abs(pg)))
     step = 1.0 / lips if lips > 0 else 1.0
-    return _prox_gradient(smooth_grad, smooth_value, lam, w, step, opts, a0, kkt_scale, None)
+    # V-FISTA's momentum for strong convexity sigma, 1 when sigma = 0
+    root = math.sqrt(sigma * step)
+    beta_cap = (1.0 - root) / (1.0 + root)
+    return _prox_gradient(smooth_grad, smooth_value, lam, w, step, beta_cap, opts, a0, kkt_scale)
 
 
 # -- parity ----------------------------------------------------------------------
