@@ -15,17 +15,21 @@ FISTA steps, soft-thresholded gradient steps with momentum, capped at V-FISTA's
 function-value restarts until the momentum reaches the cap; from then on the
 steps converge linearly and compute no objective.  With sigma = 0 the cap is 1
 and never binds.  :class:`_Problem` computes the step, the cap, the weights,
-P G and the KKT scale once per path, not once per penalty.  Its loop carries
-the gradient g and the gradient point u = A - step g of the accepted iterate;
-the extrapolated point's gradient point follows from them by linearity, so a
-step costs one product, P A C at the new iterate.
+P G, the KKT scale and the gradient-point map once per path, not once per
+penalty.  Its loop carries v = A - step P A C, the gradient point of the
+accepted iterate less its constant -step P G: with P = I, v = A (I - step C).
+The extrapolated point's v follows from it by linearity and -step P G moves
+into the shrink bounds, so a capped step costs one product, A (I - step C),
+and six array passes.  The exact gradient P G + P A C is formed only for the
+KKT sweeps and the objective.
 
 A fit is declared converged when the KKT residual certifies optimality at
 the scale 10 * rel_tol * ||P G||_inf; the residual is reported on every
 estimate either way.  After a failed certificate the loop keeps its most
 violating entry as a witness and sweeps the full residual again only once
-that one entry no longer violates: while it does, the maximum does too, so
-the test is the same one at the same iterations.
+that one entry no longer violates.  The gate reads that entry's gradient from
+the gradient point, as (a_k - v_k) / step + (P G)_k; it only decides whether
+to sweep, and only a full sweep of the exact gradient certifies a fit.
 """
 
 from __future__ import annotations
@@ -86,13 +90,14 @@ class Estimate:
     restarts: int = 0
 
 
-def _shrink(z, th, neg_th, buf) -> np.ndarray:
-    """sign(z) * max(|z| - th, 0), up to the sign of a zero, as z - clip(z, -th, th).
+def _shrink(z, hi, lo, buf) -> np.ndarray:
+    """z - clip(z, lo, hi), exact zeros within the bounds; ``buf`` (z's shape) is overwritten.
 
-    ``neg_th`` is -th and ``buf`` an array of z's shape that is overwritten.
+    With hi = th - s and lo = -th - s it is sign(x) * max(|x| - th, 0) at x = z + s,
+    up to rounding and the sign of a zero.
     """
-    np.minimum(z, th, out=buf)
-    np.maximum(buf, neg_th, out=buf)
+    np.minimum(z, hi, out=buf)
+    np.maximum(buf, lo, out=buf)
     return z - buf
 
 
@@ -145,8 +150,8 @@ def _adaptive_start(stats: SufficientStats, gamma: float) -> tuple[np.ndarray, n
 
 def _quad(a: np.ndarray, c: np.ndarray, p: np.ndarray | None) -> np.ndarray:
     """P A C, or A C when there is no preconditioner."""
-    ac = a @ c
-    return ac if p is None else p @ ac
+    ac = a.dot(c)
+    return ac if p is None else p.dot(ac)
 
 
 @dataclass(frozen=True)
@@ -154,7 +159,9 @@ class _Problem:
     """The penalty-independent part of one path's fits, built once per path.
 
     ``beta``, the momentum cap, takes sigma = max(lambda_min(C), 0) lambda_min(P).
-    A step of :meth:`fit` computes one product, P A C at the new iterate.
+    A capped step of :meth:`fit` computes one product, A m with ``m`` = I - step C,
+    or A + m (A C) with ``m`` = -step P: A's gradient point less ``spg`` = -step P G.
+    A P equal to I is stored as None, so Sigma = I runs the Lasso's arithmetic.
     """
 
     c: np.ndarray
@@ -165,11 +172,15 @@ class _Problem:
     beta: float
     kkt_tol: float
     opts: SolverOptions
+    m: np.ndarray
+    spg: np.ndarray
 
     @classmethod
     def of(cls, c, g, p, weights, opts: SolverOptions | None) -> "_Problem":
         opts = opts or SolverOptions()
-        w = _validated_weights(weights, c.shape[0])
+        d = c.shape[0]
+        w = _validated_weights(weights, d)
+        p = None if p is not None and np.array_equal(p, np.eye(d)) else p
         sigma, lips = _spectrum_ends(c)
         if p is not None:
             p_min, p_max = _spectrum_ends(p)
@@ -177,83 +188,91 @@ class _Problem:
         step = 1.0 / lips if lips > 0 else 1.0
         root = math.sqrt(sigma * step)  # sqrt(sigma / L); sigma = 0 when L = 0
         beta = (1.0 - root) / (1.0 + root)
-        pg = g if p is None else p @ g
+        pg = g if p is None else p.dot(g)
         kkt_scale = float(np.max(np.abs(pg)))
         kkt_tol = 10.0 * opts.rel_tol * kkt_scale if kkt_scale > 0 else opts.rel_tol
-        return cls(c, pg, p, w, step, beta, kkt_tol, opts)
+        m = np.eye(d) - step * c if p is None else -step * p
+        return cls(c, pg, p, w, step, beta, kkt_tol, opts, m, -step * pg)
 
-    def _objective(self, a, q, lamw, buf) -> float:
-        """<A, P G> + 1/2 tr(P A C A^T) + lam ||W o A||_1, given q = P A C; ``buf`` is overwritten."""
+    def _point(self, a) -> np.ndarray:
+        """A - step P A C, the gradient point of A less its constant ``spg``."""
+        return a.dot(self.m) if self.p is None else a + self.m.dot(a.dot(self.c))
+
+    def _objective(self, a, lamw, buf) -> float:
+        """<A, P G> + 1/2 tr(P A C A^T) + lam ||W o A||_1; ``buf`` is overwritten."""
+        q = _quad(a, self.c, self.p)
         return float(np.vdot(a, self.pg) + 0.5 * np.vdot(a, q) + np.vdot(lamw, np.abs(a, out=buf)))
+
+    def _entry_residual(self, a, v, lamw, k: int) -> float:
+        """Entry k of :func:`_kkt_residual`'s buffer, its gradient read from the gradient point: (a_k - v_k) / step + (P G)_k."""
+        ak, lk = a.item(k), lamw.item(k)
+        gk = (ak - v.item(k)) / self.step + self.pg.item(k)
+        if ak == 0.0:
+            return abs(gk) - lk
+        return abs(gk + lk) if ak > 0.0 else abs(gk - lk)
 
     def fit(self, lam: float, init=None, callback=None, gamma: float | None = None) -> Estimate:
         """Proximal-gradient solve at penalty ``lam`` from ``init`` (zero when None).
 
-        A step soft-thresholds the gradient point u_new + beta (u_new - u), which
-        is y - step (P G + P y C) at y = A_new + beta (A_new - A), with beta =
+        The loop carries v, the accepted iterate's gradient point less ``spg``.  A
+        step soft-thresholds z + spg, z = v_new + beta (v_new - v), which is
+        y - step (P G + P y C) at y = A_new + beta (A_new - A), with beta =
         min((t - 1) / t_new, self.beta).  Below the cap, a step that raises the
-        objective restarts: it soft-thresholds u = A - step g instead and resets t.
+        objective restarts: it soft-thresholds v + spg instead and resets t.
 
-        Every step tests the KKT residual, swept in full only when the witness,
-        the most violating entry of the last failed sweep, is within ``kkt_tol``;
-        a fit that stops unconverged sweeps it at exit.
+        Every step tests the KKT residual of P G + P A C, swept in full only when
+        the witness, the most violating entry of the last failed sweep, is within
+        ``kkt_tol`` as read from v; a fit that stops unconverged sweeps it at exit.
         """
         if not 0 <= lam < math.inf:
             raise UsageError(f"lambda must be >= 0 and finite, got {lam}")
         opts, step, cap = self.opts, self.step, self.beta
         lamw = lam * self.w
         thresholds = step * lam * self.w
-        neg_thresholds = -thresholds
+        # bounds on z for the shrink of z + spg: exact zeros stay exact zeros
+        hi, lo = thresholds - self.spg, -thresholds - self.spg
         buf = np.empty_like(self.c)
 
-        def descend(u):
-            """The soft-thresholded point of gradient point u, with P A C."""
-            a = _shrink(u, thresholds, neg_thresholds, buf)
-            return a, _quad(a, self.c, self.p)
-
         a = np.zeros_like(self.c) if init is None else np.array(init, dtype=float)
-        q = _quad(a, self.c, self.p)
-        f_cur = self._objective(a, q, lamw, buf)
-        g = self.pg + q
-        u = a - step * g
-        z, t, beta, restarts, converged, witness = u, 1.0, 0.0, 0, False, None
+        f_cur = self._objective(a, lamw, buf)
+        v = self._point(a)
+        z, t, beta, restarts, converged, witness = v, 1.0, 0.0, 0, False, None
         for it in range(1, opts.max_iters + 1):
-            a, q = descend(z)
+            a = _shrink(z, hi, lo, buf)
             if beta < cap:
-                f_new = self._objective(a, q, lamw, buf)
+                f_new = self._objective(a, lamw, buf)
                 if f_new > f_cur:
                     # momentum overshot: restart from the last accepted iterate
                     t = 1.0
                     restarts += 1
-                    a, q = descend(u)
-                    f_new = self._objective(a, q, lamw, buf)
+                    a = _shrink(v, hi, lo, buf)
+                    f_new = self._objective(a, lamw, buf)
                 f_cur = f_new
             if callback is not None:
-                callback(it, self._objective(a, q, lamw, buf))
-            g = self.pg + q
-            u_new = a - step * g
+                callback(it, self._objective(a, lamw, buf))
+            v_new = self._point(a)
             t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             beta = min((t - 1.0) / t_new, cap)
-            z = u_new - u
+            z = v_new - v
             z *= beta
-            z += u_new
+            z += v_new
             t = t_new
-            u = u_new
-            # the witness entry bounds the maximum from below: above kkt_tol, the sweep cannot pass
-            if witness is not None and _entry_residual(a, g, lamw, witness) > self.kkt_tol:
+            v = v_new
+            # the witness entry bounds the maximum from below: above kkt_tol, a sweep would not pass
+            if witness is not None and self._entry_residual(a, v, lamw, witness) > self.kkt_tol:
                 continue
-            kkt = _kkt_residual(a, g, lamw, buf)
+            kkt = _kkt_residual(a, self.pg + _quad(a, self.c, self.p), lamw, buf)
             if kkt <= self.kkt_tol:
                 converged = True
                 break
             witness = int(np.argmax(buf))
         if not converged:
-            kkt = _kkt_residual(a, g, lamw, buf)
+            kkt = _kkt_residual(a, self.pg + _quad(a, self.c, self.p), lamw, buf)
         return Estimate(
             matrix=a,
             lam=float(lam),
             iterations=it,
-            final_objective=self._objective(a, q, lamw, buf),
+            final_objective=self._objective(a, lamw, buf),
             kkt_residual=kkt,
             converged=converged,
             gamma=gamma,
@@ -273,14 +292,6 @@ def _kkt_residual(a, g, lamw, buf) -> float:
     np.abs(buf, out=buf)
     np.putmask(buf, a == 0.0, np.abs(g) - lamw)
     return max(float(np.maximum.reduce(buf, axis=None)), 0.0)
-
-
-def _entry_residual(a, g, lamw, k: int) -> float:
-    """Flat entry k of the residual :func:`_kkt_residual` leaves in its buffer, by the same IEEE operations."""
-    ak, gk, lk = a.item(k), g.item(k), lamw.item(k)
-    if ak == 0.0:
-        return abs(gk) - lk
-    return abs(gk + lk) if ak > 0.0 else abs(gk - lk)
 
 
 def lasso(

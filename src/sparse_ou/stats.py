@@ -86,8 +86,8 @@ def _check_dims(a: np.ndarray, stats: SufficientStats) -> np.ndarray:
 def neg_log_likelihood(a, stats: SufficientStats, p=None) -> float:
     """<A, P G> + 1/2 tr(P A C A^T) without the A-free constant; P symmetric, I when ``p`` is None."""
     a = _check_dims(a, stats)
-    pa = a if p is None else p @ a
-    return float(np.sum(pa * stats.g_hat) + 0.5 * np.sum((a @ stats.c_hat) * pa))
+    pa = a if p is None else np.dot(p, a)
+    return float(np.sum(pa * stats.g_hat) + 0.5 * np.sum(a.dot(stats.c_hat) * pa))
 
 
 def grad_neg_log_likelihood(a, stats: SufficientStats) -> np.ndarray:

@@ -1,12 +1,16 @@
 """The witness-entry gate on the KKT certificate changes no fit and skips most sweeps.
 
 ``reference_fit`` below is the solver loop without the gate: it sweeps the
-full KKT residual on every iteration.  The gated loop sweeps only when the
-last failed sweep's most violating entry no longer violates, which evaluates
-the same stopping test at the same iterations, so every fit must match the
-reference bit for bit.  (The gate is exact for any entry, since one entry
-above tolerance puts the maximum above it; the witness only makes it skip
-often.)
+full KKT residual of the exact gradient P G + P A C on every iteration.  The
+gated loop sweeps only when the last failed sweep's most violating entry no
+longer violates, and it reads that entry's gradient from the gradient point,
+as (a_k - v_k) / step + (P G)_k, which equals the exact one only up to
+rounding.  The gate only decides whether to sweep, and a fit is certified
+only by a full sweep; were the gradient point's reading to hold back a sweep
+that would have passed, the gated loop would stop later than the reference.
+So every fit must match the reference bit for bit, which is what shows that
+the gate changes no fit.  (Any entry above tolerance puts the maximum above
+it; the witness only makes the gate skip often.)
 """
 
 import math
@@ -26,51 +30,44 @@ from conftest import random_problem
 def reference_fit(self, lam: float, init=None, gamma: float | None = None) -> Estimate:
     """Proximal-gradient solve at penalty ``lam`` from ``init`` (zero when None).
 
-    A step soft-thresholds u_new + beta (u_new - u) with beta = min((t - 1) / t_new,
-    self.beta); below that cap a step that raises the objective restarts from
-    u = A - step g of the accepted iterate.  The full KKT residual is swept on
-    every step.
+    The loop carries v = A m, the gradient point of the accepted iterate less
+    ``spg``, and soft-thresholds z + spg, z = v_new + beta (v_new - v) with
+    beta = min((t - 1) / t_new, self.beta); below that cap a step that raises
+    the objective restarts from v + spg.  The full KKT residual of P G + P A C
+    is swept on every step.
     """
     if not 0 <= lam < math.inf:
         raise ValueError(f"lambda must be >= 0 and finite, got {lam}")
     opts, step, cap = self.opts, self.step, self.beta
     lamw = lam * self.w
     thresholds = step * lam * self.w
-    neg_thresholds = -thresholds
+    hi, lo = thresholds - self.spg, -thresholds - self.spg
     buf = np.empty_like(self.c)
 
-    def descend(u):
-        """The soft-thresholded point of gradient point u, with P A C."""
-        a = _shrink(u, thresholds, neg_thresholds, buf)
-        return a, _quad(a, self.c, self.p)
-
     a = np.zeros_like(self.c) if init is None else np.array(init, dtype=float)
-    q = _quad(a, self.c, self.p)
-    f_cur = self._objective(a, q, lamw, buf)
-    g = self.pg + q
-    u = a - step * g
-    z, t, beta, restarts, converged = u, 1.0, 0.0, 0, False
+    f_cur = self._objective(a, lamw, buf)
+    v = self._point(a)
+    z, t, beta, restarts, converged = v, 1.0, 0.0, 0, False
     for it in range(1, opts.max_iters + 1):
-        a, q = descend(z)
+        a = _shrink(z, hi, lo, buf)
         if beta < cap:
-            f_new = self._objective(a, q, lamw, buf)
+            f_new = self._objective(a, lamw, buf)
             if f_new > f_cur:
                 # momentum overshot: restart from the last accepted iterate
                 t = 1.0
                 restarts += 1
-                a, q = descend(u)
-                f_new = self._objective(a, q, lamw, buf)
+                a = _shrink(v, hi, lo, buf)
+                f_new = self._objective(a, lamw, buf)
             f_cur = f_new
-        g = self.pg + q
-        u_new = a - step * g
+        v_new = self._point(a)
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = min((t - 1.0) / t_new, cap)
-        z = u_new - u
+        z = v_new - v
         z *= beta
-        z += u_new
+        z += v_new
         t = t_new
-        u = u_new
-        kkt = _kkt_residual(a, g, lamw, buf)
+        v = v_new
+        kkt = _kkt_residual(a, self.pg + _quad(a, self.c, self.p), lamw, buf)
         if kkt <= self.kkt_tol:
             converged = True
             break
@@ -78,7 +75,7 @@ def reference_fit(self, lam: float, init=None, gamma: float | None = None) -> Es
         matrix=a,
         lam=float(lam),
         iterations=it,
-        final_objective=self._objective(a, q, lamw, buf),
+        final_objective=self._objective(a, lamw, buf),
         kkt_residual=kkt,
         converged=converged,
         gamma=gamma,
@@ -106,7 +103,7 @@ def events(monkeypatch):
     records the entry it leaves as the witness.
     """
     log = []
-    kkt_residual, entry_residual = estimators._kkt_residual, estimators._entry_residual
+    kkt_residual, entry_residual = estimators._kkt_residual, _Problem._entry_residual
 
     def sweep(a, g, lamw, buf):
         r = kkt_residual(a, g, lamw, buf)
@@ -114,13 +111,13 @@ def events(monkeypatch):
         log.append(("sweep", k, float(np.sign(a.item(k))), r))
         return r
 
-    def gate(a, g, lamw, k):
-        r = entry_residual(a, g, lamw, k)
+    def gate(self, a, v, lamw, k):
+        r = entry_residual(self, a, v, lamw, k)
         log.append(("gate", k, float(np.sign(a.item(k))), r))
         return r
 
     monkeypatch.setattr(estimators, "_kkt_residual", sweep)
-    monkeypatch.setattr(estimators, "_entry_residual", gate)
+    monkeypatch.setattr(_Problem, "_entry_residual", gate)
     return log
 
 

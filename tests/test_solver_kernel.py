@@ -5,8 +5,9 @@ loop driven by ``smooth_grad``/``smooth_value`` closures, set up as ``lasso``
 (P = I) and the Sigma-aware fit (P given) set it up, with the kernel's step
 rule: momentum capped at the strong-convexity value, restarts only below the
 cap, and a stop on the KKT certificate alone.  The kernel evaluates the same
-steps with P A C carried between uses, so iteration counts and the converged
-flag must match exactly and the iterates to rounding.
+steps with the gradient point A (I - step C), or A - step P A C, carried
+between uses, so iteration counts and the converged flag must match exactly
+and the iterates to rounding.
 """
 
 import math
@@ -138,9 +139,6 @@ def _cases(seeds):
     ]
 
 
-CASES = _cases(range(6))
-# the minimizer test's tolerances hold at any residual, so it also runs on a
-# second block of six random problems
 WIDE_CASES = _cases(range(12))
 
 
@@ -161,7 +159,7 @@ def _fits(seed, preconditioned, weighted, warm, rel_tol, max_iters=20000):
 
 
 @pytest.mark.parametrize("max_iters", [20000, 25])
-@pytest.mark.parametrize("seed, preconditioned, weighted, warm", CASES)
+@pytest.mark.parametrize("seed, preconditioned, weighted, warm", WIDE_CASES)
 def test_kernel_matches_closure_loop(seed, preconditioned, weighted, warm, max_iters):
     # rel_tol 1e-7 is the command-line and benchmark default; the short cap
     # stops about half the fits early, so the iterates must agree mid-path too
@@ -190,6 +188,28 @@ def test_kernel_reaches_the_same_minimizer_at_tight_tolerance(seed, precondition
         d = c.shape[0]
         assert np.linalg.norm(fit.matrix - a_ref) <= 2.0 * d * max(fit.kkt_residual, kkt_ref) / mu + 1e-12
         assert fit.final_objective == pytest.approx(f_ref, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+def test_p_branch_at_a_nudged_identity_matches_the_lasso(weighted):
+    # P = I is stored as None; one ulp up its diagonal keeps P, so the P branch
+    # runs and must fit as the P = None branch does
+    for seed in range(40):
+        d = 3 + seed % 4
+        c, g, _, weights, warm = random_problem(seed, d, False, weighted)
+        p = np.eye(d)
+        np.fill_diagonal(p, np.nextafter(1.0, 2.0))
+        opts = SolverOptions(rel_tol=1e-7)
+        nudged, plain = _Problem.of(c, g, p, weights, opts), _Problem.of(c, g, None, weights, opts)
+        assert nudged.p is not None and _Problem.of(c, g, np.eye(d), weights, opts).p is None
+        lam_max = float(np.max(np.abs(plain.pg)))
+        for lam in (0.0, 0.03 * lam_max, 0.3 * lam_max, 2.0 * lam_max):
+            for init in (None, warm):
+                got, want = nudged.fit(lam, init=init), plain.fit(lam, init=init)
+                assert got.converged and want.converged
+                assert got.iterations == want.iterations
+                assert np.array_equal(got.matrix != 0.0, want.matrix != 0.0)
+                assert _rel_diff(got.matrix, want.matrix) <= 1e-12
 
 
 def test_public_lasso_callback_sees_every_step():
