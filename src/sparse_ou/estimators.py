@@ -16,12 +16,11 @@ function-value restarts until the momentum reaches the cap; from then on the
 steps converge linearly and compute no objective.  With sigma = 0 the cap is 1
 and never binds.  :class:`_Problem` computes the step, the cap, the weights,
 P G, the KKT scale and the gradient-point map once per path, not once per
-penalty.  Its loop carries v = A - step P A C, the gradient point of the
-accepted iterate less its constant -step P G: with P = I, v = A (I - step C).
-The extrapolated point's v follows from it by linearity and -step P G moves
-into the shrink bounds, so a capped step costs one product, A (I - step C),
-and six array passes.  The exact gradient P G + P A C is formed only for the
-KKT sweeps and the objective.
+penalty.  Its loop carries v = A - step P A C, the accepted iterate's gradient
+point less its constant -step P G, which moves into the shrink bounds.  A
+capped step takes v from one product, A (I - step C) when P = I, and six array
+passes; a step below the cap takes it from its objective's P A C.  The exact
+gradient P G + P A C is formed only for the KKT sweeps and the objective.
 
 A fit is declared converged when the KKT residual certifies optimality at
 the scale 10 * rel_tol * ||P G||_inf; the residual is reported on every
@@ -198,9 +197,8 @@ class _Problem:
         """A - step P A C, the gradient point of A less its constant ``spg``."""
         return a.dot(self.m) if self.p is None else a + self.m.dot(a.dot(self.c))
 
-    def _objective(self, a, lamw, buf) -> float:
-        """<A, P G> + 1/2 tr(P A C A^T) + lam ||W o A||_1; ``buf`` is overwritten."""
-        q = _quad(a, self.c, self.p)
+    def _objective(self, a, q, lamw, buf) -> float:
+        """<A, P G> + 1/2 tr(P A C A^T) + lam ||W o A||_1, given q = P A C; ``buf`` is overwritten."""
         return float(np.vdot(a, self.pg) + 0.5 * np.vdot(a, q) + np.vdot(lamw, np.abs(a, out=buf)))
 
     def _entry_residual(self, a, v, lamw, k: int) -> float:
@@ -217,7 +215,8 @@ class _Problem:
         The loop carries v, the accepted iterate's gradient point less ``spg``.  A
         step soft-thresholds z + spg, z = v_new + beta (v_new - v), which is
         y - step (P G + P y C) at y = A_new + beta (A_new - A), with beta =
-        min((t - 1) / t_new, self.beta).  Below the cap, a step that raises the
+        min((t - 1) / t_new, self.beta).  Below the cap, v_new = A_new - step q
+        reuses the objective's q = P A_new C, and a step that raises the
         objective restarts: it soft-thresholds v + spg instead and resets t.
 
         Every step tests the KKT residual of P G + P A C, swept in full only when
@@ -234,23 +233,28 @@ class _Problem:
         buf = np.empty_like(self.c)
 
         a = np.zeros_like(self.c) if init is None else np.array(init, dtype=float)
-        f_cur = self._objective(a, lamw, buf)
-        v = self._point(a)
-        z, t, beta, restarts, converged, witness = v, 1.0, 0.0, 0, False, None
+        q = _quad(a, self.c, self.p)
+        f_cur = self._objective(a, q, lamw, buf)
+        z = v = a - step * q
+        t, beta, restarts, converged, witness = 1.0, 0.0, 0, False, None
         for it in range(1, opts.max_iters + 1):
             a = _shrink(z, hi, lo, buf)
             if beta < cap:
-                f_new = self._objective(a, lamw, buf)
+                q = _quad(a, self.c, self.p)
+                f_new = self._objective(a, q, lamw, buf)
                 if f_new > f_cur:
                     # momentum overshot: restart from the last accepted iterate
                     t = 1.0
                     restarts += 1
                     a = _shrink(v, hi, lo, buf)
-                    f_new = self._objective(a, lamw, buf)
+                    q = _quad(a, self.c, self.p)
+                    f_new = self._objective(a, q, lamw, buf)
                 f_cur = f_new
+                v_new = a - step * q  # the objective's P A C gives the gradient point
+            else:
+                v_new = self._point(a)
             if callback is not None:
-                callback(it, self._objective(a, lamw, buf))
-            v_new = self._point(a)
+                callback(it, self._objective(a, _quad(a, self.c, self.p), lamw, buf))
             t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             beta = min((t - 1.0) / t_new, cap)
             z = v_new - v
@@ -272,7 +276,7 @@ class _Problem:
             matrix=a,
             lam=float(lam),
             iterations=it,
-            final_objective=self._objective(a, lamw, buf),
+            final_objective=self._objective(a, _quad(a, self.c, self.p), lamw, buf),
             kkt_residual=kkt,
             converged=converged,
             gamma=gamma,

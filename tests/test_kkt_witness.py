@@ -30,8 +30,9 @@ from conftest import random_problem
 def reference_fit(self, lam: float, init=None, gamma: float | None = None) -> Estimate:
     """Proximal-gradient solve at penalty ``lam`` from ``init`` (zero when None).
 
-    The loop carries v = A m, the gradient point of the accepted iterate less
-    ``spg``, and soft-thresholds z + spg, z = v_new + beta (v_new - v) with
+    The loop carries v, the gradient point of the accepted iterate less
+    ``spg``: A - step P A C from the objective's P A C below the cap, A m from
+    the cap on.  It soft-thresholds z + spg, z = v_new + beta (v_new - v) with
     beta = min((t - 1) / t_new, self.beta); below that cap a step that raises
     the objective restarts from v + spg.  The full KKT residual of P G + P A C
     is swept on every step.
@@ -45,21 +46,26 @@ def reference_fit(self, lam: float, init=None, gamma: float | None = None) -> Es
     buf = np.empty_like(self.c)
 
     a = np.zeros_like(self.c) if init is None else np.array(init, dtype=float)
-    f_cur = self._objective(a, lamw, buf)
-    v = self._point(a)
-    z, t, beta, restarts, converged = v, 1.0, 0.0, 0, False
+    q = _quad(a, self.c, self.p)
+    f_cur = self._objective(a, q, lamw, buf)
+    z = v = a - step * q
+    t, beta, restarts, converged = 1.0, 0.0, 0, False
     for it in range(1, opts.max_iters + 1):
         a = _shrink(z, hi, lo, buf)
         if beta < cap:
-            f_new = self._objective(a, lamw, buf)
+            q = _quad(a, self.c, self.p)
+            f_new = self._objective(a, q, lamw, buf)
             if f_new > f_cur:
                 # momentum overshot: restart from the last accepted iterate
                 t = 1.0
                 restarts += 1
                 a = _shrink(v, hi, lo, buf)
-                f_new = self._objective(a, lamw, buf)
+                q = _quad(a, self.c, self.p)
+                f_new = self._objective(a, q, lamw, buf)
             f_cur = f_new
-        v_new = self._point(a)
+            v_new = a - step * q
+        else:
+            v_new = self._point(a)
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = min((t - 1.0) / t_new, cap)
         z = v_new - v
@@ -75,7 +81,7 @@ def reference_fit(self, lam: float, init=None, gamma: float | None = None) -> Es
         matrix=a,
         lam=float(lam),
         iterations=it,
-        final_objective=self._objective(a, lamw, buf),
+        final_objective=self._objective(a, _quad(a, self.c, self.p), lamw, buf),
         kkt_residual=kkt,
         converged=converged,
         gamma=gamma,
