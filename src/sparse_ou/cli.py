@@ -241,7 +241,7 @@ def cmd_diagnostics(args) -> int:
             truth = _load_drift(args.drift)
         else:
             truth = model.symmetrized_drift(model.generate_sparse_drift(args.d, args.s, seed))
-        cov = metrics.oracle_coverage(truth, args.s, args.T, args.reps, _lambda_config(args), seed, dt=args.dt)
+        cov = metrics.oracle_coverage(truth, args.T, args.reps, _lambda_config(args), seed, dt=args.dt)
         payload.update({"coverage": cov, "T": args.T, "reps": args.reps})
     with open(args.out, "w") as fh:
         json.dump(payload, fh, indent=2)
@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--traj", default=None, help="trajectory CSV (re-constant)")
     p.add_argument("--drift", default=None, help="drift file (deviation-bounds, oracle-coverage)")
     p.add_argument("--d", type=int, default=8)
-    p.add_argument("--s", type=int, default=2)
+    p.add_argument("--s", type=int, default=2, help="re-constant's support size; the generated truth's row sparsity")
     p.add_argument("--u", type=_flag_type("list[float]"), default=None,
                    help="comma-separated direction vector; write --u=-0.6,0.8 when the first entry is negative")
     p.add_argument("--r-values", type=_flag_type("list[float]"), default=[0.1, 0.2, 0.5, 1.0],

@@ -26,9 +26,10 @@ A fit is declared converged when the KKT residual certifies optimality at
 the scale 10 * rel_tol * ||P G||_inf; the residual is reported on every
 estimate either way.  After a failed certificate the loop keeps its most
 violating entry as a witness and sweeps the full residual again only once
-that one entry no longer violates.  The gate reads that entry's gradient from
-the gradient point, as (a_k - v_k) / step + (P G)_k; it only decides whether
-to sweep, and only a full sweep of the exact gradient certifies a fit.
+that one entry no longer violates, and always on the last step.  The gate
+reads that entry's gradient from the gradient point, as (a_k - v_k) / step +
+(P G)_k; it only decides whether to sweep.  The flag, the residual and the
+final objective of an estimate all come from its last sweep.
 """
 
 from __future__ import annotations
@@ -221,7 +222,7 @@ class _Problem:
 
         Every step tests the KKT residual of P G + P A C, swept in full only when
         the witness, the most violating entry of the last failed sweep, is within
-        ``kkt_tol`` as read from v; a fit that stops unconverged sweeps it at exit.
+        ``kkt_tol`` as read from v; the last step always sweeps, and the estimate reads that sweep.
         """
         if not 0 <= lam < math.inf:
             raise UsageError(f"lambda must be >= 0 and finite, got {lam}")
@@ -236,7 +237,7 @@ class _Problem:
         q = _quad(a, self.c, self.p)
         f_cur = self._objective(a, q, lamw, buf)
         z = v = a - step * q
-        t, beta, restarts, converged, witness = 1.0, 0.0, 0, False, None
+        t, beta, restarts, witness = 1.0, 0.0, 0, None
         for it in range(1, opts.max_iters + 1):
             a = _shrink(z, hi, lo, buf)
             if beta < cap:
@@ -263,22 +264,20 @@ class _Problem:
             t = t_new
             v = v_new
             # the witness entry bounds the maximum from below: above kkt_tol, a sweep would not pass
-            if witness is not None and self._entry_residual(a, v, lamw, witness) > self.kkt_tol:
+            if it < opts.max_iters and witness is not None and self._entry_residual(a, v, lamw, witness) > self.kkt_tol:
                 continue
-            kkt = _kkt_residual(a, self.pg + _quad(a, self.c, self.p), lamw, buf)
+            q = _quad(a, self.c, self.p)
+            kkt = _kkt_residual(a, self.pg + q, lamw, buf)
             if kkt <= self.kkt_tol:
-                converged = True
                 break
             witness = int(np.argmax(buf))
-        if not converged:
-            kkt = _kkt_residual(a, self.pg + _quad(a, self.c, self.p), lamw, buf)
         return Estimate(
             matrix=a,
             lam=float(lam),
             iterations=it,
-            final_objective=self._objective(a, _quad(a, self.c, self.p), lamw, buf),
+            final_objective=self._objective(a, q, lamw, buf),
             kkt_residual=kkt,
-            converged=converged,
+            converged=kkt <= self.kkt_tol,
             gamma=gamma,
             restarts=restarts,
         )
@@ -318,6 +317,7 @@ def lasso(
         Entrywise positive penalty weights W (all ones when None).
     opts : SolverOptions or None
         Iteration budget and tolerance; None means ``SolverOptions()``, FISTA with restarts.
+        The last step always sweeps the KKT residual, so ``converged`` reads ``kkt_residual``.
     init : array or None
         Starting point; zero when None.  Convexity makes the minimizer
         independent of this, so it is a pure warm-start device.

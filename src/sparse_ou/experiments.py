@@ -150,7 +150,7 @@ def _replicate(payload) -> list:
     if cfg.kind == "oracle_coverage":
         stats = sufficient_stats(sim.sample_trajectory(truth, T, cfg.dt, rep_seed))
         t0 = time.perf_counter()
-        fit, holds = metrics._oracle_step(truth, stats, row_sparsity(d, cfg.s_rule), LambdaConfig(), opts)
+        fit, holds = metrics._oracle_step(truth, stats, LambdaConfig(), opts)
         wall = time.perf_counter() - t0
         return [_row("lasso_theory", truth, fit.matrix, d, T, cfg.dt, rep, wall, _bound_holds=holds)]
     steps = _steps(cfg)

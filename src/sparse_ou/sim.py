@@ -161,8 +161,6 @@ def sample_trajectory(
         phi_dot(prev, step)
         nxt += step
         prev = nxt
-    if not np.all(np.isfinite(states)):
-        raise NumericError("trajectory contains non-finite states")
     return Trajectory(dt=dt, states=states)
 
 

@@ -215,7 +215,7 @@ def test_10_oracle_bound_coverage():
     base[2, 3] = base[3, 2] = -0.25
     truth = make_drift(base)
     cfg = LambdaConfig(gamma=2.0, epsilon0=0.1)
-    frac = oracle_coverage(truth, 2, T=200.0, reps=50, cfg=cfg, seed=909)
+    frac = oracle_coverage(truth, T=200.0, reps=50, cfg=cfg, seed=909)
     ok = frac >= 0.9
     report(10, "oracle bound coverage", ok, f"coverage {frac:.2f} >= 0.9")
 

@@ -54,3 +54,10 @@ def test_removed_surface_is_gone():
     assert not hasattr(metrics, "re_constant") and not hasattr(metrics, "_cone_probe")
     assert "lq" not in {f.name for f in fields(metrics.ErrorReport)}
     assert "qs" not in inspect.signature(metrics.error_report).parameters
+
+
+@pytest.mark.parametrize("name", ["oracle_bound", "_oracle_step", "oracle_coverage"])
+def test_oracle_functions_read_s_from_the_truth(name):
+    from sparse_ou import metrics
+
+    assert "s" not in inspect.signature(getattr(metrics, name)).parameters

@@ -163,6 +163,19 @@ class TestFit:
     def test_missing_file_is_runtime_error(self, tmp_path):
         assert run(["fit", "--traj", tmp_path / "nope.csv", "--out", tmp_path / "o.json"]) == 1
 
+    def test_csv_truth_round_trip(self, tmp_path):
+        # the same drift written as CSV and as JSON gives the same report
+        reports = []
+        for drift in ("d.csv", "d.json"):
+            traj = tmp_path / "traj.csv"
+            assert run(["simulate", "--d", 4, "--s", 1, "--T", 20, "--seed", 3, "--out", traj,
+                        "--drift-out", tmp_path / drift]) == 0
+            out = tmp_path / f"{drift}.fit.json"
+            assert run(["fit", "--traj", traj, "--lambda", 0.1, "--truth", tmp_path / drift, "--out", out]) == 0
+            reports.append(json.loads(out.read_text())["report"])
+        assert (tmp_path / "d.csv").read_text().startswith("4\n")
+        assert reports[0] == reports[1]
+
     def test_bad_lambda_is_usage_error(self, sim_files, tmp_path, capsys):
         traj, _ = sim_files
         with pytest.raises(SystemExit) as exc:
@@ -356,6 +369,13 @@ class TestBenchmark:
     def test_missing_kind_is_usage_error(self, tmp_path):
         assert run(["benchmark", "--out", tmp_path / "x.csv"]) == 2
 
+    def test_config_holding_a_list_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps([{"kind": "f1_study"}]))
+        assert run(["benchmark", "--config", cfg, "--out", tmp_path / "b.csv"]) == 2
+        assert capsys.readouterr().err.startswith("usage error: --config must hold a JSON object")
+        assert list(tmp_path.iterdir()) == [cfg]
+
     @pytest.mark.parametrize("entry", [{"d_values": []}, {"reps": "2"}, {"rep": 3}, {"seed": 1.5}])
     def test_bad_config_entry_is_usage_error(self, tmp_path, capsys, entry):
         cfg = tmp_path / "cfg.json"
@@ -502,7 +522,7 @@ BAD_SETTINGS = [
     (["diagnostics", "--which", "deviation-bounds", "--drift", "{drift}", "--r-values", -1], "deviation-bounds --r-values -1"),
     (["diagnostics", "--which", "deviation-bounds", "--drift", "{drift}", "--u", "2,0"], "deviation-bounds --u 2,0"),
     (["diagnostics", "--which", "deviation-bounds", "--drift", "{drift}", "--u", "0.5,0"], "deviation-bounds --u of length 2"),
-    ([*ORACLE_COVERAGE, "--drift", "{drift}", "--s", 0], "oracle-coverage --drift --s 0"),
+    ([*ORACLE_COVERAGE, "--s", 0], "oracle-coverage --s 0"),
     (["simulate", "--d", 3, "--s", 0, "--T", 1], "simulate --s 0"),
     (["simulate", "--kind", "two-group", "--d", 3, "--T", 1], "simulate two-group --d 3"),
     (["simulate", "--kind", "shifted-antisym", "--d", 4, "--s", 1, "--w", "nan", "--T", 1], "simulate --w nan"),

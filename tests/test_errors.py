@@ -1,4 +1,4 @@
-"""A setting is rejected with ``UsageError``, a ``ValueError``, by the code that uses it."""
+"""A setting is rejected with ``UsageError``, a ``ValueError``, by the code that uses it; bad data with a plain error."""
 
 import math
 
@@ -9,17 +9,25 @@ from sparse_ou import (
     LambdaConfig,
     PricePanel,
     SolverOptions,
+    Trajectory,
+    TransitionKernel,
     adaptive_lasso,
     default_lambda_grid,
+    dense_baseline_f1,
     ema_log_returns,
+    generate_shifted_antisymmetric,
     generate_sparse_drift,
     lasso,
+    load_prices,
     oracle_coverage,
     sample_trajectory,
+    solve_lyapunov,
+    subsample,
 )
-from sparse_ou.errors import UsageError
+from sparse_ou.errors import IngestionError, UsageError
 from sparse_ou.experiments import ExperimentConfig
-from sparse_ou.sim import step_count
+from sparse_ou.model import load_drift_csv, load_drift_json
+from sparse_ou.sim import load_trajectory_csv, step_count
 
 from conftest import random_stats
 
@@ -41,12 +49,49 @@ OWNERS = {
     "lambda=-1": lambda: lasso(STATS, -1.0),
     "lambda=nan": lambda: lasso(STATS, math.nan),
     "ema span=0": lambda: ema_log_returns(PANEL, span=0),
-    "oracle_coverage reps=0": lambda: oracle_coverage(DRIFT, 1, 1.0, 0, LambdaConfig(), 0),
+    "oracle_coverage reps=0": lambda: oracle_coverage(DRIFT, 1.0, 0, LambdaConfig(), 0),
+    "generate_shifted_antisymmetric s=d": lambda: generate_shifted_antisymmetric(3, 0.5, 1.0, 3, 0),
     "step_count dt=0": lambda: step_count(1.0, 0.0),
     "step_count T < dt / 2": lambda: step_count(0.004, 0.01),
     "sample_trajectory T=inf": lambda: sample_trajectory(DRIFT, math.inf, 0.01, 0),
     "ExperimentConfig gamma=-1": lambda: ExperimentConfig(kind="d_sweep", gamma=-1.0),
     "ExperimentConfig grid_size=0": lambda: ExperimentConfig(kind="d_sweep", grid_size=0),
+    "ExperimentConfig kind=x": lambda: ExperimentConfig(kind="x"),
+    "ExperimentConfig reps=0": lambda: ExperimentConfig(kind="d_sweep", reps=0),
+}
+
+NAN = np.full((3, 3), np.nan)
+NAN_KERNEL = TransitionKernel(dt=0.1, phi=NAN, noise_cov=NAN, noise_chol=NAN)
+
+
+def write(tmp_path, text):
+    path = tmp_path / "input"
+    path.write_text(text)
+    return path
+
+
+# id: (error, message, call of the test's tmp_path)
+DATA_CHECKS = {
+    "lasso weights (2, 3)": (ValueError, r"weights must have shape \(3, 3\)",
+                             lambda tmp: lasso(STATS, 0.1, weights=np.ones((2, 3)))),
+    "sampled path with NaN states": (ValueError, "states contain non-finite values",
+                                     lambda tmp: sample_trajectory(DRIFT, 1.0, 0.1, 0, kernel=NAN_KERNEL)),
+    "Trajectory dt=0": (ValueError, "dt must be > 0", lambda tmp: Trajectory(dt=0.0, states=np.zeros((2, 3)))),
+    "subsample factor 1.5": (ValueError, "factor must be a positive integer",
+                             lambda tmp: subsample(sample_trajectory(DRIFT, 1.0, 0.1, 0), 1.5)),
+    "trajectory CSV header only": (ValueError, "needs a header and >= 2 states",
+                                   lambda tmp: load_trajectory_csv(write(tmp, "t,x0\n"))),
+    "trajectory CSV uneven steps": (ValueError, "not uniformly spaced",
+                                    lambda tmp: load_trajectory_csv(write(tmp, "t,x0\n0,1\n0.1,1\n0.3,1\n"))),
+    "drift CSV empty": (ValueError, "empty drift file", lambda tmp: load_drift_csv(write(tmp, "\n"))),
+    "drift CSV missing row": (ValueError, "expected 2 rows after the header, got 1",
+                              lambda tmp: load_drift_csv(write(tmp, "2\n1.0,0.0\n"))),
+    "drift JSON 3 entries at dim 2": (ValueError, "expected 4 entries, got 3",
+                                      lambda tmp: load_drift_json(write(tmp, '{"dim": 2, "entries": [1, 0, 1]}'))),
+    "solve_lyapunov (2, 3)": (ValueError, "must be a square 2-d array", lambda tmp: solve_lyapunov(np.ones((2, 3)))),
+    "dense_baseline_f1(1.5)": (ValueError, r"density must be in \[0, 1\]", lambda tmp: dense_baseline_f1(1.5)),
+    "load_prices no valid row": (IngestionError, "no valid price rows",
+                                 lambda tmp: load_prices(write(tmp, "date,A,B\nd0,1.0\nd1,-1.0,2.0\n"))),
 }
 
 
@@ -58,6 +103,13 @@ def test_usage_error_is_a_value_error():
 def test_owner_rejects_a_bad_setting_with_usage_error(call):
     with pytest.raises(UsageError):
         call()
+
+
+@pytest.mark.filterwarnings("ignore:dropped")
+@pytest.mark.parametrize("error, message, call", DATA_CHECKS.values(), ids=DATA_CHECKS.keys())
+def test_bad_data_is_rejected_where_it_is_read(tmp_path, error, message, call):
+    with pytest.raises(error, match=message):
+        call(tmp_path)
 
 
 @pytest.mark.parametrize("T, dt, n", [(1.0, 0.01, 100), (0.006, 0.01, 1), (0.014, 0.01, 1), (2.5, 1.0, 2)])

@@ -82,7 +82,7 @@ def test_oracle_coverage_seed_layout(tmp_path):
     stats = sufficient_stats(sample_trajectory(truth, 30.0, 0.01, derive_seed(6, 1)))
     lam = theoretical_lambda(stats, LambdaConfig(gamma=2.0, epsilon0=0.1))
     fit = lasso(stats, lam, opts=OPTS)
-    holds = bool(error_report(fit.matrix, truth, stats).empirical <= oracle_bound(truth, lam, 2.0, 1))
+    holds = bool(error_report(fit.matrix, truth, stats).empirical <= oracle_bound(truth, lam, 2.0))
     assert rows[1] == expected_row("lasso_theory", truth, fit.matrix, stats, 4, 30.0, 0.01, 1, _bound_holds=holds)
 
 
@@ -99,11 +99,11 @@ def test_oracle_coverage_equals_the_benchmark_bound_column(tmp_path, monkeypatch
         assert np.count_nonzero(fit.matrix) > 0
         norm = error_report(fit.matrix, truth, stats).empirical
         bounds[lam] = norm if r % 2 == 0 else np.nextafter(norm, 0.0)
-    monkeypatch.setattr(metrics, "oracle_bound", lambda truth, lam, gamma, s: bounds[lam])
+    monkeypatch.setattr(metrics, "oracle_bound", lambda truth, lam, gamma: bounds[lam])
     rows = benchmark_rows(tmp_path, kind="oracle_coverage", d_values=[d], t_values=[T], dt=dt, reps=reps, seed=seed)
     holds = [row["_bound_holds"] == "True" for row in rows]
     assert holds == [True, False, True, False]
-    assert metrics.oracle_coverage(truth, 1, T, reps, LambdaConfig(), seed, dt=dt) == np.mean(holds)
+    assert metrics.oracle_coverage(truth, T, reps, LambdaConfig(), seed, dt=dt) == np.mean(holds)
 
 
 def test_config_resolves_zero_jobs_to_all_cores_and_rejects_negative():

@@ -42,6 +42,13 @@ class TestLoadPrices:
             panel = load_prices(path)
         assert panel.prices.shape == (2, 2)
 
+    def test_short_row_dropped_with_warning(self, tmp_path):
+        path = write_csv(tmp_path / "p.csv", "date,AAA,BBB\n2020-01-01,10.0,20.0\n2020-01-02,10.5\n2020-01-03,10.2,19.8\n")
+        with pytest.warns(UserWarning, match="dropped 1"):
+            panel = load_prices(path)
+        assert panel.dates == ["2020-01-01", "2020-01-03"]
+        assert panel.prices.tolist() == [[10.0, 20.0], [10.2, 19.8]]
+
     def test_nonpositive_price_dropped(self, tmp_path):
         path = write_csv(
             tmp_path / "p.csv",

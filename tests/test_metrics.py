@@ -23,7 +23,7 @@ from sparse_ou import (
     transition_kernel,
 )
 
-from sparse_ou import metrics
+from sparse_ou import metrics, sim
 from sparse_ou.errors import UsageError
 from sparse_ou.metrics import oracle_bound
 from sparse_ou.sim import derive_seed
@@ -58,6 +58,15 @@ class TestErrorReport:
         rep, bare = error_report(est, truth, stats5), error_report(est, truth, None)
         assert math.isnan(bare.empirical)
         assert (bare.l1, bare.frobenius) == (rep.l1, rep.frobenius)
+
+
+@pytest.mark.parametrize("shape", [(5,), (1, 5), (4, 4)], ids=["d", "1xd", "d-1xd-1"])
+@pytest.mark.parametrize("score", [lambda est, truth: error_report(est, truth, None), support_report],
+                         ids=["error_report", "support_report"])
+def test_wrongly_shaped_estimate_is_rejected_before_broadcasting(truth, score, shape):
+    # a (d,) or (1, d) estimate broadcasts over the truth's rows; the shape is compared before any arithmetic
+    with pytest.raises(ValueError, match=rf"estimate has shape \({shape[0]},"):
+        score(np.ones(shape), truth)
 
 
 class TestSupportReport:
@@ -176,15 +185,15 @@ class TestReConstant:
 
 class TestOracleCoverage:
     def test_bound_at_diagonal_truth(self):
-        # A = 2 I gives C_inf = I / 4, so kappa = sqrt(1/8)
+        # A = 2 I gives C_inf = I / 4, so kappa = sqrt(1/8), and one nonzero per row, so s = 1
         truth = make_drift(2.0 * np.eye(3))
-        expected = (1.0 + 2.0) / (2.0 * math.sqrt(1.0 / 8.0)) * 0.3 * math.sqrt(3 * 2)
-        assert oracle_bound(truth, 0.3, 2.0, 2) == pytest.approx(expected, rel=1e-14)
+        expected = (1.0 + 2.0) / (2.0 * math.sqrt(1.0 / 8.0)) * 0.3 * math.sqrt(3 * 1)
+        assert oracle_bound(truth, 0.3, 2.0) == pytest.approx(expected, rel=1e-14)
 
     def test_fraction_range_and_symmetric_warning(self, truth):
         cfg = LambdaConfig(gamma=2.0, epsilon0=0.1)
         with pytest.warns(UserWarning):
-            frac = oracle_coverage(truth, 2, T=20.0, reps=3, cfg=cfg, seed=1)
+            frac = oracle_coverage(truth, T=20.0, reps=3, cfg=cfg, seed=1)
         assert 0.0 <= frac <= 1.0
 
     @pytest.mark.parametrize("T, dt", [(0.004, 0.01), (1.0, 0.0), (math.inf, 0.01)])
@@ -192,18 +201,18 @@ class TestOracleCoverage:
         def fail(*args):
             raise AssertionError("transition_kernel ran")
 
-        monkeypatch.setattr(metrics, "transition_kernel", fail)
+        monkeypatch.setattr(sim, "transition_kernel", fail)
         truth = make_drift(2.0 * np.eye(3))
         with pytest.raises(UsageError, match="T / dt must be finite and round to at least 1"):
-            oracle_coverage(truth, 1, T=T, reps=2, cfg=LambdaConfig(), seed=0, dt=dt)
+            oracle_coverage(truth, T=T, reps=2, cfg=LambdaConfig(), seed=0, dt=dt)
 
     def test_coverage_nondecreasing_in_horizon(self):
         rng = np.random.default_rng(2)
         w = rng.normal(size=(4, 4)) * 0.1
         truth = make_drift(np.eye(4) + 0.5 * (w + w.T))
         cfg = LambdaConfig(gamma=2.0, epsilon0=0.1)
-        short = oracle_coverage(truth, 2, T=50.0, reps=10, cfg=cfg, seed=5)
-        long = oracle_coverage(truth, 2, T=500.0, reps=10, cfg=cfg, seed=5)
+        short = oracle_coverage(truth, T=50.0, reps=10, cfg=cfg, seed=5)
+        long = oracle_coverage(truth, T=500.0, reps=10, cfg=cfg, seed=5)
         assert long >= short
 
     def test_coverage_tests_the_empirical_norm(self, monkeypatch):
@@ -219,4 +228,4 @@ class TestOracleCoverage:
             norms.append(math.sqrt(np.trace(delta @ st.c_hat @ delta.T)))
         bound = float(np.median(norms))
         monkeypatch.setattr(metrics, "oracle_bound", lambda *args: bound)
-        assert oracle_coverage(truth, 1, T=20.0, reps=4, cfg=cfg, seed=3) == np.mean(np.array(norms) <= bound) == 0.5
+        assert oracle_coverage(truth, T=20.0, reps=4, cfg=cfg, seed=3) == np.mean(np.array(norms) <= bound) == 0.5
