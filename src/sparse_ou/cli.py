@@ -84,12 +84,6 @@ def _make_drift(kind: str, d: int, s: int, alpha: float, w: float, seed: int) ->
     return model.generate_shifted_antisymmetric(d, alpha, w, s, seed)
 
 
-def _load_drift(path) -> model.DriftMatrix:
-    if str(path).endswith(".json"):
-        return model.load_drift_json(path)
-    return model.load_drift_csv(path)
-
-
 # -- simulate ----------------------------------------------------------------
 
 
@@ -102,10 +96,7 @@ def cmd_simulate(args) -> int:
     traj = sim.sample_trajectory(drift, args.T, args.dt, seed)
     sim.save_trajectory_csv(args.out, traj)
     drift_out = args.drift_out or (str(args.out) + ".drift.json")
-    if str(drift_out).endswith(".csv"):
-        model.save_drift_csv(drift_out, drift)
-    else:
-        model.save_drift_json(drift_out, drift)
+    model.save_drift_json(drift_out, drift)
     print(f"wrote {traj.states.shape[0]} states to {args.out}, drift to {drift_out}")
     return 0
 
@@ -116,6 +107,7 @@ def cmd_simulate(args) -> int:
 def cmd_fit(args) -> int:
     grid, opts, gamma = fit_settings(args)
     traj = sim.load_trajectory_csv(args.traj)
+    truth = model.load_drift_json(args.truth) if args.truth else None  # read before any output is written
     stats = sufficient_stats(traj)
     seed = _resolve_seed(args.seed)
     extra = {"method": args.method, "traj": str(args.traj), "seed": seed}
@@ -143,8 +135,7 @@ def cmd_fit(args) -> int:
         else:
             fit = lasso(stats, lam, opts=opts)
 
-    if args.truth:
-        truth = _load_drift(args.truth)
+    if truth is not None:
         err = metrics.error_report(fit.matrix, truth, stats)
         supp = metrics.support_report(fit.matrix, truth, zero_tol=args.zero_tol)
         extra["report"] = {
@@ -227,7 +218,7 @@ def cmd_diagnostics(args) -> int:
         if stats.dim <= metrics.MAX_ENUMERATION_DIM:
             payload["restricted_sparse_min"] = metrics.restricted_sparse_min(stats, args.s)
     elif args.which == "deviation-bounds":
-        drift = _load_drift(args.drift)
+        drift = model.load_drift_json(args.drift)
         u = np.zeros(drift.dim)
         u[0] = 1.0
         if args.u:
@@ -238,7 +229,7 @@ def cmd_diagnostics(args) -> int:
         ]
     else:  # oracle-coverage
         if args.drift:
-            truth = _load_drift(args.drift)
+            truth = model.load_drift_json(args.drift)
         else:
             truth = model.symmetrized_drift(model.generate_sparse_drift(args.d, args.s, seed))
         cov = metrics.oracle_coverage(truth, args.T, args.reps, _lambda_config(args), seed, dt=args.dt)
@@ -269,15 +260,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=ExperimentConfig.dt, help="sampling step")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="trajectory CSV path")
-    p.add_argument("--drift-out", default=None, help="drift output path (.csv or .json)")
+    p.add_argument("--drift-out", default=None, help="drift JSON path (default <out>.drift.json)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fit", help="fit a drift estimate from a trajectory CSV")
     p.add_argument("--traj", required=True)
-    p.add_argument("--method", choices=["mle", "lasso", "adalasso"], default="lasso")
+    p.add_argument("--method", choices=["mle", *CV_METHODS], default="lasso")
     p.add_argument("--lambda", dest="lam", type=penalty, default="cv", help="penalty: number, 'theory' or 'cv'")
-    p.add_argument("--truth", default=None, help="optional drift file; adds an error/support report")
-    p.add_argument("--zero-tol", type=float, default=1e-10)
+    p.add_argument("--truth", default=None, help="optional drift JSON; adds an error/support report")
+    p.add_argument("--zero-tol", type=float, default=metrics.DEFAULT_ZERO_TOL)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="estimate JSON path")
     p.add_argument("--cv-out", default=None, help="CV result JSON path (with --lambda cv)")
@@ -287,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cv", help="cross-validate the penalty level")
     p.add_argument("--traj", required=True)
-    p.add_argument("--method", choices=["lasso", "adalasso"], default="lasso")
+    p.add_argument("--method", choices=list(CV_METHODS), default="lasso")
     p.add_argument("--out", required=True)
     _add_fit_flags(p)
     p.set_defaults(func=cmd_cv)
@@ -309,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagnostics", help="theory diagnostics: RE bracket, deviation exponents, bound coverage")
     p.add_argument("--which", choices=["re-constant", "deviation-bounds", "oracle-coverage"], required=True)
     p.add_argument("--traj", default=None, help="trajectory CSV (re-constant)")
-    p.add_argument("--drift", default=None, help="drift file (deviation-bounds, oracle-coverage)")
+    p.add_argument("--drift", default=None, help="drift JSON (deviation-bounds, oracle-coverage)")
     p.add_argument("--d", type=int, default=8)
     p.add_argument("--s", type=int, default=2, help="re-constant's support size; the generated truth's row sparsity")
     p.add_argument("--u", type=_flag_type("list[float]"), default=None,

@@ -159,7 +159,7 @@ def _replicate(payload) -> list:
     for dt in steps:
         traj = sim.subsample(fine, round(dt / steps[-1]))
         stats = sufficient_stats(traj)
-        for method in ("mle", "lasso", "adalasso"):
+        for method in ("mle", *CV_METHODS):
             t0 = time.perf_counter()
             if method == "mle":
                 fit = mle(stats)

@@ -25,8 +25,6 @@ __all__ = [
     "generate_two_group",
     "generate_shifted_antisymmetric",
     "symmetrized_drift",
-    "save_drift_csv",
-    "load_drift_csv",
     "save_drift_json",
     "load_drift_json",
 ]
@@ -152,26 +150,6 @@ def symmetrized_drift(drift: DriftMatrix) -> DriftMatrix:
 # -- serialization -----------------------------------------------------------
 
 
-def save_drift_csv(path, drift: DriftMatrix) -> None:
-    """Write the drift matrix as a dimension header line followed by d rows."""
-    with open(path, "w") as fh:
-        fh.write(f"{drift.dim}\n")
-        for row in drift.matrix:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
-
-
-def load_drift_csv(path) -> DriftMatrix:
-    with open(path) as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines:
-        raise ValueError(f"empty drift file: {path}")
-    d = int(lines[0])
-    if len(lines) != d + 1:
-        raise ValueError(f"expected {d} rows after the header, got {len(lines) - 1}")
-    rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
-    return make_drift(np.array(rows))
-
-
 def save_drift_json(path, drift: DriftMatrix) -> None:
     payload = {"dim": drift.dim, "entries": [float(x) for x in drift.matrix.reshape(-1)]}
     with open(path, "w") as fh:
@@ -179,10 +157,19 @@ def save_drift_json(path, drift: DriftMatrix) -> None:
 
 
 def load_drift_json(path) -> DriftMatrix:
+    """Read a drift that :func:`save_drift_json` wrote, whatever the file is called.
+
+    Any other content, such as an old CSV drift or JSON that is not an object with an
+    integer ``dim`` >= 1 and ``dim * dim`` numeric ``entries``, raises ValueError naming the file.
+    """
     with open(path) as fh:
-        payload = json.load(fh)
-    d = int(payload["dim"])
-    entries = np.asarray(payload["entries"], dtype=float)
+        try:
+            payload = json.load(fh)
+            d, entries = payload["dim"], np.asarray(payload["entries"], dtype=float)
+        except (ValueError, TypeError, KeyError) as exc:
+            raise ValueError(f"{path} is not a drift JSON file: {type(exc).__name__}: {exc}") from None
+    if type(d) is not int or d < 1:
+        raise ValueError(f"{path} is not a drift JSON file: dim must be an integer >= 1, got {d!r}")
     if entries.size != d * d:
-        raise ValueError(f"expected {d * d} entries, got {entries.size}")
+        raise ValueError(f"{path} is not a drift JSON file: expected {d * d} entries, got {entries.size}")
     return make_drift(entries.reshape(d, d))

@@ -34,11 +34,12 @@ def test_removed_surface_is_gone():
     from sparse_ou import estimators, finance, linops, metrics, model, stats
 
     gone = ("SparsityPattern", "EmaConfig", "matrix_exponential", "soft_threshold", "fit_sigma_model", "theta",
-            "re_constant")
+            "re_constant", "save_drift_csv", "load_drift_csv")
     for name in gone:
         assert not hasattr(sparse_ou, name)
     assert not hasattr(linops, "matrix_exponential")
     assert not hasattr(model, "SparsityPattern")
+    assert not hasattr(model, "save_drift_csv") and not hasattr(model, "load_drift_csv")
     assert not hasattr(finance, "EmaConfig")
     assert not hasattr(model.DriftMatrix, "support")
     estimate_fields = {f.name for f in fields(sparse_ou.Estimate)}

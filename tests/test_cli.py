@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import re
 from dataclasses import fields
@@ -7,10 +8,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparse_ou import lasso, model, sufficient_stats
-from sparse_ou.cli import main
+from sparse_ou import (
+    cross_validate,
+    default_lambda_grid,
+    ema_log_returns,
+    lasso,
+    model,
+    oracle_coverage,
+    sufficient_stats,
+)
+from sparse_ou.cli import build_parser, main
 from sparse_ou.errors import GenerationError
-from sparse_ou.experiments import ExperimentConfig
+from sparse_ou.experiments import ExperimentConfig, fit_settings
+from sparse_ou.metrics import DEFAULT_ZERO_TOL
 from sparse_ou.sim import load_trajectory_csv
 
 CONFIG_FIELDS = [f.name for f in fields(ExperimentConfig)]
@@ -163,18 +173,22 @@ class TestFit:
     def test_missing_file_is_runtime_error(self, tmp_path):
         assert run(["fit", "--traj", tmp_path / "nope.csv", "--out", tmp_path / "o.json"]) == 1
 
-    def test_csv_truth_round_trip(self, tmp_path):
-        # the same drift written as CSV and as JSON gives the same report
-        reports = []
-        for drift in ("d.csv", "d.json"):
-            traj = tmp_path / "traj.csv"
+    def test_drift_file_round_trips_under_any_name(self, tmp_path):
+        # simulate writes the drift as JSON whatever its name, and fit and diagnostics read it back
+        traj = tmp_path / "traj.csv"
+        reports, curves = [], []
+        for drift in ("d.txt", "d.csv", "d.json"):
             assert run(["simulate", "--d", 4, "--s", 1, "--T", 20, "--seed", 3, "--out", traj,
                         "--drift-out", tmp_path / drift]) == 0
             out = tmp_path / f"{drift}.fit.json"
             assert run(["fit", "--traj", traj, "--lambda", 0.1, "--truth", tmp_path / drift, "--out", out]) == 0
             reports.append(json.loads(out.read_text())["report"])
-        assert (tmp_path / "d.csv").read_text().startswith("4\n")
-        assert reports[0] == reports[1]
+            out = tmp_path / f"{drift}.dev.json"
+            assert run(["diagnostics", "--which", "deviation-bounds", "--drift", tmp_path / drift, "--out", out]) == 0
+            curves.append(json.loads(out.read_text())["curves"])
+        assert (tmp_path / "d.txt").read_text() == (tmp_path / "d.csv").read_text() == (tmp_path / "d.json").read_text()
+        assert reports[0] == reports[1] == reports[2]
+        assert curves[0] == curves[1] == curves[2]
 
     def test_bad_lambda_is_usage_error(self, sim_files, tmp_path, capsys):
         traj, _ = sim_files
@@ -225,10 +239,10 @@ class TestBenchmark:
         code = run(["benchmark", "--kind", "t_sweep", "--d-values", "6", "--t-values", "5,10",
                     "--reps", 3, "--seed", 1, "--grid-size", 6, "--out", out])
         assert code == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
         assert len(rows) == 3 * 2 * 3  # reps x T-points x methods
         assert list(rows[0].keys()) == ["method", "d", "T", "dt", "rep", "frobenius", "l1", "f1", "wall_time"]
-        summary = json.loads(open(str(out) + ".summary.json").read())
+        summary = json.loads(Path(f"{out}.summary.json").read_text())
         assert summary["config"]["kind"] == "t_sweep"
         assert summary["config"]["seed"] == 1
         assert len(summary["groups"]) == 6
@@ -251,7 +265,7 @@ class TestBenchmark:
                         "--grid-size", 5, "--out", out]) == 0
             rows[jobs] = [
                 {k: v for k, v in row.items() if k != "wall_time"}
-                for row in csv.DictReader(out.open())
+                for row in csv.DictReader(out.read_text().splitlines())
             ]
         assert len(rows[1]) > 0
         assert rows[1] == rows[2]
@@ -262,7 +276,7 @@ class TestBenchmark:
                     "--dt-values", "0.1,0.01", "--reps", 2, "--seed", 2, "--grid-size", 5,
                     "--out", out])
         assert code == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
         assert len(rows) == 2 * 2 * 3  # reps x dt-points x methods
         assert {r["dt"] for r in rows} == {"0.1", "0.01"}
 
@@ -308,9 +322,9 @@ class TestBenchmark:
         out = tmp_path / "b.csv"
         code = run(["benchmark", "--config", cfg, "--reps", 2, "--out", out])
         assert code == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
         assert len(rows) == 2 * 3  # flag wins over config reps
-        summary = json.loads(open(str(out) + ".summary.json").read())
+        summary = json.loads(Path(f"{out}.summary.json").read_text())
         assert summary["config"]["reps"] == 2
         assert summary["config"]["kind"] == "f1_study"
 
@@ -347,10 +361,10 @@ class TestBenchmark:
         code = run(["benchmark", "--kind", "oracle_coverage", "--d-values", "4",
                     "--t-values", "30", "--reps", 3, "--seed", 6, "--out", out])
         assert code == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
         assert len(rows) == 3
         assert {r["method"] for r in rows} == {"lasso_theory"}
-        summary = json.loads(open(str(out) + ".summary.json").read())
+        summary = json.loads(Path(f"{out}.summary.json").read_text())
         (group,) = summary["groups"].values()
         assert 0.0 <= group["bound_holds_mean"] <= 1.0
 
@@ -359,9 +373,9 @@ class TestBenchmark:
         code = run(["benchmark", "--kind", "finance", "--d-values", "4", "--t-values", "100",
                     "--reps", 2, "--seed", 6, "--grid-size", 5, "--out", out])
         assert code == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
         assert len(rows) == 2
-        summary = json.loads(open(str(out) + ".summary.json").read())
+        summary = json.loads(Path(f"{out}.summary.json").read_text())
         (group,) = summary["groups"].values()
         assert group["m_err_mean"] >= 0.0
         assert group["sigma_rel_err_mean"] >= 0.0
@@ -501,6 +515,33 @@ class TestDiagnostics:
         assert not out.exists()
 
 
+MALFORMED_DRIFTS = {
+    "no dim": '{"entries": [1, 0, 0, 1]}',
+    "JSON list": "[2, [1, 0, 0, 1]]",
+    "dim x": '{"dim": "x", "entries": [1, 0, 0, 1]}',
+    "old CSV": "2\n1.0,0.0\n0.0,1.0\n",
+}
+DRIFT_READERS = {
+    "fit --truth": ["fit", "--traj", "{traj}", "--lambda", "cv", "--grid-size", 3, "--truth"],
+    "deviation-bounds --drift": ["diagnostics", "--which", "deviation-bounds", "--drift"],
+    "oracle-coverage --drift": ["diagnostics", "--which", "oracle-coverage", "--reps", 1, "--drift"],
+}
+
+
+@pytest.mark.parametrize("reader", DRIFT_READERS.values(), ids=DRIFT_READERS.keys())
+@pytest.mark.parametrize("text", MALFORMED_DRIFTS.values(), ids=MALFORMED_DRIFTS.keys())
+def test_malformed_drift_is_runtime_error(sim_files, tmp_path, capsys, reader, text):
+    # the one drift reader names the file, and fit reads it before it writes its CV sidecar
+    traj, _ = sim_files
+    drift = tmp_path / "drift.txt"
+    drift.write_text(text)
+    argv = [str(a).format(traj=traj) for a in reader]
+    assert run([*argv, drift, "--out", tmp_path / "out.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {drift} is not a drift JSON file")
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["drift.txt"]
+
 BAD_FIT_FLAGS = [["--rel-tol", 0], ["--max-iters", 0], ["--grid-size", 0], ["--grid-min", -1],
                  ["--grid-min", "nan"], ["--grid-max", "inf"], ["--gamma", -1]]
 FIT_COMMANDS = {
@@ -548,3 +589,31 @@ def test_bad_setting_is_usage_error(inputs, tmp_path, capsys, argv):
     assert run([*argv, "--out", tmp_path / "out"]) == 2
     assert capsys.readouterr().err.startswith("usage error: ")
     assert list(tmp_path.iterdir()) == []
+
+
+def _flag_default(*argv, dest):
+    return getattr(build_parser().parse_args(argv), dest)
+
+
+def _library_default(function, name):
+    return inspect.signature(function).parameters[name].default
+
+
+# each default the CLI declares a second time, against the library's own declaration
+SECOND_DEFAULTS = {
+    "fit --zero-tol": (_flag_default("fit", "--traj", "t", "--out", "o", dest="zero_tol"), DEFAULT_ZERO_TOL),
+    "finance --span": (_flag_default("finance", "--prices", "p", "--out", "o", dest="span"),
+                       _library_default(ema_log_returns, "span")),
+    "cv --gamma": (_flag_default("cv", "--traj", "t", "--out", "o", dest="gamma"),
+                   _library_default(cross_validate, "gamma")),
+    "simulate --dt": (_flag_default("simulate", "--d", "3", "--T", "1", "--out", "o", dest="dt"),
+                      _library_default(oracle_coverage, "dt")),
+    "diagnostics --dt": (_flag_default("diagnostics", "--which", "oracle-coverage", "--out", "o", dest="dt"),
+                         _library_default(oracle_coverage, "dt")),
+    "ExperimentConfig grid": (fit_settings(ExperimentConfig(kind="d_sweep"))[0].tolist(), default_lambda_grid().tolist()),
+}
+
+
+@pytest.mark.parametrize("flag, library", SECOND_DEFAULTS.values(), ids=SECOND_DEFAULTS.keys())
+def test_cli_default_is_the_library_default(flag, library):
+    assert flag == library

@@ -26,7 +26,7 @@ from sparse_ou import (
 )
 from sparse_ou.errors import IngestionError, UsageError
 from sparse_ou.experiments import ExperimentConfig
-from sparse_ou.model import load_drift_csv, load_drift_json
+from sparse_ou.model import load_drift_json
 from sparse_ou.sim import load_trajectory_csv, step_count
 
 from conftest import random_stats
@@ -83,9 +83,12 @@ DATA_CHECKS = {
                                    lambda tmp: load_trajectory_csv(write(tmp, "t,x0\n"))),
     "trajectory CSV uneven steps": (ValueError, "not uniformly spaced",
                                     lambda tmp: load_trajectory_csv(write(tmp, "t,x0\n0,1\n0.1,1\n0.3,1\n"))),
-    "drift CSV empty": (ValueError, "empty drift file", lambda tmp: load_drift_csv(write(tmp, "\n"))),
-    "drift CSV missing row": (ValueError, "expected 2 rows after the header, got 1",
-                              lambda tmp: load_drift_csv(write(tmp, "2\n1.0,0.0\n"))),
+    "drift file in CSV": (ValueError, "input is not a drift JSON file: JSONDecodeError",
+                          lambda tmp: load_drift_json(write(tmp, "2\n1.0,0.0\n0.0,1.0\n"))),
+    "drift JSON list": (ValueError, "input is not a drift JSON file: TypeError",
+                        lambda tmp: load_drift_json(write(tmp, "[2, [1, 0, 0, 1]]"))),
+    "drift JSON no dim": (ValueError, "input is not a drift JSON file: KeyError: 'dim'",
+                          lambda tmp: load_drift_json(write(tmp, '{"entries": [1, 0, 0, 1]}'))),
     "drift JSON 3 entries at dim 2": (ValueError, "expected 4 entries, got 3",
                                       lambda tmp: load_drift_json(write(tmp, '{"dim": 2, "entries": [1, 0, 1]}'))),
     "solve_lyapunov (2, 3)": (ValueError, "must be a square 2-d array", lambda tmp: solve_lyapunov(np.ones((2, 3)))),

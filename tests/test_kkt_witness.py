@@ -1,7 +1,9 @@
 """The witness-entry gate on the KKT certificate changes no fit and skips most sweeps.
 
-``reference_fit`` below is the solver loop without the gate: it sweeps the
-full KKT residual of the exact gradient P G + P A C on every iteration.  The
+``reference_fit`` below is the solver loop with the gate switched off: its
+witness reads -inf, so it sweeps the full KKT residual of the exact gradient
+P G + P A C on every iteration.  (The closure loop in ``test_solver_kernel.py``
+is the independent reference for the loop itself.)  The
 gated loop sweeps only when the last failed sweep's most violating entry no
 longer violates, and it reads that entry's gradient from the gradient point,
 as (a_k - v_k) / step + (P G)_k, which equals the exact one only up to
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 
 from sparse_ou import SolverOptions, cross_validate, estimators, generate_sparse_drift, sample_trajectory
-from sparse_ou.estimators import Estimate, _kkt_residual, _Problem, _quad, _shrink
+from sparse_ou.estimators import Estimate, _Problem
 from sparse_ou.modelsel import default_lambda_grid
 
 from conftest import random_problem
@@ -27,66 +29,16 @@ from conftest import random_problem
 # -- reference: the loop that sweeps on every iteration ------------------------------
 
 
-def reference_fit(self, lam: float, init=None, gamma: float | None = None) -> Estimate:
-    """Proximal-gradient solve at penalty ``lam`` from ``init`` (zero when None).
+def gate_off(*args) -> float:
+    """A witness residual that never exceeds ``kkt_tol``, so the gate never skips a sweep."""
+    return -math.inf
 
-    The loop carries v, the gradient point of the accepted iterate less
-    ``spg``: A - step P A C from the objective's P A C below the cap, A m from
-    the cap on.  It soft-thresholds z + spg, z = v_new + beta (v_new - v) with
-    beta = min((t - 1) / t_new, self.beta); below that cap a step that raises
-    the objective restarts from v + spg.  The full KKT residual of P G + P A C
-    is swept on every step.
-    """
-    if not 0 <= lam < math.inf:
-        raise ValueError(f"lambda must be >= 0 and finite, got {lam}")
-    opts, step, cap = self.opts, self.step, self.beta
-    lamw = lam * self.w
-    thresholds = step * lam * self.w
-    hi, lo = thresholds - self.spg, -thresholds - self.spg
-    buf = np.empty_like(self.c)
 
-    a = np.zeros_like(self.c) if init is None else np.array(init, dtype=float)
-    q = _quad(a, self.c, self.p)
-    f_cur = self._objective(a, q, lamw, buf)
-    z = v = a - step * q
-    t, beta, restarts, converged = 1.0, 0.0, 0, False
-    for it in range(1, opts.max_iters + 1):
-        a = _shrink(z, hi, lo, buf)
-        if beta < cap:
-            q = _quad(a, self.c, self.p)
-            f_new = self._objective(a, q, lamw, buf)
-            if f_new > f_cur:
-                # momentum overshot: restart from the last accepted iterate
-                t = 1.0
-                restarts += 1
-                a = _shrink(v, hi, lo, buf)
-                q = _quad(a, self.c, self.p)
-                f_new = self._objective(a, q, lamw, buf)
-            f_cur = f_new
-            v_new = a - step * q
-        else:
-            v_new = self._point(a)
-        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        beta = min((t - 1.0) / t_new, cap)
-        z = v_new - v
-        z *= beta
-        z += v_new
-        t = t_new
-        v = v_new
-        kkt = _kkt_residual(a, self.pg + _quad(a, self.c, self.p), lamw, buf)
-        if kkt <= self.kkt_tol:
-            converged = True
-            break
-    return Estimate(
-        matrix=a,
-        lam=float(lam),
-        iterations=it,
-        final_objective=self._objective(a, _quad(a, self.c, self.p), lamw, buf),
-        kkt_residual=kkt,
-        converged=converged,
-        gamma=gamma,
-        restarts=restarts,
-    )
+def reference_fit(problem: _Problem, lam: float, init=None) -> Estimate:
+    """``problem.fit`` with the gate switched off."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_Problem, "_entry_residual", gate_off)
+        return problem.fit(lam, init=init)
 
 
 # -- helpers ------------------------------------------------------------------------
@@ -172,7 +124,7 @@ def test_cv_path_with_witness_crossing_zero_matches_reference(events, monkeypatc
     assert _witness_crossings(events) > 0
     assert any(kind == "gate" and sign == 0.0 for kind, _, sign, _ in events)  # the A == 0 branch ran
     with monkeypatch.context() as m:
-        m.setattr(_Problem, "fit", reference_fit)
+        m.setattr(_Problem, "_entry_residual", gate_off)
         want = cross_validate(traj, "lasso", grid=grid, opts=opts)
     assert got.best_lambda == want.best_lambda
     assert np.array_equal(got.validation_scores, want.validation_scores)

@@ -12,11 +12,9 @@ from sparse_ou import (
 from sparse_ou import model
 from sparse_ou.model import (
     STABILITY_MARGIN,
-    load_drift_csv,
     load_drift_json,
     make_drift,
     random_sign_pattern,
-    save_drift_csv,
     save_drift_json,
     symmetrized_drift,
 )
@@ -145,13 +143,6 @@ class TestSymmetrizedDrift:
 
 
 class TestSerialization:
-    def test_csv_roundtrip(self, tmp_path):
-        drift = generate_sparse_drift(6, 2, seed=9)
-        path = tmp_path / "drift.csv"
-        save_drift_csv(path, drift)
-        loaded = load_drift_csv(path)
-        assert np.array_equal(loaded.matrix, drift.matrix)
-
     def test_json_roundtrip(self, tmp_path):
         drift = generate_two_group(6)
         path = tmp_path / "drift.json"
