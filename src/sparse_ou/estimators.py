@@ -51,7 +51,6 @@ __all__ = [
     "lasso",
     "adaptive_lasso",
     "save_estimate_json",
-    "load_estimate_json",
 ]
 
 MAX_CONDITION = 1e12
@@ -210,7 +209,7 @@ class _Problem:
             return abs(gk) - lk
         return abs(gk + lk) if ak > 0.0 else abs(gk - lk)
 
-    def fit(self, lam: float, init=None, callback=None, gamma: float | None = None) -> Estimate:
+    def fit(self, lam: float, init=None, gamma: float | None = None) -> Estimate:
         """Proximal-gradient solve at penalty ``lam`` from ``init`` (zero when None).
 
         The loop carries v, the accepted iterate's gradient point less ``spg``.  A
@@ -254,8 +253,6 @@ class _Problem:
                 v_new = a - step * q  # the objective's P A C gives the gradient point
             else:
                 v_new = self._point(a)
-            if callback is not None:
-                callback(it, self._objective(a, _quad(a, self.c, self.p), lamw, buf))
             t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             beta = min((t - 1.0) / t_new, cap)
             z = v_new - v
@@ -302,8 +299,6 @@ def lasso(
     lam: float,
     weights=None,
     opts: SolverOptions | None = None,
-    init=None,
-    callback=None,
 ) -> Estimate:
     """Weighted l1-penalized likelihood fit by proximal gradient.
 
@@ -318,13 +313,8 @@ def lasso(
     opts : SolverOptions or None
         Iteration budget and tolerance; None means ``SolverOptions()``, FISTA with restarts.
         The last step always sweeps the KKT residual, so ``converged`` reads ``kkt_residual``.
-    init : array or None
-        Starting point; zero when None.  Convexity makes the minimizer
-        independent of this, so it is a pure warm-start device.
-    callback : callable or None
-        Invoked as ``callback(iteration, objective)`` after every step.
     """
-    return _Problem.of(stats.c_hat, stats.g_hat, None, weights, opts).fit(lam, init=init, callback=callback)
+    return _Problem.of(stats.c_hat, stats.g_hat, None, weights, opts).fit(lam)
 
 
 def adaptive_lasso(
@@ -381,11 +371,3 @@ def save_estimate_json(path, estimate: Estimate, extra: dict | None = None) -> N
         payload.update(extra)
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
-
-
-def load_estimate_json(path) -> dict:
-    with open(path) as fh:
-        payload = json.load(fh)
-    d = int(payload["dim"])
-    payload["matrix"] = np.asarray(payload["matrix"], dtype=float).reshape(d, d)
-    return payload

@@ -150,9 +150,10 @@ def _replicate(payload) -> list:
     if cfg.kind == "oracle_coverage":
         stats = sufficient_stats(sim.sample_trajectory(truth, T, cfg.dt, rep_seed))
         t0 = time.perf_counter()
-        fit, holds = metrics._oracle_step(truth, stats, LambdaConfig(), opts)
+        fit, holds, ratio = metrics._oracle_step(truth, stats, LambdaConfig(), opts)
         wall = time.perf_counter() - t0
-        return [_row("lasso_theory", truth, fit.matrix, d, T, cfg.dt, rep, wall, _bound_holds=holds)]
+        return [_row("lasso_theory", truth, fit.matrix, d, T, cfg.dt, rep, wall,
+                     _bound_holds=holds, _bound_ratio=ratio)]
     steps = _steps(cfg)
     fine = sim.sample_trajectory(truth, T, steps[-1], rep_seed)
     rows = []

@@ -10,6 +10,7 @@ path.
 from __future__ import annotations
 
 import csv
+import datetime
 import json
 import warnings
 from dataclasses import dataclass
@@ -40,10 +41,12 @@ class PricePanel:
 
 
 def load_prices(path) -> PricePanel:
-    """Parse a `date,ticker1,...,tickerN` CSV into a clean panel.
+    """Parse a `date,ticker1,...,tickerN` CSV, dates as YYYY-MM-DD, into a clean panel.
 
-    Rows containing a blank, unparseable or non-positive cell are dropped
-    (a warning reports how many); remaining rows are sorted by date.
+    Rows containing a blank, unparseable or non-positive cell, or a date that
+    ``datetime.date.fromisoformat`` does not read, are dropped (a warning reports
+    how many); remaining rows are sorted by date.  A date kept twice raises
+    IngestionError.
     """
     try:
         with open(path) as fh:
@@ -65,21 +68,25 @@ def load_prices(path) -> PricePanel:
             continue
         date = row[0].strip()
         try:
+            day = datetime.date.fromisoformat(date)
             values = [float(cell) for cell in row[1:]]
         except ValueError:
             dropped += 1
             continue
-        if not date or any(not np.isfinite(v) or v <= 0 for v in values):
+        if any(not np.isfinite(v) or v <= 0 for v in values):
             dropped += 1
             continue
-        kept.append((date, values))
+        kept.append((day, date, values))
     if dropped:
         warnings.warn(f"dropped {dropped} malformed or non-positive price rows")
     if not kept:
         raise IngestionError(f"no valid price rows in {path}")
     kept.sort(key=lambda item: item[0])
-    dates = [date for date, _ in kept]
-    prices = np.asarray([values for _, values in kept])
+    for (day, _, _), (later, date, _) in zip(kept, kept[1:]):
+        if day == later:
+            raise IngestionError(f"date {date} appears twice in {path}")
+    dates = [date for _, date, _ in kept]
+    prices = np.asarray([values for _, _, values in kept])
     return PricePanel(tickers=tickers, dates=dates, prices=prices)
 
 

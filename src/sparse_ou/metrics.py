@@ -173,11 +173,12 @@ def oracle_bound(truth: DriftMatrix, lam: float, gamma: float) -> float:
 
 
 def _oracle_step(truth: DriftMatrix, stats: SufficientStats, cfg: LambdaConfig,
-                 opts: SolverOptions | None = None) -> tuple[Estimate, bool]:
-    """One path's coverage check: the Lasso at the theory penalty, and whether it meets :func:`oracle_bound`."""
+                 opts: SolverOptions | None = None) -> tuple[Estimate, bool, float]:
+    """One path's coverage check: the theory-penalty Lasso, whether it meets :func:`oracle_bound`, and error / bound."""
     lam = theoretical_lambda(stats, cfg)
     fit = lasso(stats, lam, opts=opts)
-    return fit, error_report(fit.matrix, truth, stats).empirical <= oracle_bound(truth, lam, cfg.gamma)
+    err, bound = error_report(fit.matrix, truth, stats).empirical, oracle_bound(truth, lam, cfg.gamma)
+    return fit, err <= bound, err / bound
 
 
 def oracle_coverage(

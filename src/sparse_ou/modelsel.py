@@ -163,11 +163,12 @@ def cross_validate_sigma(
 
 
 def save_cv_json(path, result: CvResult) -> None:
-    """The grid, scores and selected penalty, with each fit's solver trace in grid order."""
+    """The grid, scores, selected penalty and whether its fit is zero, with each fit's solver trace in grid order."""
     payload = {
         "lambda_grid": [float(x) for x in result.lambda_grid],
         "validation_scores": [float(x) for x in result.validation_scores],
         "best_lambda": result.best_lambda,
+        "selected_zero": not result.best_estimate.matrix.any(),
         "iterations": [f.iterations for f in result.fits],
         "restarts": [f.restarts for f in result.fits],
         "kkt_residual": [f.kkt_residual for f in result.fits],

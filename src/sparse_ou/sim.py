@@ -81,11 +81,10 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class TransitionKernel:
-    """One-step transition: mean map phi, noise covariance Q and its factor."""
+    """One-step transition: mean map phi and the lower Cholesky factor of the noise covariance Q."""
 
     dt: float
     phi: np.ndarray
-    noise_cov: np.ndarray
     noise_chol: np.ndarray
 
 
@@ -97,8 +96,7 @@ def transition_kernel(drift: DriftMatrix, dt: float) -> TransitionKernel:
     c_inf = drift.stationary_cov
     q = c_inf - phi @ c_inf @ phi.T
     q = 0.5 * (q + q.T)
-    chol = _cholesky_psd(q)
-    return TransitionKernel(dt=dt, phi=phi, noise_cov=q, noise_chol=chol)
+    return TransitionKernel(dt=dt, phi=phi, noise_chol=_cholesky_psd(q))
 
 
 def _cholesky_psd(q: np.ndarray) -> np.ndarray:
@@ -126,14 +124,12 @@ def sample_trajectory(
     T: float,
     dt: float,
     seed: int,
-    init=None,
     kernel: TransitionKernel | None = None,
 ) -> Trajectory:
-    """Sample a path of :func:`step_count` (T, dt) exact transition steps.
+    """Sample a path of :func:`step_count` (T, dt) exact transition steps from the stationary law.
 
-    When ``init`` is omitted, X_0 is drawn from the stationary law
-    N(0, C).  Passing a precomputed ``kernel`` skips rebuilding (phi, Q)
-    in replication loops; it must be built for ``dt``.  Deterministic given ``seed``.
+    X_0 is drawn from N(0, C).  Passing a precomputed ``kernel`` skips rebuilding
+    (phi, Q) in replication loops; it must be built for ``dt``.  Deterministic given ``seed``.
     """
     n = step_count(T, dt)
     if kernel is None:
@@ -142,17 +138,10 @@ def sample_trajectory(
         raise ValueError(f"kernel was built for dt={kernel.dt}, not dt={dt}")
     d = drift.dim
     rng = np.random.default_rng(seed)
-    if init is None:
-        c_chol = _cholesky_psd(drift.stationary_cov)
-        x0 = c_chol @ rng.standard_normal(d)
-    else:
-        x0 = np.asarray(init, dtype=float)
-        if x0.shape != (d,):
-            raise ValueError(f"init must have shape ({d},), got {x0.shape}")
     # rows 1..n receive the noise L xi_k, then phi X_k is added in place by
     # the same gemv; e + phi X_k rounds exactly as phi X_k + e does
     states = np.empty((n + 1, d))
-    states[0] = x0
+    states[0] = _cholesky_psd(drift.stationary_cov) @ rng.standard_normal(d)
     np.matmul(rng.standard_normal((n, d)), kernel.noise_chol.T, out=states[1:])
     phi_dot = kernel.phi.dot
     step = np.empty(d)

@@ -31,10 +31,10 @@ def test_package_reexports_are_declared():
 
 
 def test_removed_surface_is_gone():
-    from sparse_ou import estimators, finance, linops, metrics, model, stats
+    from sparse_ou import estimators, finance, linops, metrics, model, sim, stats
 
     gone = ("SparsityPattern", "EmaConfig", "matrix_exponential", "soft_threshold", "fit_sigma_model", "theta",
-            "re_constant", "save_drift_csv", "load_drift_csv")
+            "re_constant", "save_drift_csv", "load_drift_csv", "load_estimate_json")
     for name in gone:
         assert not hasattr(sparse_ou, name)
     assert not hasattr(linops, "matrix_exponential")
@@ -55,6 +55,11 @@ def test_removed_surface_is_gone():
     assert not hasattr(metrics, "re_constant") and not hasattr(metrics, "_cone_probe")
     assert "lq" not in {f.name for f in fields(metrics.ErrorReport)}
     assert "qs" not in inspect.signature(metrics.error_report).parameters
+    assert not hasattr(estimators, "load_estimate_json")
+    assert not {"init", "callback"} & set(inspect.signature(sparse_ou.lasso).parameters)
+    assert "callback" not in inspect.signature(estimators._Problem.fit).parameters
+    assert "init" not in inspect.signature(sparse_ou.sample_trajectory).parameters
+    assert "noise_cov" not in {f.name for f in fields(sim.TransitionKernel)}
 
 
 @pytest.mark.parametrize("name", ["oracle_bound", "_oracle_step", "oracle_coverage"])

@@ -1,4 +1,5 @@
 import csv
+import datetime
 import inspect
 import json
 import re
@@ -367,6 +368,9 @@ class TestBenchmark:
         summary = json.loads(Path(f"{out}.summary.json").read_text())
         (group,) = summary["groups"].values()
         assert 0.0 <= group["bound_holds_mean"] <= 1.0
+        ratios = [float(r["_bound_ratio"]) for r in rows]
+        assert group["bound_ratio_mean"] == np.mean(ratios)
+        assert all(ratio <= 1.0 for ratio, r in zip(ratios, rows) if r["_bound_holds"] == "True")
 
     def test_finance_kind(self, tmp_path):
         out = tmp_path / "fin.csv"
@@ -409,7 +413,8 @@ def write_prices(path, n_days=1500, n_assets=4, seed=3):
     log_p = np.cumsum(rng.normal(0.0002, 0.01, size=(n_days, n_assets)), axis=0)
     lines = ["date," + ",".join(f"S{j}" for j in range(n_assets))]
     for k in range(n_days):
-        lines.append(f"day{k:05d}," + ",".join(f"{np.exp(v):.10f}" for v in log_p[k]))
+        day = datetime.date(2000, 1, 1) + datetime.timedelta(days=k)
+        lines.append(f"{day}," + ",".join(f"{np.exp(v):.10f}" for v in log_p[k]))
     path.write_text("\n".join(lines) + "\n")
     return path
 

@@ -61,7 +61,7 @@ OWNERS = {
 }
 
 NAN = np.full((3, 3), np.nan)
-NAN_KERNEL = TransitionKernel(dt=0.1, phi=NAN, noise_cov=NAN, noise_chol=NAN)
+NAN_KERNEL = TransitionKernel(dt=0.1, phi=NAN, noise_chol=NAN)
 
 
 def write(tmp_path, text):

@@ -82,8 +82,9 @@ def test_oracle_coverage_seed_layout(tmp_path):
     stats = sufficient_stats(sample_trajectory(truth, 30.0, 0.01, derive_seed(6, 1)))
     lam = theoretical_lambda(stats, LambdaConfig(gamma=2.0, epsilon0=0.1))
     fit = lasso(stats, lam, opts=OPTS)
-    holds = bool(error_report(fit.matrix, truth, stats).empirical <= oracle_bound(truth, lam, 2.0))
-    assert rows[1] == expected_row("lasso_theory", truth, fit.matrix, stats, 4, 30.0, 0.01, 1, _bound_holds=holds)
+    err, bound = error_report(fit.matrix, truth, stats).empirical, oracle_bound(truth, lam, 2.0)
+    assert rows[1] == expected_row("lasso_theory", truth, fit.matrix, stats, 4, 30.0, 0.01, 1,
+                                   _bound_holds=bool(err <= bound), _bound_ratio=err / bound)
 
 
 def test_oracle_coverage_equals_the_benchmark_bound_column(tmp_path, monkeypatch):
@@ -103,6 +104,10 @@ def test_oracle_coverage_equals_the_benchmark_bound_column(tmp_path, monkeypatch
     rows = benchmark_rows(tmp_path, kind="oracle_coverage", d_values=[d], t_values=[T], dt=dt, reps=reps, seed=seed)
     holds = [row["_bound_holds"] == "True" for row in rows]
     assert holds == [True, False, True, False]
+    # met with equality, the ratio is 1; missed by one ulp, it still rounds to 1 or just above
+    ratios = [float(row["_bound_ratio"]) for row in rows]
+    assert [r for r, h in zip(ratios, holds) if h] == [1.0, 1.0]
+    assert all(r >= 1.0 for r, h in zip(ratios, holds) if not h)
     assert metrics.oracle_coverage(truth, T, reps, LambdaConfig(), seed, dt=dt) == np.mean(holds)
 
 

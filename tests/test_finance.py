@@ -67,6 +67,18 @@ class TestLoadPrices:
         assert panel.dates == ["2020-01-01", "2020-01-02", "2020-01-03"]
         assert panel.prices[:, 0].tolist() == [1.0, 2.0, 3.0]
 
+    def test_date_not_in_yyyy_mm_dd_form_dropped_with_warning(self, tmp_path):
+        path = write_csv(tmp_path / "p.csv", "date,AAA\n2020-01-09,9.0\n2020-1-10,10.0\nday3,3.0\n2020-01-11,11.0\n")
+        with pytest.warns(UserWarning, match="dropped 2"):
+            panel = load_prices(path)
+        assert panel.dates == ["2020-01-09", "2020-01-11"]
+        assert panel.prices[:, 0].tolist() == [9.0, 11.0]
+
+    def test_repeated_date_rejected(self, tmp_path):
+        path = write_csv(tmp_path / "p.csv", "date,AAA\n2020-01-09,9.0\n2020-01-08,8.0\n2020-01-10,10.0\n2020-01-08,8.5\n")
+        with pytest.raises(IngestionError, match="date 2020-01-08 appears twice"):
+            load_prices(path)
+
     def test_empty_or_garbage(self, tmp_path):
         with pytest.raises(IngestionError):
             load_prices(write_csv(tmp_path / "e.csv", "date,AAA\n"))

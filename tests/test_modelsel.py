@@ -227,6 +227,14 @@ class TestCvSerialization:
         assert payload["restarts"] == [f.restarts for f in res.fits]
         assert payload["kkt_residual"] == [f.kkt_residual for f in res.fits]
         assert payload["converged"] == [f.converged for f in res.fits]
+        assert res.best_estimate.matrix.any() and payload["selected_zero"] is False
+
+    def test_json_flags_a_zero_selection(self, traj, tmp_path):
+        # every fit at a penalty beyond lambda_max is the zero matrix, so the selected one is too
+        res = cross_validate(traj, "lasso", grid=[1e6, 1e7])
+        path = tmp_path / "cv.json"
+        save_cv_json(path, res)
+        assert json.loads(path.read_text())["selected_zero"] is True
 
     def test_json_is_byte_stable(self, traj, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]

@@ -28,26 +28,38 @@ def drift3():
     return generate_shifted_antisymmetric(3, alpha=0.5, w=1.0, s=2, seed=4)
 
 
+def noise_cov(k: TransitionKernel) -> np.ndarray:
+    """Q as the sampler draws it, L L^T."""
+    return k.noise_chol @ k.noise_chol.T
+
+
+def exact_noise_cov(drift, dt: float) -> np.ndarray:
+    """Q = C - phi C phi^T from the stationary covariance, formed independently of the kernel's factor."""
+    phi = transition_kernel(drift, dt).phi
+    c = drift.stationary_cov
+    return c - phi @ c @ phi.T
+
+
 class TestTransitionKernel:
     def test_scalar_formulas(self):
         drift = make_drift(np.array([[1.0]]))
         k = transition_kernel(drift, 0.1)
         assert k.phi[0, 0] == pytest.approx(np.exp(-0.1), rel=1e-12)
-        assert k.noise_cov[0, 0] == pytest.approx((1 - np.exp(-0.2)) / 2.0, rel=1e-12)
+        assert noise_cov(k)[0, 0] == pytest.approx((1 - np.exp(-0.2)) / 2.0, rel=1e-12)
 
     def test_isotropic_drift(self):
         alpha = 0.5
         drift = make_drift(alpha * np.eye(3))
         k = transition_kernel(drift, 1.0)
         assert np.allclose(k.phi, np.exp(-0.5) * np.eye(3), rtol=1e-12)
-        assert np.allclose(k.noise_cov, (1 - np.exp(-1.0)) / (2 * alpha) * np.eye(3), rtol=1e-12)
+        assert np.allclose(noise_cov(k), (1 - np.exp(-1.0)) / (2 * alpha) * np.eye(3), rtol=1e-12)
 
     def test_small_dt_noise_is_dt_identity(self, rng, drift3):
         # Q = dt I - dt^2 (A + A^T)/2 + O(dt^3): fit the quadratic constant
         # at the coarsest step, then check it bounds the finer ones
         resid = {}
         for dt in (0.05, 0.02, 0.01, 0.005):
-            q = transition_kernel(drift3, dt).noise_cov
+            q = noise_cov(transition_kernel(drift3, dt))
             resid[dt] = np.linalg.norm(q - dt * np.eye(3))
         c_fit = resid[0.05] / 0.05**2
         for dt in (0.02, 0.01, 0.005):
@@ -66,7 +78,7 @@ class TestTransitionKernel:
 
     def test_chol_consistency(self, drift3):
         k = transition_kernel(drift3, 0.2)
-        assert np.linalg.norm(k.noise_chol @ k.noise_chol.T - k.noise_cov) <= 1e-10
+        assert np.linalg.norm(noise_cov(k) - exact_noise_cov(drift3, 0.2)) <= 1e-10
 
     def test_cholesky_psd_jitter_and_failure(self):
         singular = np.array([[1.0, 1.0], [1.0, 1.0]])
@@ -89,22 +101,24 @@ class TestSampleTrajectory:
         assert traj.states.shape == (1001, 3)
         assert traj.horizon == pytest.approx(10.0, rel=1e-12)
 
-    def test_zero_noise_kernel_keeps_zero_init(self, drift3):
+    def test_zero_noise_kernel_follows_phi_from_the_stationary_draw(self, drift3):
         k = transition_kernel(drift3, 0.1)
-        frozen = TransitionKernel(
-            dt=k.dt, phi=k.phi, noise_cov=np.zeros((3, 3)), noise_chol=np.zeros((3, 3))
-        )
-        traj = sample_trajectory(drift3, T=1.0, dt=0.1, seed=5, init=np.zeros(3), kernel=frozen)
-        assert np.array_equal(traj.states, np.zeros((11, 3)))
+        frozen = TransitionKernel(dt=k.dt, phi=k.phi, noise_chol=np.zeros((3, 3)))
+        traj = sample_trajectory(drift3, T=1.0, dt=0.1, seed=5, kernel=frozen)
+        x0 = _cholesky_psd(drift3.stationary_cov) @ np.random.default_rng(5).standard_normal(3)
+        expected = [x0]
+        for _ in range(10):
+            expected.append(k.phi @ expected[-1])
+        assert np.array_equal(traj.states, np.array(expected))
 
     def test_sampler_matches_kernel_recursion_exactly(self, drift3):
         # the path must be exactly X_{k+1} = phi X_k + L xi_k for the
         # generator's draw sequence
         dt, n, seed = 0.2, 5, 99
         k = transition_kernel(drift3, dt)
-        x0 = np.array([0.3, -0.1, 0.7])
-        traj = sample_trajectory(drift3, T=n * dt, dt=dt, seed=seed, init=x0, kernel=k)
+        traj = sample_trajectory(drift3, T=n * dt, dt=dt, seed=seed, kernel=k)
         rng = np.random.default_rng(seed)
+        x0 = _cholesky_psd(drift3.stationary_cov) @ rng.standard_normal(3)
         noise = rng.standard_normal((n, 3)) @ k.noise_chol.T
         expected = [x0]
         for step in range(n):
@@ -112,7 +126,7 @@ class TestSampleTrajectory:
         assert np.array_equal(traj.states, np.array(expected))
 
     def test_stationary_marginal_covariance(self, drift3):
-        # the law of X_k is N(0, C) for every k under stationary init
+        # the law of X_k is N(0, C) for every k
         k = transition_kernel(drift3, 0.05)
         ends = np.array(
             [
@@ -130,7 +144,8 @@ class TestSampleTrajectory:
         rng = np.random.default_rng(123)
         draws = rng.standard_normal((100_000, 3)) @ k.noise_chol.T
         sample_cov = draws.T @ draws / len(draws)
-        assert np.linalg.norm(sample_cov - k.noise_cov) / np.linalg.norm(k.noise_cov) <= 0.05
+        q = exact_noise_cov(drift3, 0.3)
+        assert np.linalg.norm(sample_cov - q) / np.linalg.norm(q) <= 0.05
 
     def test_1d_stationary_variance(self):
         drift = make_drift(np.array([[1.0]]))
@@ -140,8 +155,6 @@ class TestSampleTrajectory:
     def test_invalid_args(self, drift3):
         with pytest.raises(ValueError):
             sample_trajectory(drift3, T=0.001, dt=0.01, seed=0)
-        with pytest.raises(ValueError):
-            sample_trajectory(drift3, T=1.0, dt=0.01, seed=0, init=np.zeros(2))
         for T in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match="T / dt must be finite"):
                 sample_trajectory(drift3, T=T, dt=0.01, seed=0)
@@ -151,18 +164,15 @@ class TestSampleTrajectory:
             sample_trajectory(drift3, T=1.0, dt=0.1, seed=1, kernel=transition_kernel(drift3, 0.01))
 
 
-def reference_sample_states(drift, T, dt, seed, init=None, kernel=None):
-    """The per-step loop `sample_trajectory` ran before its in-place rewrite, verbatim."""
+def reference_sample_states(drift, T, dt, seed, kernel=None):
+    """The per-step loop `sample_trajectory` ran before its in-place rewrite, from the stationary start."""
     n = int(round(T / dt))
     if kernel is None:
         kernel = transition_kernel(drift, dt)
     d = drift.dim
     rng = np.random.default_rng(seed)
-    if init is None:
-        c_chol = _cholesky_psd(drift.stationary_cov)
-        x0 = c_chol @ rng.standard_normal(d)
-    else:
-        x0 = np.asarray(init, dtype=float)
+    c_chol = _cholesky_psd(drift.stationary_cov)
+    x0 = c_chol @ rng.standard_normal(d)
     noise = rng.standard_normal((n, d)) @ kernel.noise_chol.T
     states = np.empty((n + 1, d))
     states[0] = x0
@@ -183,14 +193,12 @@ class TestInPlaceRecursionParity:
         drift = generate_sparse_drift(d, 3, seed=d)
         return drift, n * self.DT, transition_kernel(drift, self.DT)
 
-    @pytest.mark.parametrize("given_init", [False, True], ids=["stationary_init", "given_init"])
     @pytest.mark.parametrize("pass_kernel", [False, True], ids=["own_kernel", "given_kernel"])
-    def test_bit_identical(self, case, given_init, pass_kernel):
+    def test_bit_identical(self, case, pass_kernel):
         drift, T, k = case
-        init = np.linspace(-1.0, 1.0, drift.dim) if given_init else None
         kernel = k if pass_kernel else None
-        traj = sample_trajectory(drift, T=T, dt=self.DT, seed=17, init=init, kernel=kernel)
-        expected = reference_sample_states(drift, T, self.DT, 17, init=init, kernel=kernel)
+        traj = sample_trajectory(drift, T=T, dt=self.DT, seed=17, kernel=kernel)
+        expected = reference_sample_states(drift, T, self.DT, 17, kernel=kernel)
         assert np.array_equal(traj.states, expected)
 
     @pytest.mark.parametrize("order", ["C", "F"])
@@ -198,7 +206,7 @@ class TestInPlaceRecursionParity:
         drift, T, k = case
         phi = np.asarray(k.phi, order=order)
         assert phi.flags[f"{order}_CONTIGUOUS"]
-        kernel = TransitionKernel(dt=k.dt, phi=phi, noise_cov=k.noise_cov, noise_chol=k.noise_chol)
+        kernel = TransitionKernel(dt=k.dt, phi=phi, noise_chol=k.noise_chol)
         traj = sample_trajectory(drift, T=T, dt=self.DT, seed=23, kernel=kernel)
         expected = reference_sample_states(drift, T, self.DT, 23, kernel=kernel)
         assert np.array_equal(traj.states, expected)

@@ -17,7 +17,6 @@ import pytest
 
 from sparse_ou import (
     SolverOptions,
-    SufficientStats,
     adaptive_lasso,
     cross_validate,
     cross_validate_sigma,
@@ -210,15 +209,6 @@ def test_p_branch_at_a_nudged_identity_matches_the_lasso(weighted):
                 assert got.iterations == want.iterations
                 assert np.array_equal(got.matrix != 0.0, want.matrix != 0.0)
                 assert _rel_diff(got.matrix, want.matrix) <= 1e-12
-
-
-def test_public_lasso_callback_sees_every_step():
-    c, g, _, _, _ = random_problem(11, 4, False, False)
-    st = SufficientStats(c_hat=c, g_hat=g, horizon=1.0)
-    seen = []
-    fit = lasso(st, 0.05, opts=SolverOptions(), callback=lambda it, f: seen.append((it, f)))
-    assert [it for it, _ in seen] == list(range(1, fit.iterations + 1))
-    assert seen[-1][1] == fit.final_objective
 
 
 # -- hoisted CV routines against per-penalty public fits ------------------------
