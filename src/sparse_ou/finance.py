@@ -43,10 +43,9 @@ class PricePanel:
 def load_prices(path) -> PricePanel:
     """Parse a `date,ticker1,...,tickerN` CSV, dates as YYYY-MM-DD, into a clean panel.
 
-    Rows containing a blank, unparseable or non-positive cell, or a date that
-    ``datetime.date.fromisoformat`` does not read, are dropped (a warning reports
-    how many); remaining rows are sorted by date.  A date kept twice raises
-    IngestionError.
+    Rows containing a blank, unparseable or non-positive cell, or a date not
+    in YYYY-MM-DD form, are dropped (a warning reports how many); remaining
+    rows are sorted by date.  A date kept twice raises IngestionError.
     """
     try:
         with open(path) as fh:
@@ -73,7 +72,8 @@ def load_prices(path) -> PricePanel:
         except ValueError:
             dropped += 1
             continue
-        if any(not np.isfinite(v) or v <= 0 for v in values):
+        # from Python 3.11 fromisoformat also reads 20200108 and 2020-W02-3; keep only the form it writes back
+        if day.isoformat() != date or any(not np.isfinite(v) or v <= 0 for v in values):
             dropped += 1
             continue
         kept.append((day, date, values))

@@ -74,6 +74,12 @@ class TestLoadPrices:
         assert panel.dates == ["2020-01-09", "2020-01-11"]
         assert panel.prices[:, 0].tolist() == [9.0, 11.0]
 
+    def test_other_iso_date_forms_dropped_with_warning(self, tmp_path):
+        path = write_csv(tmp_path / "p.csv", "date,AAA\n2020-01-09,9.0\n20200108,8.0\n2020-W02-5,10.0\n")
+        with pytest.warns(UserWarning, match="dropped 2"):
+            panel = load_prices(path)
+        assert panel.dates == ["2020-01-09"]
+
     def test_repeated_date_rejected(self, tmp_path):
         path = write_csv(tmp_path / "p.csv", "date,AAA\n2020-01-09,9.0\n2020-01-08,8.0\n2020-01-10,10.0\n2020-01-08,8.5\n")
         with pytest.raises(IngestionError, match="date 2020-01-08 appears twice"):

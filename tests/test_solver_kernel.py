@@ -17,6 +17,7 @@ import pytest
 
 from sparse_ou import (
     SolverOptions,
+    SufficientStats,
     adaptive_lasso,
     cross_validate,
     cross_validate_sigma,
@@ -209,6 +210,30 @@ def test_p_branch_at_a_nudged_identity_matches_the_lasso(weighted):
                 assert got.iterations == want.iterations
                 assert np.array_equal(got.matrix != 0.0, want.matrix != 0.0)
                 assert _rel_diff(got.matrix, want.matrix) <= 1e-12
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+def test_public_lasso_final_objective_is_the_penalized_loss(weighted):
+    c, g, _, weights, _ = random_problem(11, 4, False, weighted)
+    lam = 0.05
+    fit = lasso(SufficientStats(c_hat=c, g_hat=g, horizon=1.0), lam, weights=weights, opts=SolverOptions())
+    a, w = fit.matrix, np.ones_like(c) if weights is None else weights
+    assert np.count_nonzero(a) > 0
+    loss = np.vdot(a, g) + 0.5 * np.trace(a @ c @ a.T) + lam * np.sum(w * np.abs(a))
+    assert fit.final_objective == pytest.approx(loss, rel=1e-12)
+
+
+def test_warm_start_at_the_minimizer_takes_one_step():
+    for seed in range(6):
+        c, g, p, weights, _ = random_problem(seed, 5, seed % 2 == 1, seed % 3 == 0)
+        problem = _Problem.of(c, g, p, weights, SolverOptions(rel_tol=1e-8, max_iters=100_000))
+        lam = 0.1 * float(np.max(np.abs(problem.pg)))
+        cold = problem.fit(lam)
+        warm = problem.fit(lam, init=cold.matrix)
+        assert cold.converged and cold.iterations > 1
+        assert warm.converged and warm.iterations == 1
+        assert np.array_equal(warm.matrix != 0.0, cold.matrix != 0.0)
+        assert _rel_diff(warm.matrix, cold.matrix) <= 1e-6
 
 
 # -- hoisted CV routines against per-penalty public fits ------------------------
