@@ -1,5 +1,5 @@
-"""Command-line interface: simulate, fit, cross-validate, benchmark sweeps,
-the finance pipeline and theory diagnostics.
+"""Command-line interface: simulate, fit (``--lambda cv``, the default, also writes
+the CV curve to ``--cv-out``), benchmark sweeps, the finance pipeline and theory diagnostics.
 
 Outputs are data files (tidy CSV + JSON summaries), never plots.  Every
 run is reproducible from its flags: replication seeds derive
@@ -108,6 +108,9 @@ def cmd_fit(args) -> int:
     grid, opts, gamma = fit_settings(args)
     traj = sim.load_trajectory_csv(args.traj)
     truth = model.load_drift_json(args.truth) if args.truth else None  # read before any output is written
+    if truth is not None and truth.dim != traj.dim:
+        raise ValueError(f"{args.truth} holds a {truth.dim}-dimensional drift, but {args.traj} is a "
+                         f"{traj.dim}-dimensional path")
     stats = sufficient_stats(traj)
     seed = _resolve_seed(args.seed)
     extra = {"method": args.method, "traj": str(args.traj), "seed": seed}
@@ -148,18 +151,6 @@ def cmd_fit(args) -> int:
         }
     save_estimate_json(args.out, fit, extra=extra)
     print(f"wrote estimate to {args.out}")
-    return 0
-
-
-# -- cv ----------------------------------------------------------------------
-
-
-def cmd_cv(args) -> int:
-    grid, opts, gamma = fit_settings(args)
-    traj = sim.load_trajectory_csv(args.traj)
-    cv = modelsel.cross_validate(traj, CV_METHODS[args.method], gamma=gamma, grid=grid, opts=opts)
-    modelsel.save_cv_json(args.out, cv)
-    print(f"best lambda {cv.best_lambda:.6g} -> {args.out}")
     return 0
 
 
@@ -271,17 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zero-tol", type=float, default=metrics.DEFAULT_ZERO_TOL)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="estimate JSON path")
-    p.add_argument("--cv-out", default=None, help="CV result JSON path (with --lambda cv)")
+    p.add_argument("--cv-out", default=None, help="CV curve JSON path (with --lambda cv; default <out>.cv.json)")
     _add_fit_flags(p)
     _add_theory_flags(p)
     p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("cv", help="cross-validate the penalty level")
-    p.add_argument("--traj", required=True)
-    p.add_argument("--method", choices=list(CV_METHODS), default="lasso")
-    p.add_argument("--out", required=True)
-    _add_fit_flags(p)
-    p.set_defaults(func=cmd_cv)
 
     p = sub.add_parser("benchmark", help="run a replicated sweep, emit tidy CSV + summary JSON")
     p.add_argument("--config", default=None, help="JSON config file; flags override its keys")

@@ -1,10 +1,13 @@
 """Replicated Monte Carlo experiments behind ``sparse-ou benchmark``.
 
-Sweep point i, of dimension d, draws its truth from ``derive_seed(seed, 900000 + d)``:
-``generate_sparse_drift`` with ``row_sparsity(d, s_rule)`` entries per row,
-symmetrized for ``oracle_coverage``; for ``finance``, m and Sigma come from
-``derive_seed(seed, 900002)``.  Replication r of point i samples its path from
-``derive_seed(seed, i * reps + r)``, so scheduling across processes changes no result.
+Every kind runs every point of ``d_values`` x ``t_values`` in d-major order, so
+point i is ``(d_values[i // len(t_values)], t_values[i % len(t_values)])``; the
+kind decides only what a replication fits.  Point i, of dimension d, draws its
+truth from ``derive_seed(seed, 900000 + d)``: ``generate_sparse_drift`` with
+``row_sparsity(d, s_rule)`` entries per row, symmetrized for ``oracle_coverage``;
+for ``finance``, m and Sigma come from ``derive_seed(seed, 900002)``.
+Replication r of point i samples its path from ``derive_seed(seed, i * reps + r)``,
+so scheduling across processes changes no result.
 """
 
 from __future__ import annotations
@@ -173,9 +176,7 @@ def _replicate(payload) -> list:
 
 def run_benchmark(cfg: ExperimentConfig) -> dict:
     """Execute the configured sweep; returns the summary dict it also writes."""
-    d_values = cfg.d_values if cfg.kind == "d_sweep" else cfg.d_values[:1]
-    t_values = cfg.t_values if cfg.kind == "t_sweep" else cfg.t_values[:1]
-    points = [(d, T) for d in d_values for T in t_values]
+    points = [(d, T) for d in cfg.d_values for T in cfg.t_values]
     payloads = []
     for i, (d, T) in enumerate(points):
         truth = _truth(cfg, int(d))

@@ -58,8 +58,8 @@ class Trajectory:
 
     def __post_init__(self):
         states = np.asarray(self.states, dtype=float)
-        if states.ndim != 2 or states.shape[0] < 2:
-            raise ValueError(f"states must be (n+1, d) with n >= 1, got {states.shape}")
+        if states.ndim != 2 or states.shape[0] < 2 or states.shape[1] < 1:
+            raise ValueError(f"states must be (n+1, d) with n >= 1 and d >= 1, got {states.shape}")
         if not np.all(np.isfinite(states)):
             raise ValueError("states contain non-finite values")
         if not self.dt > 0:
@@ -175,19 +175,23 @@ def save_trajectory_csv(path, traj: Trajectory) -> None:
 
 
 def load_trajectory_csv(path) -> Trajectory:
-    with open(path) as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if len(lines) < 3:
-        raise ValueError(f"trajectory file needs a header and >= 2 states: {path}")
-    times = []
-    rows = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        times.append(float(cells[0]))
-        rows.append([float(x) for x in cells[1:]])
-    times = np.asarray(times)
-    steps = np.diff(times)
-    dt = steps[0]
-    if not np.allclose(steps, dt, rtol=1e-9, atol=0.0):
-        raise ValueError("time column is not uniformly spaced")
-    return Trajectory(dt=float(dt), states=np.asarray(rows))
+    """Read a path that :func:`save_trajectory_csv` wrote; malformed content raises ValueError naming the file."""
+    try:
+        with open(path) as fh:
+            lines = [line.strip() for line in fh if line.strip()]
+        if len(lines) < 3:
+            raise ValueError("it needs a header and >= 2 states")
+        width = len(lines[0].split(","))
+        table = []
+        for k, line in enumerate(lines[1:], start=1):
+            cells = line.split(",")
+            if len(cells) != width:
+                raise ValueError(f"state row {k} has {len(cells)} cells, the header {width}")
+            table.append([float(x) for x in cells])
+        table = np.asarray(table)
+        steps = np.diff(table[:, 0])
+        if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
+            raise ValueError("time column is not uniformly spaced")
+        return Trajectory(dt=float(steps[0]), states=table[:, 1:])
+    except ValueError as exc:
+        raise ValueError(f"{path} is not a trajectory CSV file: {exc}") from None

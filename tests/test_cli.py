@@ -20,7 +20,7 @@ from sparse_ou import (
 )
 from sparse_ou.cli import build_parser, main
 from sparse_ou.errors import GenerationError
-from sparse_ou.experiments import ExperimentConfig, fit_settings
+from sparse_ou.experiments import BENCHMARK_KINDS, ExperimentConfig, fit_settings
 from sparse_ou.metrics import DEFAULT_ZERO_TOL
 from sparse_ou.sim import load_trajectory_csv
 
@@ -130,6 +130,38 @@ class TestFit:
         assert est["lambda"] == cv["best_lambda"]
         assert len(cv["lambda_grid"]) == 8
 
+    def test_cv_out_writes_the_cv_curve(self, sim_files, tmp_path):
+        traj, _ = sim_files
+        out, cv_out = tmp_path / "est.json", tmp_path / "cv.json"
+        assert run(["fit", "--traj", traj, "--method", "lasso", "--lambda", "cv", "--grid-size", 6,
+                    "--cv-out", cv_out, "--out", out]) == 0
+        payload = json.loads(cv_out.read_text())
+        assert len(payload["validation_scores"]) == 6
+        assert payload["best_lambda"] in payload["lambda_grid"]
+        assert len(payload["iterations"]) == len(payload["converged"]) == 6
+        assert json.loads(out.read_text())["cv_out"] == str(cv_out)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cv.json", "est.json"]
+
+    def test_cv_command_is_gone(self, tmp_path, capsys):
+        # fit --lambda cv --cv-out is the one cross-validation command
+        with pytest.raises(SystemExit) as exc:
+            run(["cv", "--traj", "traj.csv", "--out", tmp_path / "cv.json"])
+        assert exc.value.code == 2
+        assert "argument command: invalid choice: 'cv'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_truth_of_another_dimension_is_runtime_error(self, sim_files, tmp_path, capsys):
+        # the truth is checked against the path before the CV sidecar or the estimate is written
+        traj, _ = sim_files
+        truth = tmp_path / "truth.json"
+        model.save_drift_json(truth, model.generate_sparse_drift(3, 1, 0))
+        out = tmp_path / "est.json"
+        assert run(["fit", "--traj", traj, "--lambda", "cv", "--grid-size", 3, "--truth", truth, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {truth} holds a 3-dimensional drift")
+        assert "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["truth.json"]
+
     def test_library_default_solver_is_the_cli_default(self, sim_files, tmp_path):
         traj, _ = sim_files
         out = tmp_path / "est.json"
@@ -208,32 +240,6 @@ class TestFit:
         assert not out.exists()
 
 
-class TestCv:
-    def test_writes_result(self, sim_files, tmp_path):
-        traj, _ = sim_files
-        out = tmp_path / "cv.json"
-        assert run(["cv", "--traj", traj, "--method", "lasso", "--grid-size", 6, "--out", out]) == 0
-        payload = json.loads(out.read_text())
-        assert len(payload["validation_scores"]) == 6
-        assert payload["best_lambda"] in payload["lambda_grid"]
-        assert len(payload["iterations"]) == len(payload["converged"]) == 6
-
-    def test_negative_gamma_is_usage_error(self, sim_files, tmp_path, capsys):
-        traj, _ = sim_files
-        out = tmp_path / "cv.json"
-        assert run(["cv", "--traj", traj, "--method", "adalasso", "--gamma", -1, "--out", out]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("usage error: gamma must be >= 0")
-        assert not out.exists()
-
-    def test_nan_grid_is_usage_error(self, sim_files, tmp_path, capsys):
-        traj, _ = sim_files
-        out = tmp_path / "cv.json"
-        assert run(["cv", "--traj", traj, "--grid-min", "nan", "--out", out]) == 2
-        assert capsys.readouterr().err.startswith("usage error: a lambda grid needs num >= 1 and finite bounds > 0")
-        assert not out.exists()
-
-
 class TestBenchmark:
     def test_t_sweep_row_counts_and_schema(self, tmp_path):
         out = tmp_path / "bench.csv"
@@ -270,6 +276,17 @@ class TestBenchmark:
             ]
         assert len(rows[1]) > 0
         assert rows[1] == rows[2]
+
+    @pytest.mark.parametrize("kind", BENCHMARK_KINDS)
+    def test_every_kind_runs_every_point_in_d_major_order(self, tmp_path, kind):
+        # dt_study's default 1.0 step leaves too few steps for a fit at d >= 4
+        steps = ["--dt-values", "0.1,0.01"] if kind == "dt_study" else []
+        out = tmp_path / "bench.csv"
+        assert run(["benchmark", "--kind", kind, "--d-values", "3,4", "--t-values", "5,10", *steps,
+                    "--reps", 1, "--seed", 2, "--grid-size", 5, "--jobs", 1, "--out", out]) == 0
+        points = [(row["d"], row["T"]) for row in csv.DictReader(out.read_text().splitlines())]
+        assert list(dict.fromkeys(points)) == [("3", "5.0"), ("3", "10.0"), ("4", "5.0"), ("4", "10.0")]
+        assert points == sorted(points, key=lambda p: (int(p[0]), float(p[1])))
 
     def test_dt_study_rows(self, tmp_path):
         out = tmp_path / "dt.csv"
@@ -356,6 +373,17 @@ class TestBenchmark:
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         keys = re.search(r"`--config` reads a JSON object.*?\((.*?)\);", readme, re.S).group(1)
         assert re.findall(r"`(\w+)`", keys) == CONFIG_FIELDS
+
+    def test_readme_subcommands_are_the_parser_subcommands(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["--help"])
+        assert exc.value.code == 0
+        commands = re.search(r"\{([\w,-]+)\}", capsys.readouterr().out).group(1).split(",")
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        names = re.search(r"All \w+\s+subcommands \((.*?)\)", readme, re.S).group(1)
+        assert re.findall(r"`([\w-]+)`", names) == commands
+        number = ["one", "two", "three", "four", "five", "six", "seven", "eight"][len(commands) - 1]
+        assert set(re.findall(r"(\w+)\s+subcommands", readme)) == {number}
 
     def test_oracle_coverage_kind(self, tmp_path):
         out = tmp_path / "oc.csv"
@@ -547,11 +575,36 @@ def test_malformed_drift_is_runtime_error(sim_files, tmp_path, capsys, reader, t
     assert "Traceback" not in err
     assert [p.name for p in tmp_path.iterdir()] == ["drift.txt"]
 
+
+MALFORMED_TRAJECTORIES = {
+    "ragged": "t,x0,x1\n0,1,2\n0.1,1\n0.2,1,2\n",
+    "non-numeric": "t,x0,x1\n0,1,2\n0.1,x,2\n0.2,1,2\n",
+    "non-uniform": "t,x0,x1\n0,1,2\n0.1,1,2\n0.3,1,2\n",
+    "non-finite": "t,x0,x1\n0,1,2\n0.1,nan,2\n0.2,1,2\n",
+}
+TRAJECTORY_READERS = {
+    "fit --traj": ["fit", "--lambda", "cv", "--grid-size", 3, "--traj"],
+    "re-constant --traj": ["diagnostics", "--which", "re-constant", "--s", 1, "--traj"],
+}
+
+
+@pytest.mark.parametrize("reader", TRAJECTORY_READERS.values(), ids=TRAJECTORY_READERS.keys())
+@pytest.mark.parametrize("text", MALFORMED_TRAJECTORIES.values(), ids=MALFORMED_TRAJECTORIES.keys())
+def test_malformed_trajectory_is_runtime_error(tmp_path, capsys, reader, text):
+    # the trajectory reader names the file whatever is wrong with it
+    traj = tmp_path / "traj.csv"
+    traj.write_text(text)
+    assert run([*reader, traj, "--out", tmp_path / "out.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {traj} is not a trajectory CSV file")
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["traj.csv"]
+
+
 BAD_FIT_FLAGS = [["--rel-tol", 0], ["--max-iters", 0], ["--grid-size", 0], ["--grid-min", -1],
                  ["--grid-min", "nan"], ["--grid-max", "inf"], ["--gamma", -1]]
 FIT_COMMANDS = {
     "fit": ["fit", "--traj", "{traj}", "--method", "adalasso"],
-    "cv": ["cv", "--traj", "{traj}", "--method", "adalasso"],
     "finance": ["finance", "--prices", "{prices}"],
     "benchmark-jobs1": ["benchmark", "--kind", "f1_study", "--d-values", 3, "--t-values", 1, "--reps", 1, "--jobs", 1],
     "benchmark-jobs2": ["benchmark", "--kind", "f1_study", "--d-values", 3, "--t-values", 1, "--reps", 1, "--jobs", 2],
@@ -609,8 +662,8 @@ SECOND_DEFAULTS = {
     "fit --zero-tol": (_flag_default("fit", "--traj", "t", "--out", "o", dest="zero_tol"), DEFAULT_ZERO_TOL),
     "finance --span": (_flag_default("finance", "--prices", "p", "--out", "o", dest="span"),
                        _library_default(ema_log_returns, "span")),
-    "cv --gamma": (_flag_default("cv", "--traj", "t", "--out", "o", dest="gamma"),
-                   _library_default(cross_validate, "gamma")),
+    "fit --gamma": (_flag_default("fit", "--traj", "t", "--out", "o", dest="gamma"),
+                    _library_default(cross_validate, "gamma")),
     "simulate --dt": (_flag_default("simulate", "--d", "3", "--T", "1", "--out", "o", dest="dt"),
                       _library_default(oracle_coverage, "dt")),
     "diagnostics --dt": (_flag_default("diagnostics", "--which", "oracle-coverage", "--out", "o", dest="dt"),

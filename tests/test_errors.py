@@ -83,6 +83,8 @@ DATA_CHECKS = {
                                    lambda tmp: load_trajectory_csv(write(tmp, "t,x0\n"))),
     "trajectory CSV uneven steps": (ValueError, "not uniformly spaced",
                                     lambda tmp: load_trajectory_csv(write(tmp, "t,x0\n0,1\n0.1,1\n0.3,1\n"))),
+    "trajectory CSV no state column": (ValueError, r"input is not a trajectory CSV file: .* d >= 1, got \(2, 0\)",
+                                       lambda tmp: load_trajectory_csv(write(tmp, "t\n0\n0.1\n"))),
     "drift file in CSV": (ValueError, "input is not a drift JSON file: JSONDecodeError",
                           lambda tmp: load_drift_json(write(tmp, "2\n1.0,0.0\n0.0,1.0\n"))),
     "drift JSON list": (ValueError, "input is not a drift JSON file: TypeError",

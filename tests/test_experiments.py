@@ -75,16 +75,22 @@ def test_d_sweep_seed_layout(tmp_path):
     assert rows[first:first + 3] == expected
 
 
-def test_oracle_coverage_seed_layout(tmp_path):
-    rows = benchmark_rows(tmp_path, kind="oracle_coverage", d_values=[4], t_values=[30.0], reps=2, seed=6)
-    assert len(rows) == 2
-    truth = symmetrized_drift(generate_sparse_drift(4, 1, derive_seed(6, 900004)))
-    stats = sufficient_stats(sample_trajectory(truth, 30.0, 0.01, derive_seed(6, 1)))
+@pytest.mark.parametrize("d_values, t_values, i", [([4], [30.0], 0), ([3, 4], [5.0, 10.0], 3)],
+                         ids=["one point", "point 3 of four"])
+def test_oracle_coverage_seed_layout(tmp_path, d_values, t_values, i):
+    # every kind runs every (d, T), d-major; replication r of point i samples from derive_seed(seed, i * reps + r)
+    reps, r = 2, 1
+    rows = benchmark_rows(tmp_path, kind="oracle_coverage", d_values=d_values, t_values=t_values, reps=reps, seed=6)
+    assert len(rows) == reps * len(d_values) * len(t_values)
+    assert [(int(row["d"]), float(row["T"])) for row in rows[::reps]] == [(d, T) for d in d_values for T in t_values]
+    d, T = d_values[i // len(t_values)], t_values[i % len(t_values)]
+    truth = symmetrized_drift(generate_sparse_drift(d, 1, derive_seed(6, 900000 + d)))
+    stats = sufficient_stats(sample_trajectory(truth, T, 0.01, derive_seed(6, i * reps + r)))
     lam = theoretical_lambda(stats, LambdaConfig(gamma=2.0, epsilon0=0.1))
     fit = lasso(stats, lam, opts=OPTS)
     err, bound = error_report(fit.matrix, truth, stats).empirical, oracle_bound(truth, lam, 2.0)
-    assert rows[1] == expected_row("lasso_theory", truth, fit.matrix, stats, 4, 30.0, 0.01, 1,
-                                   _bound_holds=bool(err <= bound), _bound_ratio=err / bound)
+    assert rows[i * reps + r] == expected_row("lasso_theory", truth, fit.matrix, stats, d, T, 0.01, r,
+                                              _bound_holds=bool(err <= bound), _bound_ratio=err / bound)
 
 
 def test_oracle_coverage_equals_the_benchmark_bound_column(tmp_path, monkeypatch):
