@@ -4,15 +4,13 @@ the CV curve to ``--cv-out``), benchmark sweeps, the finance pipeline and theory
 Outputs are data files (tidy CSV + JSON summaries), never plots.  Every
 run is reproducible from its flags: replication seeds derive
 deterministically from the base seed, so results do not depend on how
-work is scheduled across processes.  The environment variable
-SPARSE_OU_SEED provides the base seed when --seed is omitted.
+work is scheduled across processes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import fields
 
@@ -21,7 +19,7 @@ import numpy as np
 from . import metrics, model, modelsel, sim
 from .errors import GenerationError, IngestionError, NumericError, StabilityError, UsageError
 from .estimators import adaptive_lasso, lasso, mle, save_estimate_json
-from .experiments import CV_METHODS, ExperimentConfig, _typed, fit_settings, row_sparsity, run_benchmark
+from .experiments import CV_METHODS, ExperimentConfig, fit_settings, row_sparsity, run_benchmark
 from .finance import (
     ema_log_returns,
     estimate_mean_sigma,
@@ -29,16 +27,6 @@ from .finance import (
     save_finance_model_json,
 )
 from .stats import LambdaConfig, sufficient_stats, theoretical_lambda
-
-
-def _resolve_seed(seed) -> int:
-    """The base seed: ``seed`` if given, else SPARSE_OU_SEED, else 0; UsageError unless it is an integer >= 0."""
-    if seed is None:
-        seed = os.environ.get("SPARSE_OU_SEED", "0")
-        seed = int(seed) if seed.strip().isdecimal() else seed
-    if not _typed(seed, "int") or seed < 0:
-        raise UsageError(f"the seed (--seed, 'seed' or SPARSE_OU_SEED) must be an integer >= 0, got {seed!r}")
-    return seed
 
 
 def _lambda_config(args) -> LambdaConfig:
@@ -90,10 +78,11 @@ def _make_drift(kind: str, d: int, s: int, alpha: float, w: float, seed: int) ->
 def cmd_simulate(args) -> int:
     if args.d < 1:
         raise UsageError(f"--d must be >= 1, got {args.d}")
-    seed = _resolve_seed(args.seed)
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     s = args.s if args.s is not None else row_sparsity(args.d)
-    drift = _make_drift(args.kind, args.d, s, args.alpha, args.w, seed)
-    traj = sim.sample_trajectory(drift, args.T, args.dt, seed)
+    drift = _make_drift(args.kind, args.d, s, args.alpha, args.w, args.seed)
+    traj = sim.sample_trajectory(drift, args.T, args.dt, args.seed)
     sim.save_trajectory_csv(args.out, traj)
     drift_out = args.drift_out or (str(args.out) + ".drift.json")
     model.save_drift_json(drift_out, drift)
@@ -106,14 +95,16 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     grid, opts, gamma = fit_settings(args)
+    lambda_cfg = _lambda_config(args)
+    if args.cv_out is not None and (args.method == "mle" or args.lam != "cv"):
+        raise UsageError("--cv-out needs a cross-validated fit: --lambda cv with --method lasso or adalasso")
     traj = sim.load_trajectory_csv(args.traj)
     truth = model.load_drift_json(args.truth) if args.truth else None  # read before any output is written
     if truth is not None and truth.dim != traj.dim:
         raise ValueError(f"{args.truth} holds a {truth.dim}-dimensional drift, but {args.traj} is a "
                          f"{traj.dim}-dimensional path")
     stats = sufficient_stats(traj)
-    seed = _resolve_seed(args.seed)
-    extra = {"method": args.method, "traj": str(args.traj), "seed": seed}
+    extra = {"method": args.method, "traj": str(args.traj)}
 
     if args.method == "mle":
         fit = mle(stats)
@@ -128,7 +119,7 @@ def cmd_fit(args) -> int:
         extra["cv_out"] = str(cv_out)
     else:
         if args.lam == "theory":
-            lam = theoretical_lambda(stats, _lambda_config(args))
+            lam = theoretical_lambda(stats, lambda_cfg)
             extra["lambda_rule"] = "theory"
         else:
             lam = args.lam
@@ -140,7 +131,7 @@ def cmd_fit(args) -> int:
 
     if truth is not None:
         err = metrics.error_report(fit.matrix, truth, stats)
-        supp = metrics.support_report(fit.matrix, truth, zero_tol=args.zero_tol)
+        supp = metrics.support_report(fit.matrix, truth)
         extra["report"] = {
             "frobenius": err.frobenius,
             "l1": err.l1,
@@ -171,7 +162,6 @@ def cmd_benchmark(args) -> int:
     merged = {**file_cfg, **flags}
     if "kind" not in merged:
         raise UsageError("benchmark needs --kind (or 'kind' in --config)")
-    merged["seed"] = _resolve_seed(merged.get("seed"))
     merged.setdefault("jobs", 0)
     cfg = ExperimentConfig(**merged)
     summary = run_benchmark(cfg)
@@ -197,8 +187,9 @@ def cmd_finance(args) -> int:
 
 
 def cmd_diagnostics(args) -> int:
-    seed = _resolve_seed(args.seed)
-    payload = {"which": args.which, "seed": seed}
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
+    payload = {"which": args.which, "seed": args.seed}
     needed = {"re-constant": "traj", "deviation-bounds": "drift"}.get(args.which)
     if needed and getattr(args, needed) is None:
         raise UsageError(f"--which {args.which} needs --{needed}")
@@ -222,8 +213,8 @@ def cmd_diagnostics(args) -> int:
         if args.drift:
             truth = model.load_drift_json(args.drift)
         else:
-            truth = model.symmetrized_drift(model.generate_sparse_drift(args.d, args.s, seed))
-        cov = metrics.oracle_coverage(truth, args.T, args.reps, _lambda_config(args), seed, dt=args.dt)
+            truth = model.symmetrized_drift(model.generate_sparse_drift(args.d, args.s, args.seed))
+        cov = metrics.oracle_coverage(truth, args.T, args.reps, _lambda_config(args), args.seed, dt=args.dt)
         payload.update({"coverage": cov, "T": args.T, "reps": args.reps})
     with open(args.out, "w") as fh:
         json.dump(payload, fh, indent=2)
@@ -249,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", type=float, default=1.0, help="coupling weight for shifted-antisym")
     p.add_argument("--T", type=float, required=True, help="horizon")
     p.add_argument("--dt", type=float, default=ExperimentConfig.dt, help="sampling step")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="trajectory CSV path")
     p.add_argument("--drift-out", default=None, help="drift JSON path (default <out>.drift.json)")
     p.set_defaults(func=cmd_simulate)
@@ -259,8 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["mle", *CV_METHODS], default="lasso")
     p.add_argument("--lambda", dest="lam", type=penalty, default="cv", help="penalty: number, 'theory' or 'cv'")
     p.add_argument("--truth", default=None, help="optional drift JSON; adds an error/support report")
-    p.add_argument("--zero-tol", type=float, default=metrics.DEFAULT_ZERO_TOL)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="estimate JSON path")
     p.add_argument("--cv-out", default=None, help="CV curve JSON path (with --lambda cv; default <out>.cv.json)")
     _add_fit_flags(p)
@@ -294,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float, default=200.0)
     p.add_argument("--dt", type=float, default=ExperimentConfig.dt)
     p.add_argument("--reps", type=int, default=20)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     _add_theory_flags(p)
     p.set_defaults(func=cmd_diagnostics)

@@ -76,6 +76,8 @@ class ExperimentConfig:
             raise UsageError(f"unknown benchmark kind {self.kind!r}")
         if self.reps < 1:
             raise UsageError("reps must be >= 1")
+        if self.seed < 0:
+            raise UsageError(f"seed must be >= 0, got {self.seed!r}")
         if not all(d >= 1 for d in self.d_values):
             raise UsageError(f"d_values entries must be >= 1, got {self.d_values!r}")
         if not 0 < self.s_rule <= 1:

@@ -35,7 +35,7 @@ __all__ = [
     "dense_baseline_f1",
 ]
 
-DEFAULT_ZERO_TOL = 1e-10
+ZERO_TOL = 1e-10
 MAX_ENUMERATION_DIM = 12  # largest d for which restricted_sparse_min enumerates every support
 
 
@@ -74,18 +74,16 @@ def error_report(estimate, truth: DriftMatrix, stats: SufficientStats | None) ->
     )
 
 
-def support_report(estimate, truth: DriftMatrix, zero_tol: float = DEFAULT_ZERO_TOL) -> SupportReport:
+def support_report(estimate, truth: DriftMatrix) -> SupportReport:
     """Score detected non-zeros against the true support.
 
-    Entries with magnitude above ``zero_tol`` count as detections.  When
+    Entries with magnitude above ``ZERO_TOL`` count as detections.  When
     there are no detections (or no true positives) the undefined
     precision/recall are reported as 0, hence F1 = 0.
     """
-    if not zero_tol >= 0:
-        raise UsageError(f"zero_tol must be >= 0, got {zero_tol}")
     if np.shape(estimate) != truth.matrix.shape:
         raise ValueError(f"estimate has shape {np.shape(estimate)}, the truth {truth.matrix.shape}")
-    detected = np.abs(np.asarray(estimate, dtype=float)) > zero_tol
+    detected = np.abs(np.asarray(estimate, dtype=float)) > ZERO_TOL
     true_supp = truth.matrix != 0.0
     tp = int(np.sum(detected & true_supp))
     fp = int(np.sum(detected & ~true_supp))

@@ -21,7 +21,6 @@ from sparse_ou import (
 from sparse_ou.cli import build_parser, main
 from sparse_ou.errors import GenerationError
 from sparse_ou.experiments import BENCHMARK_KINDS, ExperimentConfig, fit_settings
-from sparse_ou.metrics import DEFAULT_ZERO_TOL
 from sparse_ou.sim import load_trajectory_csv
 
 CONFIG_FIELDS = [f.name for f in fields(ExperimentConfig)]
@@ -81,23 +80,14 @@ class TestSimulate:
         assert "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
 
-    @pytest.mark.parametrize("seed", ["x", "-1", "1.5"])
-    def test_bad_env_seed_is_usage_error(self, tmp_path, monkeypatch, capsys, seed):
-        monkeypatch.setenv("SPARSE_OU_SEED", seed)
-        assert run(["simulate", "--d", 3, "--T", 1, "--out", tmp_path / "x.csv"]) == 2
-        assert capsys.readouterr().err.startswith("usage error: the seed (--seed, 'seed' or SPARSE_OU_SEED) must be")
-        assert list(tmp_path.iterdir()) == []
-
-    def test_env_seed_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SPARSE_OU_SEED", "11")
+    def test_environment_does_not_set_the_seed(self, tmp_path, monkeypatch):
+        # --seed, default 0, is the one source of the seed
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run(["simulate", "--d", 3, "--s", 1, "--T", 1, "--out", a])
-        run(["simulate", "--d", 3, "--s", 1, "--T", 1, "--out", b])
-        assert a.read_text() == b.read_text()
         monkeypatch.setenv("SPARSE_OU_SEED", "12")
-        c = tmp_path / "c.csv"
-        run(["simulate", "--d", 3, "--s", 1, "--T", 1, "--out", c])
-        assert a.read_text() != c.read_text()
+        run(["simulate", "--d", 3, "--s", 1, "--T", 1, "--out", b])
+        assert a.read_bytes() == b.read_bytes()
+        assert Path(f"{a}.drift.json").read_bytes() == Path(f"{b}.drift.json").read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +131,25 @@ class TestFit:
         assert len(payload["iterations"]) == len(payload["converged"]) == 6
         assert json.loads(out.read_text())["cv_out"] == str(cv_out)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cv.json", "est.json"]
+
+    @pytest.mark.parametrize("flags", [["--method", "mle"], ["--lambda", 0.1], ["--lambda", "theory"]],
+                             ids=["mle", "lambda 0.1", "lambda theory"])
+    def test_cv_out_without_cv_is_usage_error(self, sim_files, tmp_path, capsys, flags):
+        # a CV curve that no cross-validation would compute is refused before anything is read or written
+        traj, _ = sim_files
+        assert run(["fit", "--traj", traj, *flags, "--cv-out", tmp_path / "x.json", "--out", tmp_path / "e.json"]) == 2
+        assert capsys.readouterr().err.startswith("usage error: --cv-out needs a cross-validated fit")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag, value", [("--seed", 1), ("--zero-tol", 0)])
+    def test_removed_flag_is_rejected_by_the_parser(self, sim_files, tmp_path, capsys, flag, value):
+        # fit draws no random numbers, and support is scored at metrics.ZERO_TOL
+        traj, _ = sim_files
+        with pytest.raises(SystemExit) as exc:
+            run(["fit", "--traj", traj, "--method", "mle", flag, value, "--out", tmp_path / "e.json"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_cv_command_is_gone(self, tmp_path, capsys):
         # fit --lambda cv --cv-out is the one cross-validation command
@@ -385,6 +394,15 @@ class TestBenchmark:
         number = ["one", "two", "three", "four", "five", "six", "seven", "eight"][len(commands) - 1]
         assert set(re.findall(r"(\w+)\s+subcommands", readme)) == {number}
 
+    def test_readme_command_line_flags_are_parser_flags(self):
+        # every --flag named between "## Command line" and "## Tests" is a flag of some subcommand
+        subparsers = next(a for a in build_parser()._actions if a.dest == "command").choices.values()
+        flags = {opt for p in subparsers for a in p._actions for opt in a.option_strings}
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = re.search(r"^## Command line$(.*?)^## Tests", readme, re.S | re.M).group(1)
+        named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+        assert named and named <= flags, sorted(named - flags)
+
     def test_oracle_coverage_kind(self, tmp_path):
         out = tmp_path / "oc.csv"
         code = run(["benchmark", "--kind", "oracle_coverage", "--d-values", "4",
@@ -613,6 +631,8 @@ ORACLE_COVERAGE = ["diagnostics", "--which", "oracle-coverage", "--d", 4, "--s",
 BAD_SETTINGS = [
     *[(argv + flags, f"{name} {flags[0]} {flags[1]}") for name, argv in FIT_COMMANDS.items() for flags in BAD_FIT_FLAGS],
     (["fit", "--traj", "{traj}", "--lambda", "theory", "--theory-gamma", 0.5], "fit --theory-gamma 0.5"),
+    (["fit", "--traj", "{traj}", "--lambda", 0.1, "--theory-gamma", 0.5], "fit --lambda 0.1 --theory-gamma 0.5"),
+    (["fit", "--traj", "{traj}", "--method", "mle", "--theory-eps0", 2], "fit --method mle --theory-eps0 2"),
     ([*ORACLE_COVERAGE, "--theory-gamma", 0.5], "oracle-coverage --theory-gamma 0.5"),
     ([*ORACLE_COVERAGE, "--reps", 0], "oracle-coverage --reps 0"),
     (["finance", "--prices", "{prices}", "--span", 0], "finance --span 0"),
@@ -625,9 +645,7 @@ BAD_SETTINGS = [
     (["simulate", "--d", 3, "--s", 0, "--T", 1], "simulate --s 0"),
     (["simulate", "--kind", "two-group", "--d", 3, "--T", 1], "simulate two-group --d 3"),
     (["simulate", "--kind", "shifted-antisym", "--d", 4, "--s", 1, "--w", "nan", "--T", 1], "simulate --w nan"),
-    (["fit", "--traj", "{traj}", "--lambda", 0.1, "--truth", "{drift}", "--zero-tol", -1], "fit --zero-tol -1"),
     (["simulate", "--d", 3, "--T", 1, "--seed", -1], "simulate --seed -1"),
-    (["fit", "--traj", "{traj}", "--method", "mle", "--seed", -1], "fit --seed -1"),
     ([*FIT_COMMANDS["benchmark-jobs1"], "--seed", -1], "benchmark --seed -1"),
     ([*ORACLE_COVERAGE, "--seed", -1], "oracle-coverage --seed -1"),
     ([*FIT_COMMANDS["benchmark-jobs1"], "--jobs", -3], "benchmark --jobs -3"),
@@ -659,7 +677,6 @@ def _library_default(function, name):
 
 # each default the CLI declares a second time, against the library's own declaration
 SECOND_DEFAULTS = {
-    "fit --zero-tol": (_flag_default("fit", "--traj", "t", "--out", "o", dest="zero_tol"), DEFAULT_ZERO_TOL),
     "finance --span": (_flag_default("finance", "--prices", "p", "--out", "o", dest="span"),
                        _library_default(ema_log_returns, "span")),
     "fit --gamma": (_flag_default("fit", "--traj", "t", "--out", "o", dest="gamma"),

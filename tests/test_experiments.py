@@ -124,6 +124,12 @@ def test_config_resolves_zero_jobs_to_all_cores_and_rejects_negative():
         ExperimentConfig(kind="d_sweep", jobs=-1)
 
 
+def test_config_rejects_a_negative_seed():
+    # the library checks the seed where the benchmark uses it, not only the CLI
+    with pytest.raises(UsageError, match="seed must be >= 0, got -1"):
+        ExperimentConfig(kind="d_sweep", seed=-1)
+
+
 def test_config_solver_defaults_are_those_of_solver_options():
     cfg = ExperimentConfig(kind="d_sweep")
     assert SolverOptions(max_iters=cfg.max_iters, rel_tol=cfg.rel_tol) == SolverOptions()

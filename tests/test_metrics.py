@@ -93,11 +93,12 @@ class TestSupportReport:
         assert rep.true_positives + rep.false_positives == np.count_nonzero(np.abs(est) > 1e-10)
 
     def test_zero_tol_masks_small_entries(self, truth):
-        est = truth.matrix + 1e-6
-        strict = support_report(est, truth, zero_tol=1e-10)
-        loose = support_report(est, truth, zero_tol=1e-3)
-        assert strict.false_positives > 0
-        assert loose.false_positives == 0
+        # an entry counts as detected when its magnitude exceeds metrics.ZERO_TOL = 1e-10
+        off_support = np.argwhere(truth.matrix == 0.0)[0]
+        for magnitude, detected in [(1e-11, 0), (1e-9, 1)]:
+            est = truth.matrix.copy()
+            est[tuple(off_support)] = -magnitude
+            assert support_report(est, truth).false_positives == detected
 
 
 class TestDeviationBounds:
