@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
 
 import numpy as np
 
@@ -33,14 +32,15 @@ def _lambda_config(args) -> LambdaConfig:
     return LambdaConfig(gamma=args.theory_gamma, epsilon0=args.theory_eps0)
 
 
-def _add_fit_flags(p: argparse.ArgumentParser) -> None:
-    """The adaptive exponent, the CV grid and the solver budget, with the defaults of a benchmark sweep."""
-    p.add_argument("--gamma", type=float, default=ExperimentConfig.gamma, help="adaptive weight exponent")
-    p.add_argument("--grid-min", type=float, default=ExperimentConfig.grid_min, help="smallest penalty on the grid")
-    p.add_argument("--grid-max", type=float, default=ExperimentConfig.grid_max, help="largest penalty on the grid")
-    p.add_argument("--grid-size", type=int, default=ExperimentConfig.grid_size, help="number of log-spaced penalties")
-    p.add_argument("--max-iters", type=int, default=ExperimentConfig.max_iters, help="solver iteration cap")
-    p.add_argument("--rel-tol", type=float, default=ExperimentConfig.rel_tol, help="stop at KKT residual 10*rel_tol*max|PG|")
+FIT_FIELDS = ("gamma", "grid_min", "grid_max", "grid_size", "max_iters", "rel_tol")  # what fit_settings reads
+
+
+def _add_config_flags(p: argparse.ArgumentParser, names, defaults: bool) -> None:
+    """One flag per named ExperimentConfig field (``grid_min`` is ``--grid-min``), with the field's default or None."""
+    for name in names:
+        f = ExperimentConfig.__dataclass_fields__[name]
+        p.add_argument("--" + name.replace("_", "-"), dest=name, type=_flag_type(f.type),
+                       default=f.default if defaults else None, **f.metadata)
 
 
 def _add_theory_flags(p: argparse.ArgumentParser) -> None:
@@ -152,7 +152,10 @@ def cmd_benchmark(args) -> int:
     file_cfg = {}
     if args.config:
         with open(args.config) as fh:
-            file_cfg = json.load(fh)
+            try:
+                file_cfg = json.load(fh)
+            except ValueError as exc:
+                raise ValueError(f"{args.config} is not a JSON config file: {exc}") from None
         if not isinstance(file_cfg, dict):
             raise UsageError("--config must hold a JSON object")
         unknown = sorted(set(file_cfg) - set(ExperimentConfig.__dataclass_fields__))
@@ -239,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.5, help="diagonal level for shifted-antisym")
     p.add_argument("--w", type=float, default=1.0, help="coupling weight for shifted-antisym")
     p.add_argument("--T", type=float, required=True, help="horizon")
-    p.add_argument("--dt", type=float, default=ExperimentConfig.dt, help="sampling step")
+    p.add_argument("--dt", type=float, default=sim.DEFAULT_DT, help="sampling step")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="trajectory CSV path")
     p.add_argument("--drift-out", default=None, help="drift JSON path (default <out>.drift.json)")
@@ -252,22 +255,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", default=None, help="optional drift JSON; adds an error/support report")
     p.add_argument("--out", required=True, help="estimate JSON path")
     p.add_argument("--cv-out", default=None, help="CV curve JSON path (with --lambda cv; default <out>.cv.json)")
-    _add_fit_flags(p)
+    _add_config_flags(p, FIT_FIELDS, defaults=True)
     _add_theory_flags(p)
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("benchmark", help="run a replicated sweep, emit tidy CSV + summary JSON")
+    # a flag, like a --config key, is read only by its full name: --dt is not --dt-values
+    p = sub.add_parser("benchmark", help="run a replicated sweep, emit tidy CSV + summary JSON", allow_abbrev=False)
     p.add_argument("--config", default=None, help="JSON config file; flags override its keys")
-    for f in fields(ExperimentConfig):
-        flag = "--" + f.name.replace("_", "-")
-        p.add_argument(flag, dest=f.name, type=_flag_type(f.type), default=None, **f.metadata)
+    _add_config_flags(p, ExperimentConfig.__dataclass_fields__, defaults=False)
     p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser("finance", help="price CSV -> EMA log-returns -> sigma-aware sparse fit")
     p.add_argument("--prices", required=True, help="CSV with header date,ticker1,...")
     p.add_argument("--span", type=int, default=10, help="EMA span in days")
     p.add_argument("--out", required=True, help="fitted model JSON")
-    _add_fit_flags(p)
+    _add_config_flags(p, FIT_FIELDS, defaults=True)
     p.set_defaults(func=cmd_finance)
 
     p = sub.add_parser("diagnostics", help="theory diagnostics: RE bracket, deviation exponents, bound coverage")
@@ -281,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-values", type=_flag_type("list[float]"), default=[0.1, 0.2, 0.5, 1.0],
                    help="comma-separated deviation levels")
     p.add_argument("--T", type=float, default=200.0)
-    p.add_argument("--dt", type=float, default=ExperimentConfig.dt)
+    p.add_argument("--dt", type=float, default=sim.DEFAULT_DT)
     p.add_argument("--reps", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

@@ -1,13 +1,14 @@
 """Replicated Monte Carlo experiments behind ``sparse-ou benchmark``.
 
 Every kind runs every point of ``d_values`` x ``t_values`` in d-major order, so
-point i is ``(d_values[i // len(t_values)], t_values[i % len(t_values)])``; the
-kind decides only what a replication fits.  Point i, of dimension d, draws its
-truth from ``derive_seed(seed, 900000 + d)``: ``generate_sparse_drift`` with
-``row_sparsity(d, s_rule)`` entries per row, symmetrized for ``oracle_coverage``;
-for ``finance``, m and Sigma come from ``derive_seed(seed, 900002)``.
-Replication r of point i samples its path from ``derive_seed(seed, i * reps + r)``,
-so scheduling across processes changes no result.
+point i is ``(d_values[i // len(t_values)], t_values[i % len(t_values)])``.  A
+replication samples one path at the smallest ``dt_values`` entry, subsamples it
+to each entry, largest first, and fits each; the kind decides only what it fits.
+Point i, of dimension d, draws its truth from ``derive_seed(seed, 900000 + d)``:
+``generate_sparse_drift`` with ``row_sparsity(d, s_rule)`` entries per row,
+symmetrized for ``oracle_coverage``; for ``finance``, m and Sigma come from
+``derive_seed(seed, 900002)``.  Replication r of point i samples its path from
+``derive_seed(seed, i * reps + r)``, so scheduling across processes changes no result.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .finance import estimate_mean_sigma, sample_sigma_trajectory
 from .stats import LambdaConfig, sufficient_stats
 
 BENCHMARK_COLUMNS = ["method", "d", "T", "dt", "rep", "frobenius", "l1", "f1", "wall_time"]
-BENCHMARK_KINDS = ("d_sweep", "t_sweep", "f1_study", "dt_study", "oracle_coverage", "finance")
+BENCHMARK_KINDS = ("sweep", "oracle_coverage", "finance")
 CV_METHODS = {"lasso": "lasso", "adalasso": "adaptive_lasso"}
 
 
@@ -47,23 +48,23 @@ def _typed(value, type_name: str) -> bool:
 class ExperimentConfig:
     """One sweep; every field is echoed in the summary JSON.  An ill-typed field raises UsageError.
 
-    Each field is the ``sparse-ou benchmark`` flag of its name; its ``metadata`` holds the flag's help and choices.
+    Each field is the ``sparse-ou benchmark`` flag of its name, and the fields ``fit_settings`` reads are also flags
+    of ``fit`` and ``finance``, with the field's default; its ``metadata`` holds the flag's help and choices.
     """
 
     kind: str = field(metadata={"choices": BENCHMARK_KINDS})
     d_values: list[int] = field(default_factory=lambda: [10])
     t_values: list[float] = field(default_factory=lambda: [10.0])
-    dt_values: list[float] = field(default_factory=lambda: [1.0, 0.1, 0.01, 0.001])
-    dt: float = field(default=0.01, metadata={"help": "observation step"})
+    dt_values: list[float] = field(default_factory=lambda: [sim.DEFAULT_DT], metadata={"help": "observation steps"})
     s_rule: float = field(default=0.2, metadata={"help": "row sparsity as a fraction of d"})
     reps: int = 20
     seed: int = 0
-    gamma: float = 1.0
-    grid_min: float = 1e-2
-    grid_max: float = 1e3
-    grid_size: int = 40
-    rel_tol: float = SolverOptions.rel_tol
-    max_iters: int = SolverOptions.max_iters
+    gamma: float = field(default=1.0, metadata={"help": "adaptive weight exponent"})
+    grid_min: float = field(default=1e-2, metadata={"help": "smallest penalty on the grid"})
+    grid_max: float = field(default=1e3, metadata={"help": "largest penalty on the grid"})
+    grid_size: int = field(default=40, metadata={"help": "number of log-spaced penalties"})
+    rel_tol: float = field(default=SolverOptions.rel_tol, metadata={"help": "stop at KKT residual 10*rel_tol*max|PG|"})
+    max_iters: int = field(default=SolverOptions.max_iters, metadata={"help": "solver iteration cap"})
     jobs: int = field(default=1, metadata={"help": "worker processes, >= 0; 0 runs one per core (the CLI's default)"})
     out: str = "benchmark.csv"
 
@@ -73,7 +74,7 @@ class ExperimentConfig:
             if not _typed(value, f.type):
                 raise UsageError(f"{f.name} must be {f.type.replace('list', 'a non-empty list')}, got {value!r}")
         if self.kind not in BENCHMARK_KINDS:
-            raise UsageError(f"unknown benchmark kind {self.kind!r}")
+            raise UsageError(f"unknown benchmark kind {self.kind!r}; the kinds are {', '.join(BENCHMARK_KINDS)}")
         if self.reps < 1:
             raise UsageError("reps must be >= 1")
         if self.seed < 0:
@@ -87,22 +88,16 @@ class ExperimentConfig:
         self.jobs = self.jobs or os.cpu_count() or 1
         fit_settings(self)
         # _replicate samples one path of sim.step_count(T, step) steps at the smallest step and subsamples it
-        steps = _steps(self)
-        step = steps[-1]
+        step = min(self.dt_values)
         counts = [sim.step_count(T, step) for T in self.t_values]
-        for dt in steps:
+        for dt in self.dt_values:
             ratio = dt / step
             if not (ratio < math.inf and abs(ratio - round(ratio)) <= 1e-9 * ratio):
                 raise UsageError(f"dt_values must be integer multiples of the smallest, {step!r}; got {dt!r}")
             for T, n in zip(self.t_values, counts):
                 if n % round(ratio):
                     raise UsageError(f"t_values entries must round to a positive whole number of steps of each of "
-                                     f"{steps!r}; {T!r} is {n} steps of {step!r}")
-
-
-def _steps(cfg: ExperimentConfig) -> list[float]:
-    """The observation steps a replication fits, largest first: every ``dt_values`` entry for dt_study, else ``dt``."""
-    return sorted(cfg.dt_values, reverse=True) if cfg.kind == "dt_study" else [cfg.dt]
+                                     f"{self.dt_values!r}; {T!r} is {n} steps of {step!r}")
 
 
 def fit_settings(cfg) -> tuple[np.ndarray, SolverOptions, float]:
@@ -138,41 +133,43 @@ def _row(method, truth, matrix, d, T, dt, rep, wall, **extra) -> dict:
 
 
 def _replicate(payload) -> list:
-    """One replication ``(cfg, truth, d, T, rep, rep_seed)``: sample, fit, score; must stay picklable."""
+    """One replication, a payload that must stay picklable: sample once, then fit and score each step."""
     cfg, truth, d, T, rep, rep_seed = payload
     grid, opts, gamma = fit_settings(cfg)
+    steps = sorted(cfg.dt_values, reverse=True)
     if cfg.kind == "finance":
         drift, m_true, sigma_true = truth
-        traj = sample_sigma_trajectory(drift.matrix, m_true, sigma_true, T, cfg.dt, rep_seed)
-        m_hat, sigma_hat = estimate_mean_sigma(traj)
-        t0 = time.perf_counter()
-        cv = modelsel.cross_validate_sigma(traj, m_hat, sigma_hat, gamma=gamma, grid=grid, opts=opts)
-        wall = time.perf_counter() - t0
-        s_true = sigma_true @ sigma_true.T
-        s_rel = float(np.linalg.norm(sigma_hat @ sigma_hat.T - s_true) / np.linalg.norm(s_true))
-        return [_row("sigma_adalasso_cv", drift, cv.best_estimate.matrix, d, T, cfg.dt, rep, wall,
-                     _m_err=float(np.linalg.norm(m_hat - m_true)), _sigma_rel_err=s_rel)]
-    if cfg.kind == "oracle_coverage":
-        stats = sufficient_stats(sim.sample_trajectory(truth, T, cfg.dt, rep_seed))
-        t0 = time.perf_counter()
-        fit, holds, ratio = metrics._oracle_step(truth, stats, LambdaConfig(), opts)
-        wall = time.perf_counter() - t0
-        return [_row("lasso_theory", truth, fit.matrix, d, T, cfg.dt, rep, wall,
-                     _bound_holds=holds, _bound_ratio=ratio)]
-    steps = _steps(cfg)
-    fine = sim.sample_trajectory(truth, T, steps[-1], rep_seed)
+        fine = sample_sigma_trajectory(drift.matrix, m_true, sigma_true, T, steps[-1], rep_seed)
+    else:
+        fine = sim.sample_trajectory(truth, T, steps[-1], rep_seed)
     rows = []
     for dt in steps:
         traj = sim.subsample(fine, round(dt / steps[-1]))
-        stats = sufficient_stats(traj)
-        for method in ("mle", *CV_METHODS):
+        if cfg.kind == "finance":
+            m_hat, sigma_hat = estimate_mean_sigma(traj)
             t0 = time.perf_counter()
-            if method == "mle":
-                fit = mle(stats)
-            else:
-                cv = modelsel.cross_validate(traj, CV_METHODS[method], gamma=gamma, grid=grid, opts=opts)
-                fit = cv.best_estimate
-            rows.append(_row(method, truth, fit.matrix, d, T, dt, rep, time.perf_counter() - t0))
+            cv = modelsel.cross_validate_sigma(traj, m_hat, sigma_hat, gamma=gamma, grid=grid, opts=opts)
+            wall = time.perf_counter() - t0
+            s_true = sigma_true @ sigma_true.T
+            s_rel = float(np.linalg.norm(sigma_hat @ sigma_hat.T - s_true) / np.linalg.norm(s_true))
+            rows.append(_row("sigma_adalasso_cv", drift, cv.best_estimate.matrix, d, T, dt, rep, wall,
+                             _m_err=float(np.linalg.norm(m_hat - m_true)), _sigma_rel_err=s_rel))
+        elif cfg.kind == "oracle_coverage":
+            stats = sufficient_stats(traj)
+            t0 = time.perf_counter()
+            fit, holds, ratio = metrics._oracle_step(truth, stats, LambdaConfig(), opts)
+            rows.append(_row("lasso_theory", truth, fit.matrix, d, T, dt, rep, time.perf_counter() - t0,
+                             _bound_holds=holds, _bound_ratio=ratio))
+        else:
+            stats = sufficient_stats(traj)
+            for method in ("mle", *CV_METHODS):
+                t0 = time.perf_counter()
+                if method == "mle":
+                    fit = mle(stats)
+                else:
+                    cv = modelsel.cross_validate(traj, CV_METHODS[method], gamma=gamma, grid=grid, opts=opts)
+                    fit = cv.best_estimate
+                rows.append(_row(method, truth, fit.matrix, d, T, dt, rep, time.perf_counter() - t0))
     return rows
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import UsageError
 from .estimators import Estimate, SolverOptions, lasso
 from .model import DriftMatrix, _check_sparsity
-from .sim import derive_seed, sample_trajectory
+from .sim import DEFAULT_DT, derive_seed, sample_trajectory
 from .stats import LambdaConfig, SufficientStats, _spectrum_ends, sufficient_stats, theoretical_lambda
 
 __all__ = [
@@ -185,7 +185,7 @@ def oracle_coverage(
     reps: int,
     cfg: LambdaConfig,
     seed: int,
-    dt: float = 0.01,
+    dt: float = DEFAULT_DT,
 ) -> float:
     """Fraction of runs in which the empirical-norm bound holds at the theory penalty.
 

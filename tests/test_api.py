@@ -31,7 +31,7 @@ def test_package_reexports_are_declared():
 
 
 def test_removed_surface_is_gone():
-    from sparse_ou import cli, estimators, finance, linops, metrics, model, sim, stats
+    from sparse_ou import cli, estimators, experiments, finance, linops, metrics, model, sim, stats
 
     gone = ("SparsityPattern", "EmaConfig", "matrix_exponential", "soft_threshold", "fit_sigma_model", "theta",
             "re_constant", "save_drift_csv", "load_drift_csv", "load_estimate_json")
@@ -63,6 +63,7 @@ def test_removed_surface_is_gone():
     assert not hasattr(cli, "_resolve_seed") and "SPARSE_OU_SEED" not in inspect.getsource(cli)
     assert "zero_tol" not in inspect.signature(metrics.support_report).parameters
     assert not hasattr(metrics, "DEFAULT_ZERO_TOL") and metrics.ZERO_TOL == 1e-10
+    assert not hasattr(experiments, "_steps") and "dt" not in {f.name for f in fields(experiments.ExperimentConfig)}
 
 
 @pytest.mark.parametrize("name", ["oracle_bound", "_oracle_step", "oracle_coverage"])

@@ -21,7 +21,7 @@ from sparse_ou import (
 from sparse_ou.cli import build_parser, main
 from sparse_ou.errors import GenerationError
 from sparse_ou.experiments import BENCHMARK_KINDS, ExperimentConfig, fit_settings
-from sparse_ou.sim import load_trajectory_csv
+from sparse_ou.sim import DEFAULT_DT, load_trajectory_csv
 
 CONFIG_FIELDS = [f.name for f in fields(ExperimentConfig)]
 HORIZON_RULE = "dt must be > 0 and finite, and T / dt must be finite and round to at least 1"
@@ -252,22 +252,22 @@ class TestFit:
 class TestBenchmark:
     def test_t_sweep_row_counts_and_schema(self, tmp_path):
         out = tmp_path / "bench.csv"
-        code = run(["benchmark", "--kind", "t_sweep", "--d-values", "6", "--t-values", "5,10",
+        code = run(["benchmark", "--kind", "sweep", "--d-values", "6", "--t-values", "5,10",
                     "--reps", 3, "--seed", 1, "--grid-size", 6, "--out", out])
         assert code == 0
         rows = list(csv.DictReader(out.read_text().splitlines()))
         assert len(rows) == 3 * 2 * 3  # reps x T-points x methods
         assert list(rows[0].keys()) == ["method", "d", "T", "dt", "rep", "frobenius", "l1", "f1", "wall_time"]
         summary = json.loads(Path(f"{out}.summary.json").read_text())
-        assert summary["config"]["kind"] == "t_sweep"
+        assert summary["config"]["kind"] == "sweep"
         assert summary["config"]["seed"] == 1
         assert len(summary["groups"]) == 6
 
     @pytest.mark.parametrize("kind, sizes", [
-        ("d_sweep", ["--d-values", "4,5", "--t-values", "5"]),
-        ("t_sweep", ["--d-values", "4", "--t-values", "5,10"]),
-        ("f1_study", ["--d-values", "5", "--t-values", "5"]),
-        ("dt_study", ["--d-values", "4", "--t-values", "5", "--dt-values", "0.1,0.01"]),
+        ("sweep", ["--d-values", "4,5", "--t-values", "5"]),
+        ("sweep", ["--d-values", "4", "--t-values", "5,10"]),
+        ("sweep", ["--d-values", "5", "--t-values", "5"]),
+        ("sweep", ["--d-values", "4", "--t-values", "5", "--dt-values", "0.1,0.01"]),
         ("oracle_coverage", ["--d-values", "4", "--t-values", "30"]),
         ("finance", ["--d-values", "4", "--t-values", "50"]),
     ])
@@ -288,18 +288,18 @@ class TestBenchmark:
 
     @pytest.mark.parametrize("kind", BENCHMARK_KINDS)
     def test_every_kind_runs_every_point_in_d_major_order(self, tmp_path, kind):
-        # dt_study's default 1.0 step leaves too few steps for a fit at d >= 4
-        steps = ["--dt-values", "0.1,0.01"] if kind == "dt_study" else []
+        # each (d, T) point fits every step, largest first, on one path sampled at the smallest
         out = tmp_path / "bench.csv"
-        assert run(["benchmark", "--kind", kind, "--d-values", "3,4", "--t-values", "5,10", *steps,
+        assert run(["benchmark", "--kind", kind, "--d-values", "3,4", "--t-values", "5,10", "--dt-values", "0.01,0.05",
                     "--reps", 1, "--seed", 2, "--grid-size", 5, "--jobs", 1, "--out", out]) == 0
-        points = [(row["d"], row["T"]) for row in csv.DictReader(out.read_text().splitlines())]
-        assert list(dict.fromkeys(points)) == [("3", "5.0"), ("3", "10.0"), ("4", "5.0"), ("4", "10.0")]
-        assert points == sorted(points, key=lambda p: (int(p[0]), float(p[1])))
+        points = [(row["d"], row["T"], row["dt"]) for row in csv.DictReader(out.read_text().splitlines())]
+        assert list(dict.fromkeys(points)) == [(d, T, dt) for d in ("3", "4") for T in ("5.0", "10.0")
+                                               for dt in ("0.05", "0.01")]
+        assert points == sorted(points, key=lambda p: (int(p[0]), float(p[1]), -float(p[2])))
 
     def test_dt_study_rows(self, tmp_path):
         out = tmp_path / "dt.csv"
-        code = run(["benchmark", "--kind", "dt_study", "--d-values", "4", "--t-values", "5",
+        code = run(["benchmark", "--kind", "sweep", "--d-values", "4", "--t-values", "5",
                     "--dt-values", "0.1,0.01", "--reps", 2, "--seed", 2, "--grid-size", 5,
                     "--out", out])
         assert code == 0
@@ -310,29 +310,29 @@ class TestBenchmark:
     def test_dt_study_step_not_a_multiple_is_usage_error(self, tmp_path, capsys):
         # every step subsamples the path sampled at the smallest one, so 0.1 cannot follow from 0.04
         out = tmp_path / "dt.csv"
-        code = run(["benchmark", "--kind", "dt_study", "--d-values", "3", "--t-values", "4",
+        code = run(["benchmark", "--kind", "sweep", "--d-values", "3", "--t-values", "4",
                     "--dt-values", "0.1,0.04", "--reps", 1, "--out", out])
         assert code == 2
         assert capsys.readouterr().err.startswith("usage error: dt_values must be integer multiples")
         assert list(tmp_path.iterdir()) == []
-        assert ExperimentConfig(kind="dt_study").dt_values == [1.0, 0.1, 0.01, 0.001]
+        assert ExperimentConfig(kind="sweep").dt_values == [DEFAULT_DT]
 
     @pytest.mark.parametrize("kind, flags, message", [
-        ("d_sweep", ["--dt", "-0.1"], "dt must be > 0"),
-        ("d_sweep", ["--dt", "0"], "dt must be > 0"),
-        ("d_sweep", ["--t-values", "-1"], HORIZON_RULE),
-        ("dt_study", ["--dt-values", "0.1,-0.05"], HORIZON_RULE),
-        ("dt_study", ["--dt-values", "0.1,0"], HORIZON_RULE),
-        ("d_sweep", ["--t-values", "0.005", "--dt", "0.01"], HORIZON_RULE),
-        ("dt_study", ["--dt-values", "2,1"], "t_values entries must round to a positive whole"),
-        ("d_sweep", ["--dt", "inf"], "dt must be > 0"),
-        ("d_sweep", ["--t-values", "inf"], HORIZON_RULE),
-        ("d_sweep", ["--t-values", "1e300", "--dt", "1e-10"], HORIZON_RULE),
-        ("dt_study", ["--dt-values", "0.1,inf"], "dt_values must be integer multiples"),
-        ("d_sweep", ["--rel-tol", "0"], "rel_tol must be > 0"),
-        ("d_sweep", ["--rel-tol", "inf"], "rel_tol must be > 0"),
-        ("d_sweep", ["--d-values", "0"], "d_values entries must be >= 1"),
-        ("d_sweep", ["--s-rule", "-1"], "s_rule must be in (0, 1]"),
+        ("sweep", ["--dt-values", "-0.1"], "dt must be > 0"),
+        ("finance", ["--dt-values", "0"], "dt must be > 0"),
+        ("sweep", ["--t-values", "-1"], HORIZON_RULE),
+        ("sweep", ["--dt-values", "0.1,-0.05"], HORIZON_RULE),
+        ("finance", ["--dt-values", "0.1,0"], HORIZON_RULE),
+        ("sweep", ["--t-values", "0.005", "--dt-values", "0.01"], HORIZON_RULE),
+        ("finance", ["--dt-values", "2,1"], "t_values entries must round to a positive whole"),
+        ("finance", ["--dt-values", "inf"], "dt must be > 0"),
+        ("sweep", ["--t-values", "inf"], HORIZON_RULE),
+        ("sweep", ["--t-values", "1e300", "--dt-values", "1e-10"], HORIZON_RULE),
+        ("sweep", ["--dt-values", "0.1,inf"], "dt_values must be integer multiples"),
+        ("sweep", ["--rel-tol", "0"], "rel_tol must be > 0"),
+        ("sweep", ["--rel-tol", "inf"], "rel_tol must be > 0"),
+        ("sweep", ["--d-values", "0"], "d_values entries must be >= 1"),
+        ("sweep", ["--s-rule", "-1"], "s_rule must be in (0, 1]"),
     ])
     def test_non_positive_step_or_horizon_is_usage_error(self, tmp_path, capsys, kind, flags, message):
         out = tmp_path / "b.csv"
@@ -344,7 +344,7 @@ class TestBenchmark:
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"kind": "f1_study", "d_values": [4], "t_values": [5.0],
+        cfg.write_text(json.dumps({"kind": "sweep", "d_values": [4], "t_values": [5.0],
                                    "reps": 3, "seed": 9, "grid_size": 5}))
         out = tmp_path / "b.csv"
         code = run(["benchmark", "--config", cfg, "--reps", 2, "--out", out])
@@ -353,11 +353,11 @@ class TestBenchmark:
         assert len(rows) == 2 * 3  # flag wins over config reps
         summary = json.loads(Path(f"{out}.summary.json").read_text())
         assert summary["config"]["reps"] == 2
-        assert summary["config"]["kind"] == "f1_study"
+        assert summary["config"]["kind"] == "sweep"
 
     def test_flags_and_config_keys_give_the_same_config(self, tmp_path):
-        settings = {"kind": "f1_study", "d_values": [3, 5], "t_values": [2.0, 4.0], "dt_values": [0.1, 0.05],
-                    "dt": 0.02, "s_rule": 0.4, "reps": 1, "seed": 8, "gamma": 2.0, "grid_min": 0.1,
+        settings = {"kind": "sweep", "d_values": [3, 5], "t_values": [2.0, 4.0], "dt_values": [0.1, 0.05],
+                    "s_rule": 0.4, "reps": 1, "seed": 8, "gamma": 2.0, "grid_min": 0.1,
                     "grid_max": 10.0, "grid_size": 3, "rel_tol": 1e-6, "max_iters": 500, "jobs": 1,
                     "out": str(tmp_path / "b.csv")}
         assert list(settings) == CONFIG_FIELDS
@@ -393,6 +393,11 @@ class TestBenchmark:
         assert re.findall(r"`([\w-]+)`", names) == commands
         number = ["one", "two", "three", "four", "five", "six", "seven", "eight"][len(commands) - 1]
         assert set(re.findall(r"(\w+)\s+subcommands", readme)) == {number}
+
+    def test_readme_kinds_are_the_benchmark_kinds(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        kinds = re.search(r"Benchmark kinds: (.*?)\.", readme, re.S).group(1)
+        assert tuple(re.findall(r"`(\w+)`", re.sub(r"\(.*?\)", "", kinds, flags=re.S))) == BENCHMARK_KINDS
 
     def test_readme_command_line_flags_are_parser_flags(self):
         # every --flag named between "## Command line" and "## Tests" is a flag of some subcommand
@@ -435,15 +440,15 @@ class TestBenchmark:
 
     def test_config_holding_a_list_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps([{"kind": "f1_study"}]))
+        cfg.write_text(json.dumps([{"kind": "sweep"}]))
         assert run(["benchmark", "--config", cfg, "--out", tmp_path / "b.csv"]) == 2
         assert capsys.readouterr().err.startswith("usage error: --config must hold a JSON object")
         assert list(tmp_path.iterdir()) == [cfg]
 
-    @pytest.mark.parametrize("entry", [{"d_values": []}, {"reps": "2"}, {"rep": 3}, {"seed": 1.5}])
+    @pytest.mark.parametrize("entry", [{"d_values": []}, {"reps": "2"}, {"rep": 3}, {"seed": 1.5}, {"dt": 0.02}])
     def test_bad_config_entry_is_usage_error(self, tmp_path, capsys, entry):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"kind": "f1_study", "d_values": [4], "t_values": [5.0], "reps": 2,
+        cfg.write_text(json.dumps({"kind": "sweep", "d_values": [4], "t_values": [5.0], "reps": 2,
                                    "grid_size": 5, **entry}))
         out = tmp_path / "b.csv"
         assert run(["benchmark", "--config", cfg, "--out", out]) == 2
@@ -452,6 +457,27 @@ class TestBenchmark:
         assert "Traceback" not in err
         assert not out.exists()
         assert not (tmp_path / "b.csv.summary.json").exists()
+
+    def test_malformed_config_is_runtime_error(self, tmp_path, capsys):
+        # the config reader names the file, as the drift and trajectory readers do
+        cfg = tmp_path / "bad.json"
+        cfg.write_text('{"kind": "sweep",')
+        assert run(["benchmark", "--config", cfg, "--out", tmp_path / "b.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg} is not a JSON config file: Expecting property name")
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--kind", "d_sweep"], "argument --kind: invalid choice: 'd_sweep'"),
+        (["--kind", "sweep", "--dt", "0.02"], "unrecognized arguments: --dt 0.02"),
+    ], ids=["--kind d_sweep", "--dt 0.02"])
+    def test_removed_kind_and_step_flag_are_rejected_by_the_parser(self, tmp_path, capsys, argv, message):
+        # one sweep kind and one step field; a flag is read only by its full name, so --dt is not --dt-values
+        with pytest.raises(SystemExit) as exc:
+            run(["benchmark", *argv, "--d-values", 3, "--t-values", 1, "--reps", 1, "--out", tmp_path / "b.csv"])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 def write_prices(path, n_days=1500, n_assets=4, seed=3):
@@ -624,8 +650,8 @@ BAD_FIT_FLAGS = [["--rel-tol", 0], ["--max-iters", 0], ["--grid-size", 0], ["--g
 FIT_COMMANDS = {
     "fit": ["fit", "--traj", "{traj}", "--method", "adalasso"],
     "finance": ["finance", "--prices", "{prices}"],
-    "benchmark-jobs1": ["benchmark", "--kind", "f1_study", "--d-values", 3, "--t-values", 1, "--reps", 1, "--jobs", 1],
-    "benchmark-jobs2": ["benchmark", "--kind", "f1_study", "--d-values", 3, "--t-values", 1, "--reps", 1, "--jobs", 2],
+    "benchmark-jobs1": ["benchmark", "--kind", "sweep", "--d-values", 3, "--t-values", 1, "--reps", 1, "--jobs", 1],
+    "benchmark-jobs2": ["benchmark", "--kind", "sweep", "--d-values", 3, "--t-values", 1, "--reps", 1, "--jobs", 2],
 }
 ORACLE_COVERAGE = ["diagnostics", "--which", "oracle-coverage", "--d", 4, "--s", 1]
 BAD_SETTINGS = [
@@ -685,7 +711,9 @@ SECOND_DEFAULTS = {
                       _library_default(oracle_coverage, "dt")),
     "diagnostics --dt": (_flag_default("diagnostics", "--which", "oracle-coverage", "--out", "o", dest="dt"),
                          _library_default(oracle_coverage, "dt")),
-    "ExperimentConfig grid": (fit_settings(ExperimentConfig(kind="d_sweep"))[0].tolist(), default_lambda_grid().tolist()),
+    "ExperimentConfig grid": (fit_settings(ExperimentConfig(kind="sweep"))[0].tolist(), default_lambda_grid().tolist()),
+    "ExperimentConfig dt_values": (ExperimentConfig(kind="sweep").dt_values,
+                                   [_library_default(oracle_coverage, "dt")]),
 }
 
 

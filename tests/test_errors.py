@@ -54,10 +54,10 @@ OWNERS = {
     "step_count dt=0": lambda: step_count(1.0, 0.0),
     "step_count T < dt / 2": lambda: step_count(0.004, 0.01),
     "sample_trajectory T=inf": lambda: sample_trajectory(DRIFT, math.inf, 0.01, 0),
-    "ExperimentConfig gamma=-1": lambda: ExperimentConfig(kind="d_sweep", gamma=-1.0),
-    "ExperimentConfig grid_size=0": lambda: ExperimentConfig(kind="d_sweep", grid_size=0),
+    "ExperimentConfig gamma=-1": lambda: ExperimentConfig(kind="sweep", gamma=-1.0),
+    "ExperimentConfig grid_size=0": lambda: ExperimentConfig(kind="sweep", grid_size=0),
     "ExperimentConfig kind=x": lambda: ExperimentConfig(kind="x"),
-    "ExperimentConfig reps=0": lambda: ExperimentConfig(kind="d_sweep", reps=0),
+    "ExperimentConfig reps=0": lambda: ExperimentConfig(kind="sweep", reps=0),
 }
 
 NAN = np.full((3, 3), np.nan)

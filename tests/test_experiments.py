@@ -35,7 +35,7 @@ from sparse_ou import (
 )
 from sparse_ou import metrics
 from sparse_ou.errors import UsageError
-from sparse_ou.experiments import ExperimentConfig, run_benchmark
+from sparse_ou.experiments import BENCHMARK_KINDS, ExperimentConfig, run_benchmark
 from sparse_ou.metrics import oracle_bound
 from sparse_ou.model import symmetrized_drift
 from sparse_ou.sim import subsample
@@ -59,7 +59,7 @@ def expected_row(method, truth, matrix, stats, d, T, dt, rep, **extra) -> dict:
 
 
 def test_d_sweep_seed_layout(tmp_path):
-    rows = benchmark_rows(tmp_path, kind="d_sweep", d_values=[4, 6], t_values=[10.0], reps=3, seed=3)
+    rows = benchmark_rows(tmp_path, kind="sweep", d_values=[4, 6], t_values=[10.0], reps=3, seed=3)
     assert len(rows) == 2 * 3 * 3
     # sweep point i = 1 (d = 6), replication r = 1: path seed derive_seed(seed, i * reps + r)
     truth = generate_sparse_drift(6, 1, derive_seed(3, 900006))
@@ -75,22 +75,29 @@ def test_d_sweep_seed_layout(tmp_path):
     assert rows[first:first + 3] == expected
 
 
-@pytest.mark.parametrize("d_values, t_values, i", [([4], [30.0], 0), ([3, 4], [5.0, 10.0], 3)],
-                         ids=["one point", "point 3 of four"])
-def test_oracle_coverage_seed_layout(tmp_path, d_values, t_values, i):
-    # every kind runs every (d, T), d-major; replication r of point i samples from derive_seed(seed, i * reps + r)
-    reps, r = 2, 1
-    rows = benchmark_rows(tmp_path, kind="oracle_coverage", d_values=d_values, t_values=t_values, reps=reps, seed=6)
-    assert len(rows) == reps * len(d_values) * len(t_values)
-    assert [(int(row["d"]), float(row["T"])) for row in rows[::reps]] == [(d, T) for d in d_values for T in t_values]
+@pytest.mark.parametrize("d_values, t_values, dt_values, i", [
+    ([4], [30.0], [0.01], 0), ([3, 4], [5.0, 10.0], [0.01], 3), ([4], [30.0], [0.1, 0.01], 0),
+], ids=["one point", "point 3 of four", "two steps"])
+def test_oracle_coverage_seed_layout(tmp_path, d_values, t_values, dt_values, i):
+    # every kind runs every (d, T), d-major; replication r of point i samples one path at the smallest step
+    # from derive_seed(seed, i * reps + r) and fits it subsampled to every step, largest first
+    reps, r, steps = 2, 1, len(dt_values)
+    rows = benchmark_rows(tmp_path, kind="oracle_coverage", d_values=d_values, t_values=t_values,
+                          dt_values=dt_values, reps=reps, seed=6)
+    assert len(rows) == reps * len(d_values) * len(t_values) * steps
+    assert [(int(row["d"]), float(row["T"])) for row in rows[::reps * steps]] == [(d, T) for d in d_values
+                                                                                  for T in t_values]
     d, T = d_values[i // len(t_values)], t_values[i % len(t_values)]
     truth = symmetrized_drift(generate_sparse_drift(d, 1, derive_seed(6, 900000 + d)))
-    stats = sufficient_stats(sample_trajectory(truth, T, 0.01, derive_seed(6, i * reps + r)))
-    lam = theoretical_lambda(stats, LambdaConfig(gamma=2.0, epsilon0=0.1))
-    fit = lasso(stats, lam, opts=OPTS)
-    err, bound = error_report(fit.matrix, truth, stats).empirical, oracle_bound(truth, lam, 2.0)
-    assert rows[i * reps + r] == expected_row("lasso_theory", truth, fit.matrix, stats, d, T, 0.01, r,
-                                              _bound_holds=bool(err <= bound), _bound_ratio=err / bound)
+    fine = sample_trajectory(truth, T, dt_values[-1], derive_seed(6, i * reps + r))
+    for k, dt in enumerate(dt_values):
+        stats = sufficient_stats(subsample(fine, round(dt / dt_values[-1])))
+        lam = theoretical_lambda(stats, LambdaConfig(gamma=2.0, epsilon0=0.1))
+        fit = lasso(stats, lam, opts=OPTS)
+        err, bound = error_report(fit.matrix, truth, stats).empirical, oracle_bound(truth, lam, 2.0)
+        extra = {"_bound_holds": bool(err <= bound), "_bound_ratio": err / bound}
+        assert rows[(i * reps + r) * steps + k] == expected_row("lasso_theory", truth, fit.matrix, stats, d, T, dt, r,
+                                                                **extra)
 
 
 def test_oracle_coverage_equals_the_benchmark_bound_column(tmp_path, monkeypatch):
@@ -107,7 +114,8 @@ def test_oracle_coverage_equals_the_benchmark_bound_column(tmp_path, monkeypatch
         norm = error_report(fit.matrix, truth, stats).empirical
         bounds[lam] = norm if r % 2 == 0 else np.nextafter(norm, 0.0)
     monkeypatch.setattr(metrics, "oracle_bound", lambda truth, lam, gamma: bounds[lam])
-    rows = benchmark_rows(tmp_path, kind="oracle_coverage", d_values=[d], t_values=[T], dt=dt, reps=reps, seed=seed)
+    rows = benchmark_rows(tmp_path, kind="oracle_coverage", d_values=[d], t_values=[T], dt_values=[dt], reps=reps,
+                          seed=seed)
     holds = [row["_bound_holds"] == "True" for row in rows]
     assert holds == [True, False, True, False]
     # met with equality, the ratio is 1; missed by one ulp, it still rounds to 1 or just above
@@ -118,33 +126,36 @@ def test_oracle_coverage_equals_the_benchmark_bound_column(tmp_path, monkeypatch
 
 
 def test_config_resolves_zero_jobs_to_all_cores_and_rejects_negative():
-    assert ExperimentConfig(kind="d_sweep", jobs=0).jobs == (os.cpu_count() or 1)
-    assert ExperimentConfig(kind="d_sweep", jobs=3).jobs == 3
+    assert ExperimentConfig(kind="sweep", jobs=0).jobs == (os.cpu_count() or 1)
+    assert ExperimentConfig(kind="sweep", jobs=3).jobs == 3
     with pytest.raises(UsageError, match="jobs must be >= 0"):
-        ExperimentConfig(kind="d_sweep", jobs=-1)
+        ExperimentConfig(kind="sweep", jobs=-1)
 
 
 def test_config_rejects_a_negative_seed():
     # the library checks the seed where the benchmark uses it, not only the CLI
     with pytest.raises(UsageError, match="seed must be >= 0, got -1"):
-        ExperimentConfig(kind="d_sweep", seed=-1)
+        ExperimentConfig(kind="sweep", seed=-1)
 
 
 def test_config_solver_defaults_are_those_of_solver_options():
-    cfg = ExperimentConfig(kind="d_sweep")
+    cfg = ExperimentConfig(kind="sweep")
     assert SolverOptions(max_iters=cfg.max_iters, rel_tol=cfg.rel_tol) == SolverOptions()
     assert SolverOptions() == SolverOptions(max_iters=10000, rel_tol=1e-7, acceleration=True)
 
 
-def test_finance_seed_layout(tmp_path):
-    rows = benchmark_rows(tmp_path, kind="finance", d_values=[4], t_values=[50.0], reps=2, seed=2)
-    assert len(rows) == 2
-    drift = generate_sparse_drift(4, 1, derive_seed(2, 900004))
-    rng = np.random.default_rng(derive_seed(2, 900002))
-    m = rng.normal(size=4) * 0.5
-    w = rng.normal(size=(4, 4))
-    sigma = np.linalg.cholesky(0.02 * np.eye(4) + 0.01 * (w @ w.T) / 4)
-    traj = sample_sigma_trajectory(drift.matrix, m, sigma, 50.0, 0.01, derive_seed(2, 1))
+def finance_path(d, T, dt, seed, rep):
+    """The truth ``(drift, m, Sigma)`` of a finance sweep point of dimension d and replication rep's path at dt."""
+    drift = generate_sparse_drift(d, 1, derive_seed(seed, 900000 + d))
+    rng = np.random.default_rng(derive_seed(seed, 900002))
+    m = rng.normal(size=d) * 0.5
+    w = rng.normal(size=(d, d))
+    sigma = np.linalg.cholesky(0.02 * np.eye(d) + 0.01 * (w @ w.T) / d)
+    return (drift, m, sigma), sample_sigma_trajectory(drift.matrix, m, sigma, T, dt, derive_seed(seed, rep))
+
+
+def finance_row(truth, traj, T, dt, rep) -> dict:
+    drift, m, sigma = truth
     m_hat, sigma_hat = estimate_mean_sigma(traj)
     fit = cross_validate_sigma(traj, m_hat, sigma_hat, gamma=1.0, grid=GRID, opts=OPTS).best_estimate
     stats = sufficient_stats(Trajectory(dt=traj.dt, states=traj.states - m_hat))
@@ -153,7 +164,30 @@ def test_finance_seed_layout(tmp_path):
         "_m_err": float(np.linalg.norm(m_hat - m)),
         "_sigma_rel_err": float(np.linalg.norm(sigma_hat @ sigma_hat.T - s_true) / np.linalg.norm(s_true)),
     }
-    assert rows[1] == expected_row("sigma_adalasso_cv", drift, fit.matrix, stats, 4, 50.0, 0.01, 1, **extra)
+    return expected_row("sigma_adalasso_cv", drift, fit.matrix, stats, drift.dim, T, dt, rep, **extra)
+
+
+def test_finance_seed_layout(tmp_path):
+    rows = benchmark_rows(tmp_path, kind="finance", d_values=[4], t_values=[50.0], reps=2, seed=2)
+    assert len(rows) == 2
+    truth, traj = finance_path(4, 50.0, 0.01, seed=2, rep=1)
+    assert rows[1] == finance_row(truth, traj, 50.0, 0.01, 1)
+
+
+def test_finance_fits_every_step_of_one_path(tmp_path):
+    # one path per replication at the smallest step; the 0.1 row fits it subsampled by 10
+    rows = benchmark_rows(tmp_path, kind="finance", d_values=[4], t_values=[50.0], dt_values=[0.1, 0.01], reps=2,
+                          seed=2)
+    assert [row["dt"] for row in rows] == ["0.1", "0.01"] * 2
+    truth, fine = finance_path(4, 50.0, 0.01, seed=2, rep=1)
+    assert rows[2:] == [finance_row(truth, subsample(fine, 10), 50.0, 0.1, 1), finance_row(truth, fine, 50.0, 0.01, 1)]
+
+
+@pytest.mark.parametrize("kind", BENCHMARK_KINDS)
+def test_every_kind_checks_that_each_step_is_a_multiple_of_the_smallest(kind):
+    # 0.1 cannot be subsampled from a path sampled every 0.04
+    with pytest.raises(UsageError, match="dt_values must be integer multiples of the smallest, 0.04; got 0.1"):
+        ExperimentConfig(kind=kind, dt_values=[0.1, 0.04])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -161,20 +195,19 @@ def test_finance_seed_layout(tmp_path):
     T=st.floats(min_value=0.01, max_value=5.0),
     step=st.floats(min_value=0.05, max_value=1.0),
     factors=st.lists(st.integers(min_value=1, max_value=4), max_size=3),
-    dt_study=st.booleans(),
+    kind=st.sampled_from(BENCHMARK_KINDS),
 )
-def test_config_accepts_a_horizon_iff_its_paths_can_be_sampled(T, step, factors, dt_study):
-    # dt_study samples one path at the smallest step and subsamples it to every dt_values entry
+def test_config_accepts_a_horizon_iff_its_paths_can_be_sampled(T, step, factors, kind):
+    # every kind samples one path at the smallest step and subsamples it to every dt_values entry
     dt_values = [step * f for f in [1, *factors]]
-    steps = dt_values if dt_study else [step]
     try:
-        ExperimentConfig(kind="dt_study" if dt_study else "d_sweep", t_values=[T], dt=step, dt_values=dt_values)
+        ExperimentConfig(kind=kind, t_values=[T], dt_values=dt_values)
         accepted = True
     except UsageError:
         accepted = False
     try:
         path = sample_trajectory(generate_sparse_drift(2, 1, 0), T, step, 0)
-        for dt in steps:
+        for dt in dt_values:
             subsample(path, round(dt / step))
         sampled = True
     except ValueError:
