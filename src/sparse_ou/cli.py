@@ -149,24 +149,10 @@ def cmd_fit(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    file_cfg = {}
-    if args.config:
-        with open(args.config) as fh:
-            try:
-                file_cfg = json.load(fh)
-            except ValueError as exc:
-                raise ValueError(f"{args.config} is not a JSON config file: {exc}") from None
-        if not isinstance(file_cfg, dict):
-            raise UsageError("--config must hold a JSON object")
-        unknown = sorted(set(file_cfg) - set(ExperimentConfig.__dataclass_fields__))
-        if unknown:
-            raise UsageError(f"unknown --config keys {unknown}; the keys are the ExperimentConfig fields")
     flags = {k: v for k, v in vars(args).items() if k in ExperimentConfig.__dataclass_fields__ and v is not None}
-    merged = {**file_cfg, **flags}
-    if "kind" not in merged:
-        raise UsageError("benchmark needs --kind (or 'kind' in --config)")
-    merged.setdefault("jobs", 0)
-    cfg = ExperimentConfig(**merged)
+    if "kind" not in flags:
+        raise UsageError("benchmark needs --kind")
+    cfg = ExperimentConfig(**{"jobs": 0, **flags})
     summary = run_benchmark(cfg)
     print(f"wrote {cfg.out} and {cfg.out}.summary.json ({len(summary['groups'])} groups)")
     return 0
@@ -259,9 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_theory_flags(p)
     p.set_defaults(func=cmd_fit)
 
-    # a flag, like a --config key, is read only by its full name: --dt is not --dt-values
+    # a flag is read only by its full name: --dt is not --dt-values
     p = sub.add_parser("benchmark", help="run a replicated sweep, emit tidy CSV + summary JSON", allow_abbrev=False)
-    p.add_argument("--config", default=None, help="JSON config file; flags override its keys")
     _add_config_flags(p, ExperimentConfig.__dataclass_fields__, defaults=False)
     p.set_defaults(func=cmd_benchmark)
 

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-A value that a command-line flag or a config key can supply is rejected with
-:class:`UsageError` by the code that uses it; the CLI exits with
+A value that a command-line flag can supply is rejected with
+:class:`UsageError` by the code that uses it, also when a library caller
+passes it ill-typed (``ExperimentConfig(reps="2")``); the CLI exits with
 code 2 for it and with code 1 for any other error.  An argument no flag can
 supply, such as a wrongly shaped array, raises plain ``ValueError``; the
 other classes mark failures of numerical preconditions or external inputs.

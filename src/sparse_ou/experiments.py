@@ -81,6 +81,10 @@ class ExperimentConfig:
             raise UsageError(f"seed must be >= 0, got {self.seed!r}")
         if not all(d >= 1 for d in self.d_values):
             raise UsageError(f"d_values entries must be >= 1, got {self.d_values!r}")
+        for name in ("d_values", "t_values", "dt_values"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise UsageError(f"{name} entries must be distinct, got {values!r}")
         if not 0 < self.s_rule <= 1:
             raise UsageError(f"s_rule must be in (0, 1], got {self.s_rule!r}")
         if self.jobs < 0:

@@ -58,6 +58,11 @@ OWNERS = {
     "ExperimentConfig grid_size=0": lambda: ExperimentConfig(kind="sweep", grid_size=0),
     "ExperimentConfig kind=x": lambda: ExperimentConfig(kind="x"),
     "ExperimentConfig reps=0": lambda: ExperimentConfig(kind="sweep", reps=0),
+    "ExperimentConfig reps='2'": lambda: ExperimentConfig(kind="sweep", reps="2"),
+    "ExperimentConfig seed=1.5": lambda: ExperimentConfig(kind="sweep", seed=1.5),
+    "ExperimentConfig d_values=[]": lambda: ExperimentConfig(kind="sweep", d_values=[]),
+    "ExperimentConfig jobs=None": lambda: ExperimentConfig(kind="sweep", jobs=None),
+    "ExperimentConfig d_values=[3, 3]": lambda: ExperimentConfig(kind="sweep", d_values=[3, 3]),
 }
 
 NAN = np.full((3, 3), np.nan)

@@ -212,4 +212,5 @@ def test_config_accepts_a_horizon_iff_its_paths_can_be_sampled(T, step, factors,
         sampled = True
     except ValueError:
         sampled = False
-    assert accepted == sampled
+    # a repeated step is rejected too: it would fit each path twice
+    assert accepted == (sampled and len(set(dt_values)) == len(dt_values))
