@@ -29,7 +29,10 @@ violating entry as a witness and sweeps the full residual again only once
 that one entry no longer violates, and always on the last step.  The gate
 reads that entry's gradient from the gradient point, as (a_k - v_k) / step +
 (P G)_k; it only decides whether to sweep.  The flag, the residual and the
-final objective of an estimate all come from its last sweep.
+final objective of an estimate all come from its last sweep.  :func:`_path` fits
+a grid on given statistics and holds the one warm-start rule: from the largest
+penalty down, each fit starts at the previous one, the first at zero or, with
+adaptive weights, at the MLE.
 """
 
 from __future__ import annotations
@@ -136,15 +139,6 @@ def _adaptive_gamma(gamma: float) -> float:
     if not 0 <= gamma < math.inf:
         raise UsageError(f"gamma must be >= 0 and finite, got {gamma}")
     return float(gamma)
-
-
-def _adaptive_start(stats: SufficientStats, gamma: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """The adaptive warm start A_mle, weights 1 / |A_mle|^gamma capped at WEIGHT_CAP, and float(gamma)."""
-    gamma = _adaptive_gamma(gamma)
-    a_mle = mle(stats).matrix
-    with np.errstate(divide="ignore"):
-        weights = np.minimum(np.abs(a_mle) ** (-gamma), WEIGHT_CAP)
-    return a_mle, weights, gamma
 
 
 def _quad(a: np.ndarray, c: np.ndarray, p: np.ndarray | None) -> np.ndarray:
@@ -294,6 +288,24 @@ def _kkt_residual(a, g, lamw, buf) -> float:
     return max(float(np.maximum.reduce(buf, axis=None)), 0.0)
 
 
+def _path(stats: SufficientStats, p, gamma: float | None, grid, opts: SolverOptions | None) -> list[Estimate]:
+    """The fits at the ascending penalties ``grid`` in grid order, with P = ``p`` (None: I), adaptive when ``gamma`` is set."""
+    weights = warm = None
+    if gamma is not None:
+        # -G C^{-1} minimizes <A, P G> + 1/2 tr(P A C A^T) for every P > 0; weights 1 / |A_mle|^gamma, capped
+        gamma = _adaptive_gamma(gamma)
+        warm = mle(stats).matrix
+        with np.errstate(divide="ignore"):
+            weights = np.minimum(np.abs(warm) ** (-gamma), WEIGHT_CAP)
+    problem = _Problem.of(stats.c_hat, stats.g_hat, p, weights, opts)
+    fits: list[Estimate] = []
+    for lam in grid[::-1]:
+        fits.append(problem.fit(lam, init=warm, gamma=gamma))
+        warm = fits[-1].matrix
+    fits.reverse()
+    return fits
+
+
 def lasso(
     stats: SufficientStats,
     lam: float,
@@ -331,8 +343,7 @@ def adaptive_lasso(
     infinite threshold; the cap exceeds any penalty of practical interest.
     Starts from the MLE (a warm start, not a requirement).
     """
-    a_mle, weights, gamma = _adaptive_start(stats, gamma)
-    return _Problem.of(stats.c_hat, stats.g_hat, None, weights, opts).fit(lam, init=a_mle, gamma=gamma)
+    return _path(stats, None, gamma, (lam,), opts)[0]
 
 
 def _precision(sigma, d: int) -> np.ndarray:

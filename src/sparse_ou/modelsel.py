@@ -5,9 +5,10 @@ it with its own negative log-likelihood.  The state at the split boundary
 terminates the training integrals and initiates the validation
 increments, mirroring how a continuous-time integral splits.
 
-The Lasso, Adaptive Lasso and Sigma-aware fits follow one path: from the
-largest penalty down, each fit warm-started at the previous one and the
-first at zero or, with adaptive weights, at the training MLE.
+Selection runs on given statistics: :func:`_hold_out` runs the one warm-started
+path of the Lasso, Adaptive Lasso and Sigma-aware fits, ``estimators._path``, on
+the training statistics and scores it on the validation ones; the public
+routines add only the split and its two ``sufficient_stats`` calls.
 """
 
 from __future__ import annotations
@@ -20,16 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .estimators import (
-    Estimate,
-    SolverOptions,
-    _adaptive_start,
-    _centered,
-    _precision,
-    _Problem,
-)
+from .estimators import Estimate, SolverOptions, _centered, _path, _precision
 from .sim import Trajectory
-from .stats import neg_log_likelihood, sufficient_stats
+from .stats import SufficientStats, neg_log_likelihood, sufficient_stats
 
 __all__ = [
     "CvResult",
@@ -73,11 +67,8 @@ def split_trajectory(traj: Trajectory) -> tuple[Trajectory, Trajectory]:
     return train, valid
 
 
-def _select(grid: np.ndarray, fits: list[Estimate], scores) -> CvResult:
-    """The fit with the lowest validation score; ties go to the smallest penalty.
-
-    Selecting a fit that did not converge raises a RuntimeWarning.
-    """
+def _select(grid: np.ndarray, fits: list[Estimate], scores, stacklevel: int) -> CvResult:
+    """The fit with the lowest validation score; ties go to the smallest penalty; a RuntimeWarning if it did not converge."""
     scores = np.asarray(scores)
     if not np.all(np.isfinite(scores)):
         raise ValueError("validation score is non-finite; data is degenerate")
@@ -88,7 +79,7 @@ def _select(grid: np.ndarray, fits: list[Estimate], scores) -> CvResult:
             f"selected fit at lambda={float(grid[best_idx]):.6g} did not converge: "
             f"{best.iterations} iterations, KKT residual {best.kkt_residual:.3g}",
             RuntimeWarning,
-            stacklevel=4,
+            stacklevel=stacklevel,
         )
     return CvResult(
         lambda_grid=grid,
@@ -99,30 +90,23 @@ def _select(grid: np.ndarray, fits: list[Estimate], scores) -> CvResult:
     )
 
 
-def _cross_validate(traj: Trajectory, p, gamma: float | None, grid, opts: SolverOptions | None) -> CvResult:
-    """Hold-out selection with precision ``p`` (None: P = I) and adaptive weights when ``gamma`` is set."""
+def _grid(grid) -> np.ndarray:
+    """``grid`` (None: the default) as a sorted float array; ValueError if it is empty or has an entry < 0."""
     grid = np.asarray(default_lambda_grid() if grid is None else grid, dtype=float)
     if grid.size == 0:
         raise ValueError("lambda grid must be non-empty")
     if not np.all(grid >= 0):
         raise ValueError("lambda grid entries must be >= 0")
-    grid = np.sort(grid)
-    train, valid = split_trajectory(traj)
-    train_stats = sufficient_stats(train)
-    valid_stats = sufficient_stats(valid)
+    return np.sort(grid)
 
-    weights = warm = None
-    if gamma is not None:
-        # -G C^{-1} minimizes <A, P G> + 1/2 tr(P A C A^T) for every P > 0
-        warm, weights, gamma = _adaptive_start(train_stats, gamma)
-    problem = _Problem.of(train_stats.c_hat, train_stats.g_hat, p, weights, opts)
 
-    fits: list[Estimate] = []
-    for lam in grid[::-1]:
-        fits.append(problem.fit(float(lam), init=warm, gamma=gamma))
-        warm = fits[-1].matrix
-    fits.reverse()
-    return _select(grid, fits, [neg_log_likelihood(f.matrix, valid_stats, p) for f in fits])
+def _hold_out(grid: np.ndarray, train: SufficientStats, valid: SufficientStats, p, gamma, opts, stacklevel=4) -> CvResult:
+    """The path on ``train`` at the sorted ``grid``, scored by the likelihood of ``valid``, both with precision ``p``.
+
+    Selecting a fit that did not converge warns ``stacklevel`` frames up, by default at the public routine's caller.
+    """
+    fits = _path(train, p, gamma, grid, opts)
+    return _select(grid, fits, [neg_log_likelihood(f.matrix, valid, p) for f in fits], stacklevel)
 
 
 def cross_validate(
@@ -140,7 +124,8 @@ def cross_validate(
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    return _cross_validate(traj, None, float(gamma) if method == "adaptive_lasso" else None, grid, opts)
+    gamma = float(gamma) if method == "adaptive_lasso" else None
+    return _hold_out(_grid(grid), *map(sufficient_stats, split_trajectory(traj)), None, gamma, opts)
 
 
 def cross_validate_sigma(
@@ -159,7 +144,8 @@ def cross_validate_sigma(
     Fits follow the warm-started path of :func:`cross_validate`; with
     Sigma = I and m = 0 the result matches it bit for bit.
     """
-    return _cross_validate(_centered(traj, m), _precision(sigma, traj.dim), gamma, grid, opts)
+    traj, p = _centered(traj, m), _precision(sigma, traj.dim)
+    return _hold_out(_grid(grid), *map(sufficient_stats, split_trajectory(traj)), p, gamma, opts)
 
 
 def save_cv_json(path, result: CvResult) -> None:

@@ -7,6 +7,7 @@ move a seed unnoticed.
 """
 
 import csv
+import inspect
 import os
 
 import numpy as np
@@ -33,7 +34,7 @@ from sparse_ou import (
     support_report,
     theoretical_lambda,
 )
-from sparse_ou import metrics
+from sparse_ou import experiments, metrics
 from sparse_ou.errors import UsageError
 from sparse_ou.experiments import BENCHMARK_KINDS, ExperimentConfig, run_benchmark
 from sparse_ou.metrics import oracle_bound
@@ -73,6 +74,31 @@ def test_d_sweep_seed_layout(tmp_path):
     expected = [expected_row(m, truth, fit.matrix, stats, 6, 10.0, 0.01, 1) for m, fit in fits.items()]
     first = (1 * 3 + 1) * 3  # three method rows per replication
     assert rows[first:first + 3] == expected
+
+
+def test_sweep_step_computes_three_statistics(tmp_path, monkeypatch):
+    # the full path's statistics for the MLE, then one split's training and validation statistics for both CV methods
+    calls = []
+
+    def counted(traj):
+        calls.append(traj.n_steps)
+        return sufficient_stats(traj)
+
+    monkeypatch.setattr(experiments, "sufficient_stats", counted)
+    monkeypatch.setattr(experiments.modelsel, "sufficient_stats", counted)
+    benchmark_rows(tmp_path, kind="sweep", d_values=[3], t_values=[5.0], dt_values=[0.02, 0.01], reps=1)
+    # largest step first: 250 steps split at 200, then 500 split at 400
+    assert calls == [250, 200, 50, 500, 400, 100]
+
+
+def test_sweep_warns_at_the_replication(tmp_path):
+    # a selected fit that did not converge is reported at the line of _replicate that selects it
+    with pytest.warns(RuntimeWarning, match="did not converge") as rec:
+        benchmark_rows(tmp_path, kind="sweep", d_values=[3], t_values=[5.0], reps=1, max_iters=1,
+                       grid_min=1e-3, grid_max=1e-2)
+    lines, first = inspect.getsourcelines(experiments._replicate)
+    assert rec.list and all(w.filename == experiments.__file__ and first <= w.lineno < first + len(lines)
+                            for w in rec.list)
 
 
 @pytest.mark.parametrize("d_values, t_values, dt_values, i", [

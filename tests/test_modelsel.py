@@ -18,7 +18,7 @@ from sparse_ou import (
 )
 from sparse_ou.errors import ConditioningError
 from sparse_ou.estimators import _Problem
-from sparse_ou.modelsel import save_cv_json, split_trajectory
+from sparse_ou.modelsel import _hold_out, save_cv_json, split_trajectory
 from sparse_ou.sim import Trajectory
 
 FAST = SolverOptions(rel_tol=1e-10, max_iters=100_000)
@@ -41,13 +41,22 @@ class TestSplit:
         assert np.array_equal(np.vstack([train.states[:-1], valid.states]), traj.states)
 
     def test_training_never_sees_validation(self, traj):
-        # stats computed inside cross_validate must bit-match stats of the
-        # truncated trajectory
-        train, _ = split_trajectory(traj)
-        direct = sufficient_stats(Trajectory(dt=traj.dt, states=traj.states[: train.states.shape[0]]))
-        used = sufficient_stats(train)
-        assert np.array_equal(direct.c_hat, used.c_hat)
-        assert np.array_equal(direct.g_hat, used.g_hat)
+        # cross_validate fits on the head states[:k+1] alone and scores on the tail states[k:] alone
+        k = int(np.floor(0.8 * traj.n_steps))
+        head = sufficient_stats(Trajectory(dt=traj.dt, states=traj.states[: k + 1]))
+        tail = sufficient_stats(Trajectory(dt=traj.dt, states=traj.states[k:]))
+        grid = default_lambda_grid(num=6, low=1e-3, high=10.0)
+        for method, gamma in (("lasso", None), ("adaptive_lasso", 1.0)):
+            got = cross_validate(traj, method, gamma=1.0, grid=grid, opts=FAST)
+            want = _hold_out(grid, head, tail, None, gamma, FAST)
+            assert [f.lam for f in got.fits] == [f.lam for f in want.fits] == grid.tolist()
+            for a, b in zip(got.fits, want.fits):
+                assert np.array_equal(a.matrix, b.matrix)
+                assert (a.iterations, a.restarts, a.final_objective, a.kkt_residual, a.converged, a.gamma) == (
+                    b.iterations, b.restarts, b.final_objective, b.kkt_residual, b.converged, b.gamma)
+            assert np.array_equal(got.validation_scores, want.validation_scores)
+            assert got.best_lambda == want.best_lambda
+            assert np.array_equal(got.best_estimate.matrix, want.best_estimate.matrix)
 
     def test_too_short_rejected(self):
         short = Trajectory(dt=0.1, states=np.zeros((2, 1)))
