@@ -1,5 +1,7 @@
 """Command-line interface: simulate, fit (``--lambda cv``, the default, also writes
-the CV curve to ``--cv-out``), benchmark sweeps, the finance pipeline and theory diagnostics.
+the CV curve to ``--cv-out``), benchmark sweeps (the oracle bound's coverage is the
+``oracle_coverage`` kind), the finance pipeline and theory diagnostics (the
+restricted-eigenvalue bracket and the deviation exponents).
 
 Outputs are data files (tidy CSV + JSON summaries), never plots.  Every
 run is reproducible from its flags: replication seeds derive
@@ -28,10 +30,6 @@ from .finance import (
 from .stats import LambdaConfig, sufficient_stats, theoretical_lambda
 
 
-def _lambda_config(args) -> LambdaConfig:
-    return LambdaConfig(gamma=args.theory_gamma, epsilon0=args.theory_eps0)
-
-
 FIT_FIELDS = ("gamma", "grid_min", "grid_max", "grid_size", "max_iters", "rel_tol")  # what fit_settings reads
 
 
@@ -41,11 +39,6 @@ def _add_config_flags(p: argparse.ArgumentParser, names, defaults: bool) -> None
         f = ExperimentConfig.__dataclass_fields__[name]
         p.add_argument("--" + name.replace("_", "-"), dest=name, type=_flag_type(f.type),
                        default=f.default if defaults else None, **f.metadata)
-
-
-def _add_theory_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--theory-gamma", type=float, default=LambdaConfig.gamma, help="gamma of the theory penalty")
-    p.add_argument("--theory-eps0", type=float, default=LambdaConfig.epsilon0, help="epsilon0 of the theory penalty")
 
 
 def penalty(text: str):
@@ -95,7 +88,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     grid, opts, gamma = fit_settings(args)
-    lambda_cfg = _lambda_config(args)
+    lambda_cfg = LambdaConfig(gamma=args.theory_gamma, epsilon0=args.theory_eps0)
+    if args.method == "mle" and args.lam != "cv":  # "cv" is the default, so an explicit --lambda cv passes
+        raise UsageError(f"--method mle takes no --lambda, got {args.lam}")
     if args.cv_out is not None and (args.method == "mle" or args.lam != "cv"):
         raise UsageError("--cv-out needs a cross-validated fit: --lambda cv with --method lasso or adalasso")
     traj = sim.load_trajectory_csv(args.traj)
@@ -176,19 +171,17 @@ def cmd_finance(args) -> int:
 
 
 def cmd_diagnostics(args) -> int:
-    if args.seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {args.seed}")
-    payload = {"which": args.which, "seed": args.seed}
-    needed = {"re-constant": "traj", "deviation-bounds": "drift"}.get(args.which)
-    if needed and getattr(args, needed) is None:
+    needed = {"re-constant": "traj", "deviation-bounds": "drift"}[args.which]
+    if getattr(args, needed) is None:
         raise UsageError(f"--which {args.which} needs --{needed}")
+    payload = {"which": args.which}
     if args.which == "re-constant":
         stats = sufficient_stats(sim.load_trajectory_csv(args.traj))
         model._check_sparsity(args.s, stats.dim)
         payload.update({"s": args.s, "eigen_floor": metrics.eigen_floor(stats)})
         if stats.dim <= metrics.MAX_ENUMERATION_DIM:
             payload["restricted_sparse_min"] = metrics.restricted_sparse_min(stats, args.s)
-    elif args.which == "deviation-bounds":
+    else:  # deviation-bounds
         drift = model.load_drift_json(args.drift)
         u = np.zeros(drift.dim)
         u[0] = 1.0
@@ -198,13 +191,6 @@ def cmd_diagnostics(args) -> int:
             dict(zip(("R", "h1", "h2"), (r, *metrics.deviation_bounds(r, u, drift.stationary_cov))))
             for r in args.r_values
         ]
-    else:  # oracle-coverage
-        if args.drift:
-            truth = model.load_drift_json(args.drift)
-        else:
-            truth = model.symmetrized_drift(model.generate_sparse_drift(args.d, args.s, args.seed))
-        cov = metrics.oracle_coverage(truth, args.T, args.reps, _lambda_config(args), args.seed, dt=args.dt)
-        payload.update({"coverage": cov, "T": args.T, "reps": args.reps})
     with open(args.out, "w") as fh:
         json.dump(payload, fh, indent=2)
     print(f"wrote {args.out}")
@@ -242,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="estimate JSON path")
     p.add_argument("--cv-out", default=None, help="CV curve JSON path (with --lambda cv; default <out>.cv.json)")
     _add_config_flags(p, FIT_FIELDS, defaults=True)
-    _add_theory_flags(p)
+    p.add_argument("--theory-gamma", type=float, default=LambdaConfig.gamma, help="gamma of the theory penalty")
+    p.add_argument("--theory-eps0", type=float, default=LambdaConfig.epsilon0, help="epsilon0 of the theory penalty")
     p.set_defaults(func=cmd_fit)
 
     # a flag is read only by its full name: --dt is not --dt-values
@@ -257,22 +244,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p, FIT_FIELDS, defaults=True)
     p.set_defaults(func=cmd_finance)
 
-    p = sub.add_parser("diagnostics", help="theory diagnostics: RE bracket, deviation exponents, bound coverage")
-    p.add_argument("--which", choices=["re-constant", "deviation-bounds", "oracle-coverage"], required=True)
+    # a flag is read only by its full name: --d is not --drift
+    p = sub.add_parser("diagnostics", help="theory diagnostics: RE bracket, deviation exponents", allow_abbrev=False)
+    p.add_argument("--which", choices=["re-constant", "deviation-bounds"], required=True)
     p.add_argument("--traj", default=None, help="trajectory CSV (re-constant)")
-    p.add_argument("--drift", default=None, help="drift JSON (deviation-bounds, oracle-coverage)")
-    p.add_argument("--d", type=int, default=8)
-    p.add_argument("--s", type=int, default=2, help="re-constant's support size; the generated truth's row sparsity")
+    p.add_argument("--drift", default=None, help="drift JSON (deviation-bounds)")
+    p.add_argument("--s", type=int, default=2, help="support size of the s-sparse minimum (re-constant)")
     p.add_argument("--u", type=_flag_type("list[float]"), default=None,
                    help="comma-separated direction vector; write --u=-0.6,0.8 when the first entry is negative")
     p.add_argument("--r-values", type=_flag_type("list[float]"), default=[0.1, 0.2, 0.5, 1.0],
                    help="comma-separated deviation levels")
-    p.add_argument("--T", type=float, default=200.0)
-    p.add_argument("--dt", type=float, default=sim.DEFAULT_DT)
-    p.add_argument("--reps", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    _add_theory_flags(p)
     p.set_defaults(func=cmd_diagnostics)
 
     return parser

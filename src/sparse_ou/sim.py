@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-DEFAULT_DT = 0.01  # the observation step of simulate, diagnostics and a benchmark sweep unless one is given
+DEFAULT_DT = 0.01  # the observation step of simulate and of a benchmark sweep unless one is given
 
 
 def derive_seed(seed: int, index: int) -> int:

@@ -3,6 +3,7 @@ import datetime
 import inspect
 import json
 import re
+import shlex
 from dataclasses import fields
 from pathlib import Path
 
@@ -139,6 +140,14 @@ class TestFit:
         traj, _ = sim_files
         assert run(["fit", "--traj", traj, *flags, "--cv-out", tmp_path / "x.json", "--out", tmp_path / "e.json"]) == 2
         assert capsys.readouterr().err.startswith("usage error: --cv-out needs a cross-validated fit")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("lam", [-1, 0.1, "theory"])
+    def test_mle_with_a_penalty_is_usage_error(self, sim_files, tmp_path, capsys, lam):
+        # the MLE reads no penalty, so one given to it is refused before anything is read or written
+        traj, _ = sim_files
+        assert run(["fit", "--traj", traj, "--method", "mle", "--lambda", lam, "--out", tmp_path / "e.json"]) == 2
+        assert capsys.readouterr().err.startswith(f"usage error: --method mle takes no --lambda, got {lam}")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag, value", [("--seed", 1), ("--zero-tol", 0)])
@@ -378,6 +387,20 @@ class TestBenchmark:
         number = ["one", "two", "three", "four", "five", "six", "seven", "eight"][len(commands) - 1]
         assert set(re.findall(r"(\w+)\s+subcommands", readme)) == {number}
 
+    def test_readme_commands_parse(self):
+        # every sparse-ou example in README's bash blocks, \-continuations joined, is one the parser accepts
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        blocks = "".join(re.findall(r"^```bash\n(.*?)^```", readme, re.S | re.M))
+        commands = [shlex.split(line)[1:] for line in blocks.replace("\\\n", " ").splitlines()
+                    if line.startswith("sparse-ou ")]
+        assert len(commands) >= 7
+        parser = build_parser()
+        for argv in commands:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README command does not parse: sparse-ou {shlex.join(argv)}")
+
     def test_readme_kinds_are_the_benchmark_kinds(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         kinds = re.search(r"Benchmark kinds: (.*?)\.", readme, re.S).group(1)
@@ -488,11 +511,10 @@ class TestDiagnostics:
     def test_re_constant(self, sim_files, tmp_path):
         traj, _ = sim_files
         out = tmp_path / "re.json"
-        code = run(["diagnostics", "--which", "re-constant", "--traj", traj, "--s", 2,
-                    "--seed", 1, "--out", out])
+        code = run(["diagnostics", "--which", "re-constant", "--traj", traj, "--s", 2, "--out", out])
         assert code == 0
         payload = json.loads(out.read_text())
-        assert list(payload) == ["which", "seed", "s", "eigen_floor", "restricted_sparse_min"]  # d=6 <= 12
+        assert list(payload) == ["which", "s", "eigen_floor", "restricted_sparse_min"]  # d=6 <= 12
         # the certified floor and the s-sparse minimum bracket every cone constant
         assert 0 < payload["eigen_floor"] <= payload["restricted_sparse_min"]
 
@@ -501,7 +523,7 @@ class TestDiagnostics:
         assert run(["simulate", "--d", 13, "--T", 1, "--out", traj]) == 0
         out = tmp_path / "re.json"
         assert run(["diagnostics", "--which", "re-constant", "--traj", traj, "--out", out]) == 0
-        assert list(json.loads(out.read_text())) == ["which", "seed", "s", "eigen_floor"]  # d=13 > 12
+        assert list(json.loads(out.read_text())) == ["which", "s", "eigen_floor"]  # d=13 > 12
         out.unlink()
         assert run(["diagnostics", "--which", "re-constant", "--traj", traj, "--s", 0, "--out", out]) == 2
         assert capsys.readouterr().err.startswith("usage error: need 1 <= s <= d, got s=0, d=13")
@@ -517,20 +539,6 @@ class TestDiagnostics:
         assert len(curves) == 2
         assert curves[0]["h1"] > 0 and curves[1]["h1"] > curves[0]["h1"]
 
-    def test_oracle_coverage(self, tmp_path):
-        out = tmp_path / "cov.json"
-        code = run(["diagnostics", "--which", "oracle-coverage", "--d", 4, "--s", 1,
-                    "--T", 30, "--reps", 3, "--seed", 2, "--out", out])
-        assert code == 0
-        assert 0.0 <= json.loads(out.read_text())["coverage"] <= 1.0
-
-    @pytest.mark.parametrize("flags", [["--T", "inf"], ["--T", "nan"], ["--T", 0.001], ["--dt", "inf"], ["--dt", 0]])
-    def test_oracle_coverage_bad_step_or_horizon_is_usage_error(self, tmp_path, capsys, flags):
-        out = tmp_path / "cov.json"
-        assert run(["diagnostics", "--which", "oracle-coverage", "--d", 4, "--s", 1, *flags, "--out", out]) == 2
-        assert capsys.readouterr().err.startswith(f"usage error: {HORIZON_RULE}")
-        assert list(tmp_path.iterdir()) == []
-
     @pytest.mark.parametrize("flag, text", [("--r-values", "abc"), ("--u", "1,x")])
     def test_unreadable_list_flag_is_rejected_by_the_parser(self, sim_files, tmp_path, capsys, flag, text):
         _, drift = sim_files
@@ -540,14 +548,25 @@ class TestDiagnostics:
         assert f"argument {flag}: invalid comma-separated float value: {text!r}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("flag, value", [("--c0", 3.0), ("--probes", 200)])
+    @pytest.mark.parametrize("flag, value", [("--c0", 3.0), ("--probes", 200), ("--d", 8), ("--T", 200), ("--dt", 0.01),
+                                             ("--reps", 20), ("--seed", 0), ("--theory-gamma", 2.0),
+                                             ("--theory-eps0", 0.1)])
     def test_removed_probe_flag_is_rejected_by_the_parser(self, sim_files, tmp_path, capsys, flag, value):
-        # the certified floor needs no cone width and no sample count
+        # the certified floor needs no cone width and no sample count, no mode draws random numbers,
+        # and the oracle bound's Monte Carlo is the oracle_coverage benchmark kind; --d is not --drift
         traj, _ = sim_files
         with pytest.raises(SystemExit) as exc:
             run(["diagnostics", "--which", "re-constant", "--traj", traj, flag, value, "--out", tmp_path / "re.json"])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_oracle_coverage_mode_is_gone(self, tmp_path, capsys):
+        # benchmark --kind oracle_coverage is the one route to the oracle bound's Monte Carlo
+        with pytest.raises(SystemExit) as exc:
+            run(["diagnostics", "--which", "oracle-coverage", "--out", tmp_path / "cov.json"])
+        assert exc.value.code == 2
+        assert "argument --which: invalid choice: 'oracle-coverage'" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("which, missing", [("re-constant", "--traj"), ("deviation-bounds", "--drift")])
@@ -569,7 +588,6 @@ MALFORMED_DRIFTS = {
 DRIFT_READERS = {
     "fit --truth": ["fit", "--traj", "{traj}", "--lambda", "cv", "--grid-size", 3, "--truth"],
     "deviation-bounds --drift": ["diagnostics", "--which", "deviation-bounds", "--drift"],
-    "oracle-coverage --drift": ["diagnostics", "--which", "oracle-coverage", "--reps", 1, "--drift"],
 }
 
 
@@ -621,27 +639,22 @@ FIT_COMMANDS = {
     "benchmark-jobs1": ["benchmark", "--kind", "sweep", "--d-values", 3, "--t-values", 1, "--reps", 1, "--jobs", 1],
     "benchmark-jobs2": ["benchmark", "--kind", "sweep", "--d-values", 3, "--t-values", 1, "--reps", 1, "--jobs", 2],
 }
-ORACLE_COVERAGE = ["diagnostics", "--which", "oracle-coverage", "--d", 4, "--s", 1]
 BAD_SETTINGS = [
     *[(argv + flags, f"{name} {flags[0]} {flags[1]}") for name, argv in FIT_COMMANDS.items() for flags in BAD_FIT_FLAGS],
     (["fit", "--traj", "{traj}", "--lambda", "theory", "--theory-gamma", 0.5], "fit --theory-gamma 0.5"),
     (["fit", "--traj", "{traj}", "--lambda", 0.1, "--theory-gamma", 0.5], "fit --lambda 0.1 --theory-gamma 0.5"),
     (["fit", "--traj", "{traj}", "--method", "mle", "--theory-eps0", 2], "fit --method mle --theory-eps0 2"),
-    ([*ORACLE_COVERAGE, "--theory-gamma", 0.5], "oracle-coverage --theory-gamma 0.5"),
-    ([*ORACLE_COVERAGE, "--reps", 0], "oracle-coverage --reps 0"),
     (["finance", "--prices", "{prices}", "--span", 0], "finance --span 0"),
     (["diagnostics", "--which", "re-constant", "--traj", "{traj}", "--s", 0], "re-constant --s 0"),
     (["diagnostics", "--which", "re-constant", "--traj", "{traj}", "--s", 7], "re-constant --s 7"),
     (["diagnostics", "--which", "deviation-bounds", "--drift", "{drift}", "--r-values", -1], "deviation-bounds --r-values -1"),
     (["diagnostics", "--which", "deviation-bounds", "--drift", "{drift}", "--u", "2,0"], "deviation-bounds --u 2,0"),
     (["diagnostics", "--which", "deviation-bounds", "--drift", "{drift}", "--u", "0.5,0"], "deviation-bounds --u of length 2"),
-    ([*ORACLE_COVERAGE, "--s", 0], "oracle-coverage --s 0"),
     (["simulate", "--d", 3, "--s", 0, "--T", 1], "simulate --s 0"),
     (["simulate", "--kind", "two-group", "--d", 3, "--T", 1], "simulate two-group --d 3"),
     (["simulate", "--kind", "shifted-antisym", "--d", 4, "--s", 1, "--w", "nan", "--T", 1], "simulate --w nan"),
     (["simulate", "--d", 3, "--T", 1, "--seed", -1], "simulate --seed -1"),
     ([*FIT_COMMANDS["benchmark-jobs1"], "--seed", -1], "benchmark --seed -1"),
-    ([*ORACLE_COVERAGE, "--seed", -1], "oracle-coverage --seed -1"),
     ([*FIT_COMMANDS["benchmark-jobs1"], "--jobs", -3], "benchmark --jobs -3"),
     ([*FIT_COMMANDS["benchmark-jobs1"], "--dt-values", "0.01,0.01"], "benchmark --dt-values 0.01,0.01"),
 ]
@@ -678,8 +691,6 @@ SECOND_DEFAULTS = {
                     _library_default(cross_validate, "gamma")),
     "simulate --dt": (_flag_default("simulate", "--d", "3", "--T", "1", "--out", "o", dest="dt"),
                       _library_default(oracle_coverage, "dt")),
-    "diagnostics --dt": (_flag_default("diagnostics", "--which", "oracle-coverage", "--out", "o", dest="dt"),
-                         _library_default(oracle_coverage, "dt")),
     "ExperimentConfig grid": (fit_settings(ExperimentConfig(kind="sweep"))[0].tolist(), default_lambda_grid().tolist()),
     "ExperimentConfig dt_values": (ExperimentConfig(kind="sweep").dt_values,
                                    [_library_default(oracle_coverage, "dt")]),
