@@ -41,7 +41,6 @@ from .stats import (
 from .estimators import (
     Estimate,
     SolverOptions,
-    adaptive_lasso,
     lasso,
     mle,
 )

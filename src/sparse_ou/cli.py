@@ -19,7 +19,7 @@ import numpy as np
 
 from . import metrics, model, modelsel, sim
 from .errors import GenerationError, IngestionError, NumericError, StabilityError, UsageError
-from .estimators import adaptive_lasso, lasso, mle, save_estimate_json
+from .estimators import lasso, mle, save_estimate_json
 from .experiments import CV_METHODS, ExperimentConfig, fit_settings, row_sparsity, run_benchmark
 from .finance import (
     ema_log_returns,
@@ -119,10 +119,7 @@ def cmd_fit(args) -> int:
         else:
             lam = args.lam
             extra["lambda_rule"] = "fixed"
-        if args.method == "adalasso":
-            fit = adaptive_lasso(stats, lam, gamma=gamma, opts=opts)
-        else:
-            fit = lasso(stats, lam, opts=opts)
+        fit = lasso(stats, lam, gamma=gamma if args.method == "adalasso" else None, opts=opts)
 
     if truth is not None:
         err = metrics.error_report(fit.matrix, truth, stats)

@@ -32,7 +32,8 @@ reads that entry's gradient from the gradient point, as (a_k - v_k) / step +
 final objective of an estimate all come from its last sweep.  :func:`_path` fits
 a grid on given statistics and holds the one warm-start rule: from the largest
 penalty down, each fit starts at the previous one, the first at zero or, with
-adaptive weights, at the MLE.
+adaptive weights, at the MLE.  It is the only caller of :meth:`_Problem.of` and
+the one source of weights; :func:`lasso` is its one-point path.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ __all__ = [
     "Estimate",
     "mle",
     "lasso",
-    "adaptive_lasso",
     "save_estimate_json",
 ]
 
@@ -123,17 +123,6 @@ def mle(stats: SufficientStats) -> Estimate:
     )
 
 
-def _validated_weights(weights, d: int) -> np.ndarray:
-    if weights is None:
-        return np.ones((d, d))
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (d, d):
-        raise ValueError(f"weights must have shape ({d}, {d}), got {w.shape}")
-    if np.any(~np.isfinite(w)) or np.any(w <= 0):
-        raise ValueError("weights must be entrywise finite and > 0")
-    return w
-
-
 def _adaptive_gamma(gamma: float) -> float:
     """The adaptive weight exponent as a float; UsageError unless it is finite and >= 0."""
     if not 0 <= gamma < math.inf:
@@ -172,7 +161,7 @@ class _Problem:
     def of(cls, c, g, p, weights, opts: SolverOptions | None) -> "_Problem":
         opts = opts or SolverOptions()
         d = c.shape[0]
-        w = _validated_weights(weights, d)
+        w = np.ones((d, d)) if weights is None else weights
         p = None if p is not None and np.array_equal(p, np.eye(d)) else p
         sigma, lips = _spectrum_ends(c)
         if p is not None:
@@ -309,10 +298,17 @@ def _path(stats: SufficientStats, p, gamma: float | None, grid, opts: SolverOpti
 def lasso(
     stats: SufficientStats,
     lam: float,
-    weights=None,
+    gamma: float | None = None,
     opts: SolverOptions | None = None,
 ) -> Estimate:
-    """Weighted l1-penalized likelihood fit by proximal gradient.
+    """l1-penalized likelihood fit by proximal gradient: the Lasso, or the Adaptive Lasso when ``gamma`` is set.
+
+    With ``gamma`` set, the penalty weights are 1 / |A_mle|^gamma: large MLE
+    entries are penalized weakly and near-zero ones strongly, which is what
+    makes the support selection consistent.  Weights are capped at 1e12 so
+    that an exactly-zero MLE entry cannot produce an infinite threshold; the
+    cap exceeds any penalty of practical interest.  The adaptive fit starts
+    from the MLE (a warm start, not a requirement); the Lasso starts at zero.
 
     Parameters
     ----------
@@ -320,28 +316,11 @@ def lasso(
         Empirical (C, G) of the observed path.
     lam : float
         Penalty level, >= 0.  At 0 the fit coincides with the MLE.
-    weights : array or None
-        Entrywise positive penalty weights W (all ones when None).
+    gamma : float or None
+        Adaptive weight exponent, >= 0 and finite; None means all weights one (the Lasso).
     opts : SolverOptions or None
         Iteration budget and tolerance; None means ``SolverOptions()``, FISTA with restarts.
         The last step always sweeps the KKT residual, so ``converged`` reads ``kkt_residual``.
-    """
-    return _Problem.of(stats.c_hat, stats.g_hat, None, weights, opts).fit(lam)
-
-
-def adaptive_lasso(
-    stats: SufficientStats,
-    lam: float,
-    gamma: float = 1.0,
-    opts: SolverOptions | None = None,
-) -> Estimate:
-    """Lasso with data-driven weights 1 / |A_mle|^gamma.
-
-    Large MLE entries are penalized weakly and near-zero ones strongly,
-    which is what makes the support selection consistent.  Weights are
-    capped at 1e12 so that an exactly-zero MLE entry cannot produce an
-    infinite threshold; the cap exceeds any penalty of practical interest.
-    Starts from the MLE (a warm start, not a requirement).
     """
     return _path(stats, None, gamma, (lam,), opts)[0]
 

@@ -2,8 +2,10 @@
 
 import importlib
 import inspect
+import re
 import types
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -57,6 +59,9 @@ def test_removed_surface_is_gone():
     assert "qs" not in inspect.signature(metrics.error_report).parameters
     assert not hasattr(estimators, "load_estimate_json")
     assert not {"init", "callback"} & set(inspect.signature(sparse_ou.lasso).parameters)
+    assert not hasattr(sparse_ou, "adaptive_lasso") and not hasattr(estimators, "adaptive_lasso")
+    assert list(inspect.signature(sparse_ou.lasso).parameters) == ["stats", "lam", "gamma", "opts"]
+    assert not hasattr(estimators, "_validated_weights")
     assert "callback" not in inspect.signature(estimators._Problem.fit).parameters
     assert "init" not in inspect.signature(sparse_ou.sample_trajectory).parameters
     assert "noise_cov" not in {f.name for f in fields(sim.TransitionKernel)}
@@ -71,3 +76,11 @@ def test_oracle_functions_read_s_from_the_truth(name):
     from sparse_ou import metrics
 
     assert "s" not in inspect.signature(getattr(metrics, name)).parameters
+
+
+def test_readme_python_blocks_run():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

@@ -11,7 +11,6 @@ from sparse_ou import (
     SolverOptions,
     Trajectory,
     TransitionKernel,
-    adaptive_lasso,
     default_lambda_grid,
     dense_baseline_f1,
     ema_log_returns,
@@ -44,8 +43,8 @@ OWNERS = {
     "default_lambda_grid(low=-1)": lambda: default_lambda_grid(5, -1.0, 1.0),
     "default_lambda_grid(low=nan)": lambda: default_lambda_grid(5, math.nan, 1.0),
     "default_lambda_grid(high=inf)": lambda: default_lambda_grid(5, 1.0, math.inf),
-    "adaptive gamma=-1": lambda: adaptive_lasso(STATS, 0.1, gamma=-1.0),
-    "adaptive gamma=inf": lambda: adaptive_lasso(STATS, 0.1, gamma=math.inf),
+    "adaptive gamma=-1": lambda: lasso(STATS, 0.1, gamma=-1.0),
+    "adaptive gamma=inf": lambda: lasso(STATS, 0.1, gamma=math.inf),
     "lambda=-1": lambda: lasso(STATS, -1.0),
     "lambda=nan": lambda: lasso(STATS, math.nan),
     "ema span=0": lambda: ema_log_returns(PANEL, span=0),
@@ -77,8 +76,6 @@ def write(tmp_path, text):
 
 # id: (error, message, call of the test's tmp_path)
 DATA_CHECKS = {
-    "lasso weights (2, 3)": (ValueError, r"weights must have shape \(3, 3\)",
-                             lambda tmp: lasso(STATS, 0.1, weights=np.ones((2, 3)))),
     "sampled path with NaN states": (ValueError, "states contain non-finite values",
                                      lambda tmp: sample_trajectory(DRIFT, 1.0, 0.1, 0, kernel=NAN_KERNEL)),
     "Trajectory dt=0": (ValueError, "dt must be > 0", lambda tmp: Trajectory(dt=0.0, states=np.zeros((2, 3)))),

@@ -90,7 +90,7 @@ def test_identity_sigma_at_zero_mean_is_the_lasso(seed, d, weighted, lam_frac):
     lam = lam_frac * float(np.max(np.abs(stats.g_hat)))
     opts = SolverOptions(rel_tol=1e-8)
     sig = _Problem.of(stats.c_hat, stats.g_hat, _precision(np.eye(d), d), weights, opts).fit(lam)
-    plain = lasso(stats, lam, weights=weights, opts=opts)
+    plain = _Problem.of(stats.c_hat, stats.g_hat, None, weights, opts).fit(lam)
     # P = I exactly, so both run the same arithmetic step for step
     assert np.array_equal(sig.matrix, plain.matrix)
     assert sig.iterations == plain.iterations

@@ -18,7 +18,6 @@ import pytest
 from sparse_ou import (
     SolverOptions,
     SufficientStats,
-    adaptive_lasso,
     cross_validate,
     cross_validate_sigma,
     generate_shifted_antisymmetric,
@@ -214,10 +213,10 @@ def test_p_branch_at_a_nudged_identity_matches_the_lasso(weighted):
 
 @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
 def test_public_lasso_final_objective_is_the_penalized_loss(weighted):
-    c, g, _, weights, _ = random_problem(11, 4, False, weighted)
-    lam = 0.05
-    fit = lasso(SufficientStats(c_hat=c, g_hat=g, horizon=1.0), lam, weights=weights, opts=SolverOptions())
-    a, w = fit.matrix, np.ones_like(c) if weights is None else weights
+    c, g, _, _, _ = random_problem(11, 4, False, False)
+    stats, lam = SufficientStats(c_hat=c, g_hat=g, horizon=1.0), 0.05
+    fit = lasso(stats, lam, gamma=1.0 if weighted else None, opts=SolverOptions())
+    a, w = fit.matrix, np.minimum(np.abs(mle(stats).matrix) ** -1.0, WEIGHT_CAP) if weighted else np.ones_like(c)
     assert np.count_nonzero(a) > 0
     loss = np.vdot(a, g) + 0.5 * np.trace(a @ c @ a.T) + lam * np.sum(w * np.abs(a))
     assert fit.final_objective == pytest.approx(loss, rel=1e-12)
@@ -268,10 +267,7 @@ def test_cross_validate_sigma_matches_fit_sigma_model(traj):
 def test_cross_validate_matches_public_fit(traj, method):
     cv = cross_validate(traj, method, gamma=1.0, grid=GRID, opts=TIGHT)
     train_stats = sufficient_stats(split_trajectory(traj)[0])
-    if method == "lasso":
-        fit = lasso(train_stats, cv.best_lambda, opts=TIGHT)
-    else:
-        fit = adaptive_lasso(train_stats, cv.best_lambda, gamma=1.0, opts=TIGHT)
+    fit = lasso(train_stats, cv.best_lambda, gamma=1.0 if method == "adaptive_lasso" else None, opts=TIGHT)
     # the path warm-starts from the previous grid point, the public call does not
     assert fit.converged and cv.best_estimate.converged
     assert _rel_diff(cv.best_estimate.matrix, fit.matrix) <= 1e-6
