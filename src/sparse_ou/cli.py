@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import MISSING
 
 import numpy as np
 
@@ -33,12 +34,13 @@ from .stats import LambdaConfig, sufficient_stats, theoretical_lambda
 FIT_FIELDS = ("gamma", "grid_min", "grid_max", "grid_size", "max_iters", "rel_tol")  # what fit_settings reads
 
 
-def _add_config_flags(p: argparse.ArgumentParser, names, defaults: bool) -> None:
-    """One flag per named ExperimentConfig field (``grid_min`` is ``--grid-min``), with the field's default or None."""
+def _add_config_flags(p: argparse.ArgumentParser, names) -> None:
+    """One flag per named ExperimentConfig field (``grid_min`` is ``--grid-min``), with its default or else required."""
     for name in names:
         f = ExperimentConfig.__dataclass_fields__[name]
-        p.add_argument("--" + name.replace("_", "-"), dest=name, type=_flag_type(f.type),
-                       default=f.default if defaults else None, **f.metadata)
+        default = f.default if f.default_factory is MISSING else f.default_factory()
+        p.add_argument("--" + name.replace("_", "-"), dest=name, type=_flag_type(f.type), default=default,
+                       required=default is MISSING, **f.metadata)
 
 
 def penalty(text: str):
@@ -141,10 +143,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    flags = {k: v for k, v in vars(args).items() if k in ExperimentConfig.__dataclass_fields__ and v is not None}
-    if "kind" not in flags:
-        raise UsageError("benchmark needs --kind")
-    cfg = ExperimentConfig(**{"jobs": 0, **flags})
+    cfg = ExperimentConfig(**{name: getattr(args, name) for name in ExperimentConfig.__dataclass_fields__})
     summary = run_benchmark(cfg)
     print(f"wrote {cfg.out} and {cfg.out}.summary.json ({len(summary['groups'])} groups)")
     return 0
@@ -224,21 +223,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", default=None, help="optional drift JSON; adds an error/support report")
     p.add_argument("--out", required=True, help="estimate JSON path")
     p.add_argument("--cv-out", default=None, help="CV curve JSON path (with --lambda cv; default <out>.cv.json)")
-    _add_config_flags(p, FIT_FIELDS, defaults=True)
+    _add_config_flags(p, FIT_FIELDS)
     p.add_argument("--theory-gamma", type=float, default=LambdaConfig.gamma, help="gamma of the theory penalty")
     p.add_argument("--theory-eps0", type=float, default=LambdaConfig.epsilon0, help="epsilon0 of the theory penalty")
     p.set_defaults(func=cmd_fit)
 
     # a flag is read only by its full name: --dt is not --dt-values
     p = sub.add_parser("benchmark", help="run a replicated sweep, emit tidy CSV + summary JSON", allow_abbrev=False)
-    _add_config_flags(p, ExperimentConfig.__dataclass_fields__, defaults=False)
+    _add_config_flags(p, ExperimentConfig.__dataclass_fields__)
     p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser("finance", help="price CSV -> EMA log-returns -> sigma-aware sparse fit")
     p.add_argument("--prices", required=True, help="CSV with header date,ticker1,...")
     p.add_argument("--span", type=int, default=10, help="EMA span in days")
     p.add_argument("--out", required=True, help="fitted model JSON")
-    _add_config_flags(p, FIT_FIELDS, defaults=True)
+    _add_config_flags(p, FIT_FIELDS)
     p.set_defaults(func=cmd_finance)
 
     # a flag is read only by its full name: --d is not --drift

@@ -65,7 +65,7 @@ class ExperimentConfig:
     grid_size: int = field(default=40, metadata={"help": "number of log-spaced penalties"})
     rel_tol: float = field(default=SolverOptions.rel_tol, metadata={"help": "stop at KKT residual 10*rel_tol*max|PG|"})
     max_iters: int = field(default=SolverOptions.max_iters, metadata={"help": "solver iteration cap"})
-    jobs: int = field(default=1, metadata={"help": "worker processes, >= 0; 0 runs one per core (the CLI's default)"})
+    jobs: int = field(default=0, metadata={"help": "worker processes, >= 0; 0 runs one per core"})
     out: str = "benchmark.csv"
 
     def __post_init__(self) -> None:

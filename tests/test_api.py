@@ -66,6 +66,7 @@ def test_removed_surface_is_gone():
     assert "init" not in inspect.signature(sparse_ou.sample_trajectory).parameters
     assert "noise_cov" not in {f.name for f in fields(sim.TransitionKernel)}
     assert not hasattr(cli, "_resolve_seed") and "SPARSE_OU_SEED" not in inspect.getsource(cli)
+    assert "benchmark needs --kind" not in inspect.getsource(cli)
     assert "zero_tol" not in inspect.signature(metrics.support_report).parameters
     assert not hasattr(metrics, "DEFAULT_ZERO_TOL") and metrics.ZERO_TOL == 1e-10
     assert not hasattr(experiments, "_steps") and "dt" not in {f.name for f in fields(experiments.ExperimentConfig)}

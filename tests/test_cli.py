@@ -442,8 +442,20 @@ class TestBenchmark:
         assert group["m_err_mean"] >= 0.0
         assert group["sigma_rel_err_mean"] >= 0.0
 
-    def test_missing_kind_is_usage_error(self, tmp_path):
-        assert run(["benchmark", "--out", tmp_path / "x.csv"]) == 2
+    def test_missing_kind_is_usage_error(self, tmp_path, capsys):
+        # kind is the one ExperimentConfig field without a default, so the parser requires its flag
+        with pytest.raises(SystemExit) as exc:
+            run(["benchmark", "--out", tmp_path / "x.csv"])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --kind" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_jobs_default_is_the_config_default(self, tmp_path):
+        out = tmp_path / "b.csv"
+        assert run(["benchmark", "--kind", "sweep", "--d-values", 3, "--t-values", 1, "--reps", 1, "--grid-size", 3,
+                    "--out", out]) == 0
+        config = json.loads((tmp_path / "b.csv.summary.json").read_text())["config"]
+        assert config["jobs"] == ExperimentConfig(kind="sweep").jobs
 
     def test_short_path_aborts_the_sweep(self, tmp_path, capsys):
         # 10 steps for d = 12: the MLE does not exist and the whole sweep stops before writing anything.

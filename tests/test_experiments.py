@@ -46,7 +46,8 @@ OPTS = SolverOptions(max_iters=10000, rel_tol=1e-7, acceleration=True)
 
 
 def benchmark_rows(tmp_path, **fields) -> list:
-    cfg = ExperimentConfig(grid_size=5, out=str(tmp_path / "bench.csv"), **fields)
+    # serial, so monkeypatched functions and pytest.warns see every replication
+    cfg = ExperimentConfig(grid_size=5, jobs=1, out=str(tmp_path / "bench.csv"), **fields)
     run_benchmark(cfg)
     with open(cfg.out) as fh:
         return [{k: v for k, v in row.items() if k != "wall_time"} for row in csv.DictReader(fh)]
@@ -153,6 +154,7 @@ def test_oracle_coverage_equals_the_benchmark_bound_column(tmp_path, monkeypatch
 
 def test_config_resolves_zero_jobs_to_all_cores_and_rejects_negative():
     assert ExperimentConfig(kind="sweep", jobs=0).jobs == (os.cpu_count() or 1)
+    assert ExperimentConfig(kind="sweep").jobs == (os.cpu_count() or 1)  # the default, as for --jobs
     assert ExperimentConfig(kind="sweep", jobs=3).jobs == 3
     with pytest.raises(UsageError, match="jobs must be >= 0"):
         ExperimentConfig(kind="sweep", jobs=-1)
