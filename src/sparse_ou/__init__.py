@@ -52,7 +52,6 @@ from .metrics import (
     deviation_bounds,
     eigen_floor,
     error_report,
-    oracle_coverage,
     restricted_sparse_min,
     support_report,
 )

@@ -90,7 +90,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     grid, opts, gamma = fit_settings(args)
-    lambda_cfg = LambdaConfig(gamma=args.theory_gamma, epsilon0=args.theory_eps0)
     if args.method == "mle" and args.lam != "cv":  # "cv" is the default, so an explicit --lambda cv passes
         raise UsageError(f"--method mle takes no --lambda, got {args.lam}")
     if args.cv_out is not None and (args.method == "mle" or args.lam != "cv"):
@@ -116,7 +115,7 @@ def cmd_fit(args) -> int:
         extra["cv_out"] = str(cv_out)
     else:
         if args.lam == "theory":
-            lam = theoretical_lambda(stats, lambda_cfg)
+            lam = theoretical_lambda(stats, LambdaConfig())
             extra["lambda_rule"] = "theory"
         else:
             lam = args.lam
@@ -224,8 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="estimate JSON path")
     p.add_argument("--cv-out", default=None, help="CV curve JSON path (with --lambda cv; default <out>.cv.json)")
     _add_config_flags(p, FIT_FIELDS)
-    p.add_argument("--theory-gamma", type=float, default=LambdaConfig.gamma, help="gamma of the theory penalty")
-    p.add_argument("--theory-eps0", type=float, default=LambdaConfig.epsilon0, help="epsilon0 of the theory penalty")
     p.set_defaults(func=cmd_fit)
 
     # a flag is read only by its full name: --dt is not --dt-values

@@ -28,7 +28,7 @@ from . import metrics, model, modelsel, sim
 from .errors import UsageError
 from .estimators import SolverOptions, _adaptive_gamma, mle
 from .finance import estimate_mean_sigma, sample_sigma_trajectory
-from .stats import LambdaConfig, sufficient_stats
+from .stats import sufficient_stats
 
 BENCHMARK_COLUMNS = ["method", "d", "T", "dt", "rep", "frobenius", "l1", "f1", "wall_time"]
 BENCHMARK_KINDS = ("sweep", "oracle_coverage", "finance")
@@ -161,7 +161,7 @@ def _replicate(payload) -> list:
         elif cfg.kind == "oracle_coverage":
             stats = sufficient_stats(traj)
             t0 = time.perf_counter()
-            fit, holds, ratio = metrics._oracle_step(truth, stats, LambdaConfig(), opts)
+            fit, holds, ratio = metrics._oracle_step(truth, stats, opts)
             rows.append(_row("lasso_theory", truth, fit.matrix, d, T, dt, rep, time.perf_counter() - t0,
                              _bound_holds=holds, _bound_ratio=ratio))
         else:

@@ -3,14 +3,13 @@
 Covers entrywise error norms (including the trajectory-weighted empirical
 norm ||M X||_L^2 = tr(M C M^T)), precision/recall/F1 support scoring, the
 rank-one deviation exponents H1/H2, the restricted-eigenvalue bracket
-sqrt(lambda_min(C)) <= cone constant <= s-sparse minimum, and Monte Carlo
-coverage of the empirical-norm oracle bound.
+sqrt(lambda_min(C)) <= cone constant <= s-sparse minimum, and the per-path
+check of the empirical-norm oracle bound at the theory penalty.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -19,8 +18,7 @@ import numpy as np
 from .errors import UsageError
 from .estimators import Estimate, SolverOptions, lasso
 from .model import DriftMatrix, _check_sparsity
-from .sim import DEFAULT_DT, derive_seed, sample_trajectory
-from .stats import LambdaConfig, SufficientStats, _spectrum_ends, sufficient_stats, theoretical_lambda
+from .stats import LambdaConfig, SufficientStats, _spectrum_ends, theoretical_lambda
 
 __all__ = [
     "ErrorReport",
@@ -31,7 +29,6 @@ __all__ = [
     "eigen_floor",
     "restricted_sparse_min",
     "oracle_bound",
-    "oracle_coverage",
     "dense_baseline_f1",
 ]
 
@@ -170,38 +167,14 @@ def oracle_bound(truth: DriftMatrix, lam: float, gamma: float) -> float:
     return (1.0 + gamma) / (gamma * kappa) * lam * math.sqrt(truth.dim * s)
 
 
-def _oracle_step(truth: DriftMatrix, stats: SufficientStats, cfg: LambdaConfig,
+def _oracle_step(truth: DriftMatrix, stats: SufficientStats,
                  opts: SolverOptions | None = None) -> tuple[Estimate, bool, float]:
-    """One path's coverage check: the theory-penalty Lasso, whether it meets :func:`oracle_bound`, and error / bound."""
+    """One path's oracle check: the theory-penalty Lasso, whether it meets :func:`oracle_bound`, and error / bound.
+
+    The penalty's constants are ``LambdaConfig()``'s; the bound is proved for symmetric truths.
+    """
+    cfg = LambdaConfig()
     lam = theoretical_lambda(stats, cfg)
     fit = lasso(stats, lam, opts=opts)
     err, bound = error_report(fit.matrix, truth, stats).empirical, oracle_bound(truth, lam, cfg.gamma)
     return fit, err <= bound, err / bound
-
-
-def oracle_coverage(
-    truth: DriftMatrix,
-    T: float,
-    reps: int,
-    cfg: LambdaConfig,
-    seed: int,
-    dt: float = DEFAULT_DT,
-) -> float:
-    """Fraction of runs in which the empirical-norm bound holds at the theory penalty.
-
-    Replication r samples a path from ``derive_seed(seed, r)``, fits the
-    l1-penalized estimator at the theoretical penalty with the default
-    :class:`SolverOptions`, and tests
-
-        ||(A_hat - A0) X||_L <= (1 + gamma) / (gamma kappa) * lambda_T sqrt(d s)
-
-    with d = ``truth.dim``, and s (the truth's row sparsity) and kappa as in
-    :func:`oracle_bound`.  The guarantee is proved for symmetric truths; a
-    non-symmetric input triggers a warning but runs.
-    """
-    if reps < 1:
-        raise UsageError(f"reps must be >= 1, got {reps}")
-    if not np.allclose(truth.matrix, truth.matrix.T, atol=1e-12):
-        warnings.warn("oracle coverage guarantee is proved for symmetric drifts only")
-    paths = (sample_trajectory(truth, T, dt, derive_seed(seed, rep)) for rep in range(reps))
-    return sum(_oracle_step(truth, sufficient_stats(path), cfg)[1] for path in paths) / reps

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from sparse_ou import (
-    LambdaConfig,
     SolverOptions,
     cross_validate,
     cross_validate_sigma,
@@ -28,7 +27,6 @@ from sparse_ou import (
     make_drift,
     mle,
     neg_log_likelihood,
-    oracle_coverage,
     sample_sigma_trajectory,
     sample_trajectory,
     solve_lyapunov,
@@ -37,6 +35,7 @@ from sparse_ou import (
     support_report,
     transition_kernel,
 )
+from sparse_ou import metrics
 from sparse_ou.sim import derive_seed
 
 from conftest import random_stable_matrix, random_stats
@@ -214,10 +213,16 @@ def test_10_oracle_bound_coverage():
     base[0, 1] = base[1, 0] = 0.3
     base[2, 3] = base[3, 2] = -0.25
     truth = make_drift(base)
-    cfg = LambdaConfig(gamma=2.0, epsilon0=0.1)
-    frac = oracle_coverage(truth, T=200.0, reps=50, cfg=cfg, seed=909)
+    reps = 50
+    checks = [metrics._oracle_step(truth, sufficient_stats(sample_trajectory(truth, 200.0, 0.01, derive_seed(909, r))))
+              for r in range(reps)]
+    frac = sum(holds for _, holds, _ in checks) / reps
+    worst = max(ratio for _, _, ratio in checks)
+    nonzero = sum(bool(np.any(fit.matrix)) for fit, _, _ in checks)
     ok = frac >= 0.9
-    report(10, "oracle bound coverage", ok, f"coverage {frac:.2f} >= 0.9")
+    # the ratio and the nonzero count show what was measured: at this T the theory fit can be the zero matrix
+    report(10, "oracle bound coverage", ok,
+           f"coverage {frac:.2f} >= 0.9; largest error / bound {worst:.3f}; {nonzero} of {reps} fits nonzero")
 
 
 def test_11_re_constant_diagnostic():

@@ -50,7 +50,8 @@ def test_removed_surface_is_gone():
     assert "acceleration" not in {f.name for f in fields(sparse_ou.SolverOptions)}
     assert not hasattr(metrics.ErrorReport, "to_json")
     assert not hasattr(metrics.SupportReport, "to_json")
-    assert "d" not in inspect.signature(metrics.oracle_coverage).parameters
+    assert not hasattr(sparse_ou, "oracle_coverage") and not hasattr(metrics, "oracle_coverage")
+    assert "cfg" not in inspect.signature(metrics._oracle_step).parameters
     assert list(inspect.signature(sparse_ou.ema_log_returns).parameters) == ["panel", "span"]
     assert not hasattr(estimators, "soft_threshold") and not hasattr(estimators, "fit_sigma_model")
     assert not hasattr(stats, "theta")
@@ -72,7 +73,7 @@ def test_removed_surface_is_gone():
     assert not hasattr(experiments, "_steps") and "dt" not in {f.name for f in fields(experiments.ExperimentConfig)}
 
 
-@pytest.mark.parametrize("name", ["oracle_bound", "_oracle_step", "oracle_coverage"])
+@pytest.mark.parametrize("name", ["oracle_bound", "_oracle_step"])
 def test_oracle_functions_read_s_from_the_truth(name):
     from sparse_ou import metrics
 

@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 from sparse_ou import (
+    LambdaConfig,
     cross_validate,
     default_lambda_grid,
     ema_log_returns,
     lasso,
     model,
-    oracle_coverage,
     sufficient_stats,
+    theoretical_lambda,
 )
 from sparse_ou.cli import build_parser, main
 from sparse_ou.errors import GenerationError
@@ -195,7 +196,20 @@ class TestFit:
         out = tmp_path / "t.json"
         assert run(["fit", "--traj", traj, "--method", "lasso", "--lambda", "theory",
                     "--out", out]) == 0
-        assert json.loads(out.read_text())["lambda_rule"] == "theory"
+        est = json.loads(out.read_text())
+        assert est["lambda_rule"] == "theory"
+        assert est["lambda"] == theoretical_lambda(sufficient_stats(load_trajectory_csv(traj)), LambdaConfig())
+
+    @pytest.mark.parametrize("flags", [["--lambda", "theory", "--theory-gamma", "2.0"], ["--theory-eps0", "0.1"]],
+                             ids=["theory-gamma", "theory-eps0"])
+    def test_theory_constants_are_not_flags(self, sim_files, tmp_path, capsys, flags):
+        # --lambda theory fits at the LambdaConfig() penalty, as the oracle_coverage kind does
+        traj, _ = sim_files
+        with pytest.raises(SystemExit) as exc:
+            run(["fit", "--traj", traj, *flags, "--out", tmp_path / "t.json"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flags[-2]} {flags[-1]}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_truth_report_and_method_ordering(self, tmp_path):
         # adaptive weights raise the support F1 over the plain fit for
@@ -653,9 +667,6 @@ FIT_COMMANDS = {
 }
 BAD_SETTINGS = [
     *[(argv + flags, f"{name} {flags[0]} {flags[1]}") for name, argv in FIT_COMMANDS.items() for flags in BAD_FIT_FLAGS],
-    (["fit", "--traj", "{traj}", "--lambda", "theory", "--theory-gamma", 0.5], "fit --theory-gamma 0.5"),
-    (["fit", "--traj", "{traj}", "--lambda", 0.1, "--theory-gamma", 0.5], "fit --lambda 0.1 --theory-gamma 0.5"),
-    (["fit", "--traj", "{traj}", "--method", "mle", "--theory-eps0", 2], "fit --method mle --theory-eps0 2"),
     (["finance", "--prices", "{prices}", "--span", 0], "finance --span 0"),
     (["diagnostics", "--which", "re-constant", "--traj", "{traj}", "--s", 0], "re-constant --s 0"),
     (["diagnostics", "--which", "re-constant", "--traj", "{traj}", "--s", 7], "re-constant --s 7"),
@@ -702,10 +713,10 @@ SECOND_DEFAULTS = {
     "fit --gamma": (_flag_default("fit", "--traj", "t", "--out", "o", dest="gamma"),
                     _library_default(cross_validate, "gamma")),
     "simulate --dt": (_flag_default("simulate", "--d", "3", "--T", "1", "--out", "o", dest="dt"),
-                      _library_default(oracle_coverage, "dt")),
+                      DEFAULT_DT),
     "ExperimentConfig grid": (fit_settings(ExperimentConfig(kind="sweep"))[0].tolist(), default_lambda_grid().tolist()),
     "ExperimentConfig dt_values": (ExperimentConfig(kind="sweep").dt_values,
-                                   [_library_default(oracle_coverage, "dt")]),
+                                   [DEFAULT_DT]),
 }
 
 

@@ -18,7 +18,6 @@ from sparse_ou import (
     generate_sparse_drift,
     lasso,
     load_prices,
-    oracle_coverage,
     sample_trajectory,
     solve_lyapunov,
     subsample,
@@ -48,7 +47,6 @@ OWNERS = {
     "lambda=-1": lambda: lasso(STATS, -1.0),
     "lambda=nan": lambda: lasso(STATS, math.nan),
     "ema span=0": lambda: ema_log_returns(PANEL, span=0),
-    "oracle_coverage reps=0": lambda: oracle_coverage(DRIFT, 1.0, 0, LambdaConfig(), 0),
     "generate_shifted_antisymmetric s=d": lambda: generate_shifted_antisymmetric(3, 0.5, 1.0, 3, 0),
     "step_count dt=0": lambda: step_count(1.0, 0.0),
     "step_count T < dt / 2": lambda: step_count(0.004, 0.01),

@@ -5,14 +5,29 @@ hypothesis rather than at pinned examples: every converged fit carries a
 KKT certificate at its stated scale, lambda = 0 gives the MLE, and the
 Sigma-aware model with Sigma = I and m = 0 is the Lasso.  A fourth covers
 the cross-validation split: the train and validation statistics add up to
-the full-path statistics.
+the full-path statistics.  A fifth is a symmetry of the model: hold-out
+selection follows a change of time unit exactly.
 """
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparse_ou import SolverOptions, SufficientStats, Trajectory, lasso, mle, sufficient_stats
+from sparse_ou import (
+    SolverOptions,
+    SufficientStats,
+    Trajectory,
+    cross_validate,
+    cross_validate_sigma,
+    default_lambda_grid,
+    generate_sparse_drift,
+    lasso,
+    mle,
+    sample_trajectory,
+    sufficient_stats,
+)
 from sparse_ou.estimators import _precision, _Problem
 from sparse_ou.modelsel import split_trajectory
 
@@ -114,3 +129,28 @@ def test_split_statistics_add_up_to_the_full_path(seed, d, n, dt):
         whole = full.horizon * getattr(full, name)
         parts = train.horizon * getattr(train, name) + valid.horizon * getattr(valid, name)
         assert np.linalg.norm(parts - whole) <= 1e-12 * np.linalg.norm(whole)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(seed=seeds, d=st.integers(min_value=2, max_value=6), c=st.sampled_from([4.0, 0.25]))
+def test_time_change_scales_every_hold_out_fit(seed, d, c):
+    # Y(t) = X(c t) / sqrt(c) is the OU path of the drift c A with unit noise: sampled at dt / c its C is C / c
+    # and its G is G, so each objective at c A is c times the original at A when lambda W is unchanged.  Adaptive
+    # weights 1 / |A_mle| scale by 1 / c, hence that grid times c.  c and sqrt(c) are powers of two, so no step rounds.
+    traj = sample_trajectory(generate_sparse_drift(d, 1, seed), 20.0, 0.01, seed)
+    changed = Trajectory(dt=traj.dt / c, states=traj.states / math.sqrt(c))
+    rng = np.random.default_rng(seed)
+    m, sigma = rng.normal(size=d), np.eye(d) + 0.3 * np.tril(rng.normal(size=(d, d)), -1)
+    grid = default_lambda_grid()
+    cases = [
+        (cross_validate(traj, "lasso"), cross_validate(changed, "lasso"), 1.0),
+        (cross_validate(traj, "adaptive_lasso", gamma=1.0),
+         cross_validate(changed, "adaptive_lasso", gamma=1.0, grid=c * grid), c),
+        (cross_validate_sigma(traj, m, sigma), cross_validate_sigma(changed, m / math.sqrt(c), sigma), 1.0),
+    ]
+    for before, after, lam_scale in cases:
+        assert after.best_lambda == lam_scale * before.best_lambda
+        assert np.array_equal(after.validation_scores, c * before.validation_scores)
+        for fit, scaled in zip(before.fits, after.fits, strict=True):
+            assert np.array_equal(scaled.matrix, c * fit.matrix)
+            assert (scaled.iterations, scaled.restarts) == (fit.iterations, fit.restarts)

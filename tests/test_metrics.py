@@ -14,13 +14,11 @@ from sparse_ou import (
     lasso,
     make_drift,
     eigen_floor,
-    oracle_coverage,
     restricted_sparse_min,
     sample_trajectory,
     sufficient_stats,
     support_report,
     theoretical_lambda,
-    transition_kernel,
 )
 
 from sparse_ou import metrics, sim
@@ -191,29 +189,22 @@ class TestOracleCoverage:
         expected = (1.0 + 2.0) / (2.0 * math.sqrt(1.0 / 8.0)) * 0.3 * math.sqrt(3 * 1)
         assert oracle_bound(truth, 0.3, 2.0) == pytest.approx(expected, rel=1e-14)
 
-    def test_fraction_range_and_symmetric_warning(self, truth):
-        cfg = LambdaConfig(gamma=2.0, epsilon0=0.1)
-        with pytest.warns(UserWarning):
-            frac = oracle_coverage(truth, T=20.0, reps=3, cfg=cfg, seed=1)
-        assert 0.0 <= frac <= 1.0
-
     @pytest.mark.parametrize("T, dt", [(0.004, 0.01), (1.0, 0.0), (math.inf, 0.01)])
     def test_bad_horizon_is_usage_error_before_any_kernel(self, monkeypatch, T, dt):
+        # the oracle check's paths come from sample_trajectory, which checks (T, dt) before it builds a kernel
         def fail(*args):
             raise AssertionError("transition_kernel ran")
 
         monkeypatch.setattr(sim, "transition_kernel", fail)
         truth = make_drift(2.0 * np.eye(3))
         with pytest.raises(UsageError, match="T / dt must be finite and round to at least 1"):
-            oracle_coverage(truth, T=T, reps=2, cfg=LambdaConfig(), seed=0, dt=dt)
+            sim.sample_trajectory(truth, T, dt, 0)
 
     def test_coverage_nondecreasing_in_horizon(self):
         rng = np.random.default_rng(2)
         w = rng.normal(size=(4, 4)) * 0.1
         truth = make_drift(np.eye(4) + 0.5 * (w + w.T))
-        cfg = LambdaConfig(gamma=2.0, epsilon0=0.1)
-        short = oracle_coverage(truth, T=50.0, reps=10, cfg=cfg, seed=5)
-        long = oracle_coverage(truth, T=500.0, reps=10, cfg=cfg, seed=5)
+        short, long = (np.mean([holds for _, holds, _ in oracle_checks(truth, T, 10, seed=5)]) for T in (50.0, 500.0))
         assert long >= short
 
     def test_coverage_tests_the_empirical_norm(self, monkeypatch):
@@ -221,12 +212,18 @@ class TestOracleCoverage:
         # at A0 = 2 I, C is near I / 4, so the Frobenius norm is about twice as large
         truth = make_drift(2.0 * np.eye(3))
         cfg = LambdaConfig(gamma=2.0, epsilon0=0.1)
-        kernel = transition_kernel(truth, 0.01)
         norms = []
         for rep in range(4):
-            st = sufficient_stats(sample_trajectory(truth, 20.0, 0.01, derive_seed(3, rep), kernel=kernel))
+            st = sufficient_stats(sample_trajectory(truth, 20.0, 0.01, derive_seed(3, rep)))
             delta = lasso(st, theoretical_lambda(st, cfg), opts=SolverOptions()).matrix - truth.matrix
             norms.append(math.sqrt(np.trace(delta @ st.c_hat @ delta.T)))
         bound = float(np.median(norms))
         monkeypatch.setattr(metrics, "oracle_bound", lambda *args: bound)
-        assert oracle_coverage(truth, T=20.0, reps=4, cfg=cfg, seed=3) == np.mean(np.array(norms) <= bound) == 0.5
+        holds = [holds for _, holds, _ in oracle_checks(truth, 20.0, 4, seed=3)]
+        assert holds == [n <= bound for n in norms] and np.mean(holds) == 0.5
+
+
+def oracle_checks(truth, T, reps, seed):
+    """``metrics._oracle_step`` on the paths ``derive_seed(seed, r)``, r < reps, sampled at dt 0.01."""
+    return [metrics._oracle_step(truth, sufficient_stats(sample_trajectory(truth, T, 0.01, derive_seed(seed, r))))
+            for r in range(reps)]
