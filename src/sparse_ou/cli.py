@@ -3,8 +3,10 @@ the CV curve to ``--cv-out``), benchmark sweeps (the oracle bound's coverage is 
 ``oracle_coverage`` kind), the finance pipeline and theory diagnostics (the
 restricted-eigenvalue bracket and the deviation exponents).
 
-Outputs are data files (tidy CSV + JSON summaries), never plots.  Every
-run is reproducible from its flags: replication seeds derive
+Outputs are data files (tidy CSV + JSON summaries), never plots.  The JSON
+reports are built here and written by :func:`_write_json`; the drift JSON and
+trajectory CSV, which are read back, keep their reader and writer in ``model``
+and ``sim``.  Every run is reproducible from its flags: replication seeds derive
 deterministically from the base seed, so results do not depend on how
 work is scheduled across processes.
 """
@@ -12,6 +14,7 @@ work is scheduled across processes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import MISSING
@@ -20,14 +23,9 @@ import numpy as np
 
 from . import metrics, model, modelsel, sim
 from .errors import GenerationError, IngestionError, NumericError, StabilityError, UsageError
-from .estimators import lasso, mle, save_estimate_json
+from .estimators import Estimate, lasso, mle
 from .experiments import CV_METHODS, ExperimentConfig, fit_settings, row_sparsity, run_benchmark
-from .finance import (
-    ema_log_returns,
-    estimate_mean_sigma,
-    load_prices,
-    save_finance_model_json,
-)
+from .finance import ema_log_returns, estimate_mean_sigma, load_prices
 from .stats import LambdaConfig, sufficient_stats, theoretical_lambda
 
 
@@ -59,6 +57,11 @@ def _flag_type(type_name: str):
     return {"int": int, "float": float, "str": str}[type_name]
 
 
+def _write_json(path, payload: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2)
+
+
 def _make_drift(kind: str, d: int, s: int, alpha: float, w: float, seed: int) -> model.DriftMatrix:
     if kind == "sparse":
         return model.generate_sparse_drift(d, s, seed)
@@ -88,6 +91,35 @@ def cmd_simulate(args) -> int:
 # -- fit ---------------------------------------------------------------------
 
 
+def _estimate_payload(fit: Estimate) -> dict:
+    """The estimate JSON's base keys: the row-major matrix, the solver's diagnostics and the nonzero entries."""
+    return {
+        "dim": fit.matrix.shape[0],
+        "matrix": fit.matrix.ravel().tolist(),
+        "lambda": fit.lam,
+        "gamma": fit.gamma,
+        "iterations": fit.iterations,
+        "final_objective": fit.final_objective,
+        "kkt_residual": fit.kkt_residual,
+        "converged": fit.converged,
+        "support": np.argwhere(np.abs(fit.matrix) > 0).tolist(),
+    }
+
+
+def _cv_payload(cv: modelsel.CvResult) -> dict:
+    """The grid, scores, selected penalty and whether its fit is zero, with each fit's solver trace in grid order."""
+    return {
+        "lambda_grid": cv.lambda_grid.tolist(),
+        "validation_scores": cv.validation_scores.tolist(),
+        "best_lambda": cv.best_lambda,
+        "selected_zero": not cv.best_estimate.matrix.any(),
+        "iterations": [f.iterations for f in cv.fits],
+        "restarts": [f.restarts for f in cv.fits],
+        "kkt_residual": [f.kkt_residual for f in cv.fits],
+        "converged": [f.converged for f in cv.fits],
+    }
+
+
 def cmd_fit(args) -> int:
     grid, opts, gamma = fit_settings(args)
     if args.method == "mle" and args.lam != "cv":  # "cv" is the default, so an explicit --lambda cv passes
@@ -100,32 +132,32 @@ def cmd_fit(args) -> int:
         raise ValueError(f"{args.truth} holds a {truth.dim}-dimensional drift, but {args.traj} is a "
                          f"{traj.dim}-dimensional path")
     stats = sufficient_stats(traj)
-    extra = {"method": args.method, "traj": str(args.traj)}
+    run = {"method": args.method, "traj": str(args.traj)}  # the keys after the estimate's own
 
     if args.method == "mle":
         fit = mle(stats)
-        extra["lambda_rule"] = "none"
+        run["lambda_rule"] = "none"
     elif args.lam == "cv":
         method = CV_METHODS[args.method]
         cv = modelsel.cross_validate(traj, method, gamma=gamma, grid=grid, opts=opts)
         fit = cv.best_estimate
         cv_out = args.cv_out or (str(args.out) + ".cv.json")
-        modelsel.save_cv_json(cv_out, cv)
-        extra["lambda_rule"] = "cv"
-        extra["cv_out"] = str(cv_out)
+        _write_json(cv_out, _cv_payload(cv))
+        run["lambda_rule"] = "cv"
+        run["cv_out"] = str(cv_out)
     else:
         if args.lam == "theory":
             lam = theoretical_lambda(stats, LambdaConfig())
-            extra["lambda_rule"] = "theory"
+            run["lambda_rule"] = "theory"
         else:
             lam = args.lam
-            extra["lambda_rule"] = "fixed"
+            run["lambda_rule"] = "fixed"
         fit = lasso(stats, lam, gamma=gamma if args.method == "adalasso" else None, opts=opts)
 
     if truth is not None:
         err = metrics.error_report(fit.matrix, truth, stats)
         supp = metrics.support_report(fit.matrix, truth)
-        extra["report"] = {
+        run["report"] = {
             "frobenius": err.frobenius,
             "l1": err.l1,
             "empirical": err.empirical,
@@ -133,7 +165,7 @@ def cmd_fit(args) -> int:
             "precision": supp.precision,
             "recall": supp.recall,
         }
-    save_estimate_json(args.out, fit, extra=extra)
+    _write_json(args.out, {**_estimate_payload(fit), **run})
     print(f"wrote estimate to {args.out}")
     return 0
 
@@ -157,7 +189,13 @@ def cmd_finance(args) -> int:
     traj = ema_log_returns(panel, span=args.span)
     m_hat, sigma_hat = estimate_mean_sigma(traj)
     cv = modelsel.cross_validate_sigma(traj, m_hat, sigma_hat, gamma=gamma, grid=grid, opts=opts)
-    save_finance_model_json(args.out, panel.tickers, m_hat, sigma_hat, cv.best_estimate.matrix, cv.best_lambda)
+    _write_json(args.out, {
+        "tickers": panel.tickers,
+        "m": m_hat.tolist(),
+        "sigma": sigma_hat.ravel().tolist(),
+        "A": cv.best_estimate.matrix.ravel().tolist(),
+        "lambda": cv.best_lambda,
+    })
     print(f"fitted {len(panel.tickers)} tickers, lambda {cv.best_lambda:.6g} -> {args.out}")
     return 0
 
@@ -186,8 +224,7 @@ def cmd_diagnostics(args) -> int:
             dict(zip(("R", "h1", "h2"), (r, *metrics.deviation_bounds(r, u, drift.stationary_cov))))
             for r in args.r_values
         ]
-    with open(args.out, "w") as fh:
-        json.dump(payload, fh, indent=2)
+    _write_json(args.out, payload)
     print(f"wrote {args.out}")
     return 0
 
@@ -200,7 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sparse-ou",
         description="Simulation and sparse drift estimation for mean-reverting diffusions.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # a flag is read only by its full name: simulate --drift is not --drift-out, benchmark --dt is not --dt-values
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=functools.partial(argparse.ArgumentParser, allow_abbrev=False))
 
     p = sub.add_parser("simulate", help="generate a drift and sample a trajectory")
     p.add_argument("--kind", choices=["sparse", "two-group", "shifted-antisym"], default="sparse")
@@ -225,8 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p, FIT_FIELDS)
     p.set_defaults(func=cmd_fit)
 
-    # a flag is read only by its full name: --dt is not --dt-values
-    p = sub.add_parser("benchmark", help="run a replicated sweep, emit tidy CSV + summary JSON", allow_abbrev=False)
+    p = sub.add_parser("benchmark", help="run a replicated sweep, emit tidy CSV + summary JSON")
     _add_config_flags(p, ExperimentConfig.__dataclass_fields__)
     p.set_defaults(func=cmd_benchmark)
 
@@ -237,8 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p, FIT_FIELDS)
     p.set_defaults(func=cmd_finance)
 
-    # a flag is read only by its full name: --d is not --drift
-    p = sub.add_parser("diagnostics", help="theory diagnostics: RE bracket, deviation exponents", allow_abbrev=False)
+    p = sub.add_parser("diagnostics", help="theory diagnostics: RE bracket, deviation exponents")
     p.add_argument("--which", choices=["re-constant", "deviation-bounds"], required=True)
     p.add_argument("--traj", default=None, help="trajectory CSV (re-constant)")
     p.add_argument("--drift", default=None, help="drift JSON (deviation-bounds)")

@@ -38,14 +38,12 @@ the one source of weights; :func:`lasso` is its one-point path.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import InitVar, dataclass
 
 import numpy as np
 
 from .errors import ConditioningError, UsageError
-from .sim import Trajectory
 from .stats import SufficientStats, _spectrum_ends, grad_neg_log_likelihood, neg_log_likelihood
 
 __all__ = [
@@ -53,7 +51,6 @@ __all__ = [
     "Estimate",
     "mle",
     "lasso",
-    "save_estimate_json",
 ]
 
 MAX_CONDITION = 1e12
@@ -323,41 +320,3 @@ def lasso(
         The last step always sweeps the KKT residual, so ``converged`` reads ``kkt_residual``.
     """
     return _path(stats, None, gamma, (lam,), opts)[0]
-
-
-def _precision(sigma, d: int) -> np.ndarray:
-    """P = (Sigma Sigma^T)^{-1}, symmetrized; rejects a wrongly shaped or singular Sigma."""
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.shape != (d, d):
-        raise ValueError(f"sigma must have shape ({d}, {d}), got {sigma.shape}")
-    s = sigma @ sigma.T
-    if np.linalg.cond(s) > MAX_CONDITION:
-        raise ValueError("sigma is singular or numerically non-invertible")
-    p = np.linalg.solve(s, np.eye(d))
-    return 0.5 * (p + p.T)
-
-
-def _centered(traj: Trajectory, m) -> Trajectory:
-    """The path shifted by -m; rejects a wrongly shaped m."""
-    m = np.asarray(m, dtype=float)
-    if m.shape != (traj.dim,):
-        raise ValueError(f"m must have shape ({traj.dim},), got {m.shape}")
-    return Trajectory(dt=traj.dt, states=traj.states - m)
-
-
-def save_estimate_json(path, estimate: Estimate, extra: dict | None = None) -> None:
-    payload = {
-        "dim": estimate.matrix.shape[0],
-        "matrix": [float(x) for x in estimate.matrix.reshape(-1)],
-        "lambda": estimate.lam,
-        "gamma": estimate.gamma,
-        "iterations": estimate.iterations,
-        "final_objective": estimate.final_objective,
-        "kkt_residual": estimate.kkt_residual,
-        "converged": estimate.converged,
-        "support": np.argwhere(np.abs(estimate.matrix) > 0).tolist(),
-    }
-    if extra:
-        payload.update(extra)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)

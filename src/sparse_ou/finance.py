@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import datetime
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -27,7 +26,6 @@ __all__ = [
     "ema_log_returns",
     "estimate_mean_sigma",
     "sample_sigma_trajectory",
-    "save_finance_model_json",
 ]
 
 
@@ -144,15 +142,3 @@ def sample_sigma_trajectory(
     states = z.states @ sigma.T
     states += m
     return Trajectory(dt=z.dt, states=states)
-
-
-def save_finance_model_json(path, tickers, m, sigma, a, lam) -> None:
-    payload = {
-        "tickers": list(tickers),
-        "m": [float(x) for x in np.asarray(m).reshape(-1)],
-        "sigma": [float(x) for x in np.asarray(sigma).reshape(-1)],
-        "A": [float(x) for x in np.asarray(a).reshape(-1)],
-        "lambda": float(lam),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)

@@ -160,7 +160,7 @@ def load_drift_json(path) -> DriftMatrix:
     """Read a drift that :func:`save_drift_json` wrote, whatever the file is called.
 
     Any other content, such as an old CSV drift or JSON that is not an object with an
-    integer ``dim`` >= 1 and ``dim * dim`` numeric ``entries``, raises ValueError naming the file.
+    integer ``dim`` >= 1 and ``dim * dim`` finite ``entries``, raises ValueError naming the file.
     """
     with open(path) as fh:
         try:
@@ -172,4 +172,6 @@ def load_drift_json(path) -> DriftMatrix:
         raise ValueError(f"{path} is not a drift JSON file: dim must be an integer >= 1, got {d!r}")
     if entries.size != d * d:
         raise ValueError(f"{path} is not a drift JSON file: expected {d * d} entries, got {entries.size}")
+    if not np.all(np.isfinite(entries)):
+        raise ValueError(f"{path} is not a drift JSON file: entries contain non-finite values")
     return make_drift(entries.reshape(d, d))

@@ -8,12 +8,12 @@ increments, mirroring how a continuous-time integral splits.
 Selection runs on given statistics: :func:`_hold_out` runs the one warm-started
 path of the Lasso, Adaptive Lasso and Sigma-aware fits, ``estimators._path``, on
 the training statistics and scores it on the validation ones; the public
-routines add only the split and its two ``sufficient_stats`` calls.
+routines add only the split and its two ``sufficient_stats`` calls, and the
+Sigma-aware one its set-up, :func:`_centered` and :func:`_precision`.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .estimators import Estimate, SolverOptions, _centered, _path, _precision
+from .estimators import MAX_CONDITION, Estimate, SolverOptions, _path
 from .sim import Trajectory
 from .stats import SufficientStats, neg_log_likelihood, sufficient_stats
 
@@ -31,7 +31,6 @@ __all__ = [
     "split_trajectory",
     "cross_validate",
     "cross_validate_sigma",
-    "save_cv_json",
 ]
 
 METHODS = ("lasso", "adaptive_lasso")
@@ -128,6 +127,26 @@ def cross_validate(
     return _hold_out(_grid(grid), *map(sufficient_stats, split_trajectory(traj)), None, gamma, opts)
 
 
+def _precision(sigma, d: int) -> np.ndarray:
+    """P = (Sigma Sigma^T)^{-1}, symmetrized; rejects a wrongly shaped or singular Sigma."""
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.shape != (d, d):
+        raise ValueError(f"sigma must have shape ({d}, {d}), got {sigma.shape}")
+    s = sigma @ sigma.T
+    if np.linalg.cond(s) > MAX_CONDITION:
+        raise ValueError("sigma is singular or numerically non-invertible")
+    p = np.linalg.solve(s, np.eye(d))
+    return 0.5 * (p + p.T)
+
+
+def _centered(traj: Trajectory, m) -> Trajectory:
+    """The path shifted by -m; rejects a wrongly shaped m."""
+    m = np.asarray(m, dtype=float)
+    if m.shape != (traj.dim,):
+        raise ValueError(f"m must have shape ({traj.dim},), got {m.shape}")
+    return Trajectory(dt=traj.dt, states=traj.states - m)
+
+
 def cross_validate_sigma(
     traj: Trajectory,
     m,
@@ -146,19 +165,3 @@ def cross_validate_sigma(
     """
     traj, p = _centered(traj, m), _precision(sigma, traj.dim)
     return _hold_out(_grid(grid), *map(sufficient_stats, split_trajectory(traj)), p, gamma, opts)
-
-
-def save_cv_json(path, result: CvResult) -> None:
-    """The grid, scores, selected penalty and whether its fit is zero, with each fit's solver trace in grid order."""
-    payload = {
-        "lambda_grid": [float(x) for x in result.lambda_grid],
-        "validation_scores": [float(x) for x in result.validation_scores],
-        "best_lambda": result.best_lambda,
-        "selected_zero": not result.best_estimate.matrix.any(),
-        "iterations": [f.iterations for f in result.fits],
-        "restarts": [f.restarts for f in result.fits],
-        "kkt_residual": [f.kkt_residual for f in result.fits],
-        "converged": [f.converged for f in result.fits],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)

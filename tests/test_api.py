@@ -33,7 +33,7 @@ def test_package_reexports_are_declared():
 
 
 def test_removed_surface_is_gone():
-    from sparse_ou import cli, estimators, experiments, finance, linops, metrics, model, sim, stats
+    from sparse_ou import cli, estimators, experiments, finance, linops, metrics, model, modelsel, sim, stats
 
     gone = ("SparsityPattern", "EmaConfig", "matrix_exponential", "soft_threshold", "fit_sigma_model", "theta",
             "re_constant", "save_drift_csv", "load_drift_csv", "load_estimate_json")
@@ -71,6 +71,12 @@ def test_removed_surface_is_gone():
     assert "zero_tol" not in inspect.signature(metrics.support_report).parameters
     assert not hasattr(metrics, "DEFAULT_ZERO_TOL") and metrics.ZERO_TOL == 1e-10
     assert not hasattr(experiments, "_steps") and "dt" not in {f.name for f in fields(experiments.ExperimentConfig)}
+    # cli builds and writes every report; estimators fits given statistics and modelsel holds the Sigma set-up
+    assert not hasattr(estimators, "save_estimate_json") and not hasattr(modelsel, "save_cv_json")
+    assert not hasattr(finance, "save_finance_model_json")
+    assert not any(hasattr(module, "json") for module in (estimators, modelsel, finance))
+    assert not hasattr(estimators, "_precision") and not hasattr(estimators, "_centered")
+    assert not hasattr(estimators, "Trajectory")
 
 
 @pytest.mark.parametrize("name", ["oracle_bound", "_oracle_step"])

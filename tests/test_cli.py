@@ -610,6 +610,7 @@ MALFORMED_DRIFTS = {
     "JSON list": "[2, [1, 0, 0, 1]]",
     "dim x": '{"dim": "x", "entries": [1, 0, 0, 1]}',
     "old CSV": "2\n1.0,0.0\n0.0,1.0\n",
+    "non-finite": '{"dim": 2, "entries": [1, 0, 0, NaN]}',
 }
 DRIFT_READERS = {
     "fit --truth": ["fit", "--traj", "{traj}", "--lambda", "cv", "--grid-size", 3, "--truth"],
@@ -696,6 +697,35 @@ def test_bad_setting_is_usage_error(inputs, tmp_path, capsys, argv):
     assert run([*argv, "--out", tmp_path / "out"]) == 2
     assert capsys.readouterr().err.startswith("usage error: ")
     assert list(tmp_path.iterdir()) == []
+
+
+ABBREVIATED_FLAGS = {
+    "simulate --drift": ["simulate", "--d", 3, "--T", 1, "--drift", "{mine}"],
+    "fit --cv": ["fit", "--traj", "{traj}", "--cv", "{dir}/x.json"],
+    "benchmark --rep": ["benchmark", "--kind", "sweep", "--d-values", 3, "--t-values", 1, "--rep", 1],
+    "finance --sp": ["finance", "--prices", "{prices}", "--sp", 10],
+    "diagnostics --dr": ["diagnostics", "--which", "deviation-bounds", "--dr", "{mine}"],
+}
+
+
+@pytest.mark.parametrize("argv", ABBREVIATED_FLAGS.values(), ids=ABBREVIATED_FLAGS.keys())
+def test_abbreviated_flag_is_rejected_by_the_parser(inputs, tmp_path, capsys, argv):
+    # a flag is read only by its full name: simulate --drift is not --drift-out, so it leaves an existing file alone
+    mine = tmp_path / "mine.json"
+    mine.write_bytes(inputs["drift"].read_bytes())
+    argv = [str(a).format(**inputs, mine=mine, dir=tmp_path) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--out", tmp_path / "out"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [mine]
+    assert mine.read_bytes() == inputs["drift"].read_bytes()
+
+
+def test_every_subcommand_reads_full_flag_names_only():
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command").choices
+    assert len(subparsers) == 5
+    assert [name for name, p in subparsers.items() if p.allow_abbrev] == []
 
 
 def _flag_default(*argv, dest):

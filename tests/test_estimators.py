@@ -16,8 +16,9 @@ from sparse_ou import (
     sufficient_stats,
 )
 from sparse_ou.errors import ConditioningError, UsageError
-from sparse_ou.estimators import _centered, _precision, _Problem, _shrink, save_estimate_json
-from sparse_ou.modelsel import cross_validate, cross_validate_sigma, default_lambda_grid
+from sparse_ou.cli import _estimate_payload, _write_json
+from sparse_ou.estimators import _Problem, _shrink
+from sparse_ou.modelsel import _centered, _precision, cross_validate, cross_validate_sigma, default_lambda_grid
 from sparse_ou.sim import derive_seed
 
 from conftest import random_stats
@@ -265,7 +266,7 @@ class TestEstimateSerialization:
         matrix = np.array([[1.5, 0.0, -0.0], [0.0, -2.0, 0.0], [1e-300, -0.0, 3.0]])
         fit = replace(lasso(st, 0.1, opts=FAST), matrix=matrix)
         path = tmp_path / "estimate.json"
-        save_estimate_json(path, fit, extra={"note": "test"})
+        _write_json(path, _estimate_payload(fit))
         with open(path) as fh:
             loaded = json.load(fh)
         assert np.array_equal(np.reshape(loaded["matrix"], (loaded["dim"], loaded["dim"])), fit.matrix)
@@ -273,4 +274,3 @@ class TestEstimateSerialization:
         assert loaded["kkt_residual"] == fit.kkt_residual
         # row-major non-zero entries; exact zeros of either sign are not in the support
         assert loaded["support"] == [[0, 0], [1, 1], [2, 0], [2, 2]]
-        assert loaded["note"] == "test"

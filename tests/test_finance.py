@@ -1,9 +1,11 @@
+import datetime
 import json
 
 import numpy as np
 import pytest
 
 from sparse_ou import (
+    default_lambda_grid,
     ema_log_returns,
     estimate_mean_sigma,
     generate_shifted_antisymmetric,
@@ -12,8 +14,8 @@ from sparse_ou import (
     sample_sigma_trajectory,
     sample_trajectory,
 )
+from sparse_ou.cli import main
 from sparse_ou.errors import IngestionError
-from sparse_ou.finance import save_finance_model_json
 from sparse_ou.sim import derive_seed
 
 
@@ -190,9 +192,16 @@ class TestEstimateMeanSigma:
 
 class TestFinanceModelJson:
     def test_payload(self, tmp_path):
-        path = tmp_path / "model.json"
-        save_finance_model_json(path, ["A", "B"], np.zeros(2), np.eye(2), np.eye(2), 0.5)
-        payload = json.loads(path.read_text())
+        # the finance command writes the tickers, the (m, Sigma) it estimated, the selected fit and its penalty
+        log_p = np.cumsum(np.random.default_rng(0).normal(0.0, 0.01, size=(200, 2)), axis=0)
+        days = [datetime.date(2020, 1, 1) + datetime.timedelta(days=k) for k in range(200)]
+        lines = [f"{day},{np.exp(a):.10f},{np.exp(b):.10f}" for day, (a, b) in zip(days, log_p)]
+        prices = write_csv(tmp_path / "p.csv", "\n".join(["date,A,B", *lines]) + "\n")
+        out = tmp_path / "model.json"
+        assert main(["finance", "--prices", str(prices), "--grid-size", "3", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        m, sigma = estimate_mean_sigma(ema_log_returns(load_prices(prices)))
+        assert list(payload) == ["tickers", "m", "sigma", "A", "lambda"]
         assert payload["tickers"] == ["A", "B"]
-        assert payload["lambda"] == 0.5
-        assert len(payload["A"]) == 4 and len(payload["sigma"]) == 4
+        assert payload["m"] == m.tolist() and payload["sigma"] == sigma.ravel().tolist()
+        assert len(payload["A"]) == 4 and payload["lambda"] in default_lambda_grid(3)

@@ -28,8 +28,8 @@ from sparse_ou import (
     sample_trajectory,
     sufficient_stats,
 )
-from sparse_ou.estimators import _precision, _Problem
-from sparse_ou.modelsel import split_trajectory
+from sparse_ou.estimators import _Problem
+from sparse_ou.modelsel import _precision, split_trajectory
 
 from conftest import random_problem
 

@@ -16,9 +16,10 @@ from sparse_ou import (
     sample_trajectory,
     sufficient_stats,
 )
+from sparse_ou.cli import _cv_payload, _write_json
 from sparse_ou.errors import ConditioningError
 from sparse_ou.estimators import _Problem
-from sparse_ou.modelsel import _hold_out, save_cv_json, split_trajectory
+from sparse_ou.modelsel import _hold_out, split_trajectory
 from sparse_ou.sim import Trajectory
 
 FAST = SolverOptions(rel_tol=1e-10, max_iters=100_000)
@@ -227,7 +228,7 @@ class TestCvSerialization:
     def test_json_contents(self, traj, tmp_path):
         res = cross_validate(traj, "lasso", grid=[0.05, 0.5])
         path = tmp_path / "cv.json"
-        save_cv_json(path, res)
+        _write_json(path, _cv_payload(res))
         payload = json.loads(path.read_text())
         assert payload["best_lambda"] == res.best_lambda
         assert payload["lambda_grid"] == [0.05, 0.5]
@@ -238,15 +239,13 @@ class TestCvSerialization:
         assert payload["converged"] == [f.converged for f in res.fits]
         assert res.best_estimate.matrix.any() and payload["selected_zero"] is False
 
-    def test_json_flags_a_zero_selection(self, traj, tmp_path):
+    def test_json_flags_a_zero_selection(self, traj):
         # every fit at a penalty beyond lambda_max is the zero matrix, so the selected one is too
         res = cross_validate(traj, "lasso", grid=[1e6, 1e7])
-        path = tmp_path / "cv.json"
-        save_cv_json(path, res)
-        assert json.loads(path.read_text())["selected_zero"] is True
+        assert _cv_payload(res)["selected_zero"] is True
 
     def test_json_is_byte_stable(self, traj, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for path in paths:
-            save_cv_json(path, cross_validate(traj, "adaptive_lasso", grid=default_lambda_grid(8), opts=FAST))
+            _write_json(path, _cv_payload(cross_validate(traj, "adaptive_lasso", grid=default_lambda_grid(8), opts=FAST)))
         assert paths[0].read_bytes() == paths[1].read_bytes()

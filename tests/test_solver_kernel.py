@@ -26,8 +26,8 @@ from sparse_ou import (
     sample_trajectory,
     sufficient_stats,
 )
-from sparse_ou.estimators import WEIGHT_CAP, _precision, _Problem, _shrink
-from sparse_ou.modelsel import split_trajectory
+from sparse_ou.estimators import WEIGHT_CAP, _Problem, _shrink
+from sparse_ou.modelsel import _precision, split_trajectory
 from sparse_ou.sim import Trajectory
 
 from conftest import random_problem
