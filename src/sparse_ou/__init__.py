@@ -24,11 +24,9 @@ from .model import (
 )
 from .sim import (
     Trajectory,
-    TransitionKernel,
     derive_seed,
     sample_trajectory,
     subsample,
-    transition_kernel,
 )
 from .stats import (
     LambdaConfig,
@@ -48,7 +46,6 @@ from .modelsel import CvResult, cross_validate, cross_validate_sigma, default_la
 from .metrics import (
     ErrorReport,
     SupportReport,
-    dense_baseline_f1,
     deviation_bounds,
     eigen_floor,
     error_report,

@@ -244,7 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a drift and sample a trajectory")
     p.add_argument("--kind", choices=["sparse", "two-group", "shifted-antisym"], default="sparse")
     p.add_argument("--d", type=int, required=True, help="process dimension")
-    p.add_argument("--s", type=int, default=None, help=f"row sparsity (default {ExperimentConfig.s_rule:g} d)")
+    p.add_argument("--s", type=int, default=None,
+                   help=f"entries per row of the random pattern, before the diagonal is added "
+                        f"(default {ExperimentConfig.s_rule:g} d)")
     p.add_argument("--alpha", type=float, default=0.5, help="diagonal level for shifted-antisym")
     p.add_argument("--w", type=float, default=1.0, help="coupling weight for shifted-antisym")
     p.add_argument("--T", type=float, required=True, help="horizon")

@@ -5,7 +5,8 @@ point i is ``(d_values[i // len(t_values)], t_values[i % len(t_values)])``.  A
 replication samples one path at the smallest ``dt_values`` entry, subsamples it
 to each entry, largest first, and fits each; the kind decides only what it fits.
 Point i, of dimension d, draws its truth from ``derive_seed(seed, 900000 + d)``:
-``generate_sparse_drift`` with ``row_sparsity(d, s_rule)`` entries per row,
+``generate_sparse_drift`` from a sign pattern of ``row_sparsity(d, s_rule)``
+entries per row, whose stabilizing shift usually adds the diagonal,
 symmetrized for ``oracle_coverage``; for ``finance``, m and Sigma come from
 ``derive_seed(seed, 900002)``.  Replication r of point i samples its path from
 ``derive_seed(seed, i * reps + r)``, so scheduling across processes changes no result.
@@ -111,7 +112,11 @@ def fit_settings(cfg) -> tuple[np.ndarray, SolverOptions, float]:
 
 
 def row_sparsity(d: int, s_rule: float = ExperimentConfig.s_rule) -> int:
-    """Nonzero entries per row of a generated truth of dimension d: ``max(1, round(s_rule * d))``."""
+    """The +-1 entries per row of a truth's sign pattern at dimension d: ``max(1, round(s_rule * d))``.
+
+    ``generate_sparse_drift``'s stabilizing shift usually adds the diagonal: a truth row then holds one more entry
+    unless its pattern already has it.
+    """
     return max(1, round(s_rule * d))
 
 

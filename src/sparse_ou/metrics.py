@@ -29,7 +29,6 @@ __all__ = [
     "eigen_floor",
     "restricted_sparse_min",
     "oracle_bound",
-    "dense_baseline_f1",
 ]
 
 ZERO_TOL = 1e-10
@@ -96,13 +95,6 @@ def support_report(estimate, truth: DriftMatrix) -> SupportReport:
         recall=recall,
         f1=f1,
     )
-
-
-def dense_baseline_f1(density: float) -> float:
-    """F1 of an estimator that declares every entry non-zero: 2 rho / (1 + rho)."""
-    if not 0 <= density <= 1:
-        raise ValueError(f"density must be in [0, 1], got {density}")
-    return 2.0 * density / (1.0 + density)
 
 
 def deviation_bounds(R: float, u, c_inf) -> tuple[float, float]:

@@ -129,8 +129,8 @@ def sample_trajectory(
 ) -> Trajectory:
     """Sample a path of :func:`step_count` (T, dt) exact transition steps from the stationary law.
 
-    X_0 is drawn from N(0, C).  Passing a precomputed ``kernel`` skips rebuilding
-    (phi, Q) in replication loops; it must be built for ``dt``.  Deterministic given ``seed``.
+    X_0 is drawn from N(0, C).  Deterministic given ``seed``.  ``kernel``, a (phi, Q) built for ``dt``,
+    is kept only because bench/harness.py passes it: the path is bit-identical without it.
     """
     n = step_count(T, dt)
     if kernel is None:

@@ -77,6 +77,10 @@ def test_removed_surface_is_gone():
     assert not any(hasattr(module, "json") for module in (estimators, modelsel, finance))
     assert not hasattr(estimators, "_precision") and not hasattr(estimators, "_centered")
     assert not hasattr(estimators, "Trajectory")
+    # the dense estimator's F1 is support_report(np.ones((d, d)), truth).f1; the kernel stays in sim for bench/
+    assert not hasattr(metrics, "dense_baseline_f1") and not hasattr(sparse_ou, "dense_baseline_f1")
+    assert not hasattr(sparse_ou, "transition_kernel") and not hasattr(sparse_ou, "TransitionKernel")
+    assert hasattr(sim, "transition_kernel") and hasattr(sim, "TransitionKernel")
 
 
 @pytest.mark.parametrize("name", ["oracle_bound", "_oracle_step"])

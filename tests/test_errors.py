@@ -10,9 +10,7 @@ from sparse_ou import (
     PricePanel,
     SolverOptions,
     Trajectory,
-    TransitionKernel,
     default_lambda_grid,
-    dense_baseline_f1,
     ema_log_returns,
     generate_shifted_antisymmetric,
     generate_sparse_drift,
@@ -25,7 +23,7 @@ from sparse_ou import (
 from sparse_ou.errors import IngestionError, UsageError
 from sparse_ou.experiments import ExperimentConfig
 from sparse_ou.model import load_drift_json
-from sparse_ou.sim import load_trajectory_csv, step_count
+from sparse_ou.sim import TransitionKernel, load_trajectory_csv, step_count
 
 from conftest import random_stats
 
@@ -94,7 +92,6 @@ DATA_CHECKS = {
     "drift JSON 3 entries at dim 2": (ValueError, "expected 4 entries, got 3",
                                       lambda tmp: load_drift_json(write(tmp, '{"dim": 2, "entries": [1, 0, 1]}'))),
     "solve_lyapunov (2, 3)": (ValueError, "must be a square 2-d array", lambda tmp: solve_lyapunov(np.ones((2, 3)))),
-    "dense_baseline_f1(1.5)": (ValueError, r"density must be in \[0, 1\]", lambda tmp: dense_baseline_f1(1.5)),
     "load_prices no valid row": (IngestionError, "no valid price rows",
                                  lambda tmp: load_prices(write(tmp, "date,A,B\nd0,1.0\nd1,-1.0,2.0\n"))),
 }

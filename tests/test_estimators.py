@@ -195,16 +195,15 @@ class TestAdaptiveLasso:
         # d=20, s=2, T=200: CV-tuned adaptive fits recover the exact
         # support in >= 80% of replications (consistency of selection);
         # the high weight exponent widens the admissible penalty window
-        from sparse_ou import generate_sparse_drift, transition_kernel
+        from sparse_ou import generate_sparse_drift
 
         drift = generate_sparse_drift(20, 2, seed=55)
-        kernel = transition_kernel(drift, 0.01)
         true_support = np.argwhere(drift.matrix)
         opts = SolverOptions(rel_tol=1e-7)
         hits = 0
         reps = 50
         for rep in range(reps):
-            traj = sample_trajectory(drift, 200.0, 0.01, derive_seed(2000, rep), kernel=kernel)
+            traj = sample_trajectory(drift, 200.0, 0.01, derive_seed(2000, rep))
             cv = cross_validate(traj, "adaptive_lasso", gamma=5.0, grid=default_lambda_grid(), opts=opts)
             hits += np.array_equal(np.argwhere(cv.best_estimate.matrix), true_support)
         assert hits >= 0.8 * reps

@@ -42,7 +42,7 @@ from sparse_ou.model import symmetrized_drift
 from sparse_ou.sim import subsample
 
 GRID = default_lambda_grid(5, 1e-2, 1e3)
-OPTS = SolverOptions(max_iters=10000, rel_tol=1e-7, acceleration=True)
+OPTS = SolverOptions(max_iters=10000, rel_tol=1e-7)
 
 
 def benchmark_rows(tmp_path, **fields) -> list:

@@ -5,8 +5,9 @@ hypothesis rather than at pinned examples: every converged fit carries a
 KKT certificate at its stated scale, lambda = 0 gives the MLE, and the
 Sigma-aware model with Sigma = I and m = 0 is the Lasso.  A fourth covers
 the cross-validation split: the train and validation statistics add up to
-the full-path statistics.  A fifth is a symmetry of the model: hold-out
-selection follows a change of time unit exactly.
+the full-path statistics.  The last two are symmetries of the model:
+hold-out selection follows a change of time unit exactly, and a signed
+permutation of the coordinates to rounding.
 """
 
 import math
@@ -36,6 +37,16 @@ from conftest import random_problem
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dims = st.integers(min_value=1, max_value=6)
+SYMMETRY_TOL = 1e-10  # largest entry gap of a mapped fit, relative to max(1, max|A|)
+
+
+@st.composite
+def signed_permutations(draw) -> np.ndarray:
+    """M = D Pi for d in 2..6: row i of Pi is e_perm[i], D = diag(+-1)."""
+    d = draw(st.integers(min_value=2, max_value=6))
+    perm = draw(st.permutations(range(d)))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=d, max_size=d))
+    return np.array(signs)[:, None] * np.eye(d)[perm]
 
 
 def kkt_violation(a, pg, pac, lamw) -> float:
@@ -154,3 +165,28 @@ def test_time_change_scales_every_hold_out_fit(seed, d, c):
         for fit, scaled in zip(before.fits, after.fits, strict=True):
             assert np.array_equal(scaled.matrix, c * fit.matrix)
             assert (scaled.iterations, scaled.restarts) == (fit.iterations, fit.restarts)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=seeds, mat=signed_permutations())
+def test_signed_permutation_maps_every_hold_out_fit(seed, mat):
+    # X -> M X with M = D Pi orthogonal is the OU path of M A M^T with unit noise: C, G and A_mle map to M . M^T,
+    # the adaptive weights to Pi . Pi^T, and each objective at M A M^T equals the original at A; Sigma -> M Sigma
+    # and m -> M m carry the Sigma-aware model.  The states map exactly, but BLAS sums the permuted products in
+    # another order, so the fits agree to rounding, not bit for bit.
+    d = mat.shape[0]
+    traj = sample_trajectory(generate_sparse_drift(d, 1, seed), 20.0, 0.01, seed)
+    mapped = Trajectory(dt=traj.dt, states=traj.states @ mat.T)
+    rng = np.random.default_rng(seed)
+    m, sigma = rng.normal(size=d), np.eye(d) + 0.3 * np.tril(rng.normal(size=(d, d)), -1)
+    cases = [
+        (cross_validate(traj, "lasso"), cross_validate(mapped, "lasso")),
+        (cross_validate(traj, "adaptive_lasso", gamma=1.0), cross_validate(mapped, "adaptive_lasso", gamma=1.0)),
+        (cross_validate_sigma(traj, m, sigma), cross_validate_sigma(mapped, mat @ m, mat @ sigma)),
+    ]
+    for before, after in cases:
+        assert after.best_lambda == before.best_lambda
+        for fit, moved in zip(before.fits, after.fits, strict=True):
+            expected = mat @ fit.matrix @ mat.T  # one nonzero term per entry, so exact
+            assert np.array_equal(moved.matrix != 0.0, expected != 0.0)
+            assert np.max(np.abs(moved.matrix - expected)) <= SYMMETRY_TOL * max(1.0, float(np.max(np.abs(fit.matrix))))

@@ -7,7 +7,6 @@ from sparse_ou import (
     LambdaConfig,
     SolverOptions,
     SufficientStats,
-    dense_baseline_f1,
     deviation_bounds,
     error_report,
     generate_sparse_drift,
@@ -78,7 +77,6 @@ class TestSupportReport:
         truth = make_drift(np.eye(10) * 1.5)
         rep = support_report(np.ones((10, 10)), truth)
         assert rep.f1 == pytest.approx(2.0 / 11.0, abs=1e-12)
-        assert rep.f1 == pytest.approx(dense_baseline_f1(0.1), abs=1e-12)
 
     def test_zero_estimate_convention(self, truth):
         rep = support_report(np.zeros((5, 5)), truth)

@@ -11,7 +11,6 @@ from sparse_ou import (
     make_drift,
     sample_trajectory,
     subsample,
-    transition_kernel,
 )
 from sparse_ou.errors import NumericError
 from sparse_ou.sim import (
@@ -20,6 +19,7 @@ from sparse_ou.sim import (
     derive_seed,
     load_trajectory_csv,
     save_trajectory_csv,
+    transition_kernel,
 )
 
 
