@@ -79,8 +79,9 @@ def cmd_simulate(args) -> int:
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
     s = args.s if args.s is not None else row_sparsity(args.d)
-    drift = _make_drift(args.kind, args.d, s, args.alpha, args.w, args.seed)
-    traj = sim.sample_trajectory(drift, args.T, args.dt, args.seed)
+    # the benchmark's streams: point d's truth and the path of its first replication
+    drift = _make_drift(args.kind, args.d, s, args.alpha, args.w, sim.derive_seed(args.seed, 900000 + args.d))
+    traj = sim.sample_trajectory(drift, args.T, args.dt, sim.derive_seed(args.seed, 0))
     sim.save_trajectory_csv(args.out, traj)
     drift_out = args.drift_out or (str(args.out) + ".drift.json")
     model.save_drift_json(drift_out, drift)
@@ -109,9 +110,9 @@ def _estimate_payload(fit: Estimate) -> dict:
 def _cv_payload(cv: modelsel.CvResult) -> dict:
     """The grid, scores, selected penalty and whether its fit is zero, with each fit's solver trace in grid order."""
     return {
-        "lambda_grid": cv.lambda_grid.tolist(),
+        "lambda_grid": [f.lam for f in cv.fits],
         "validation_scores": cv.validation_scores.tolist(),
-        "best_lambda": cv.best_lambda,
+        "best_lambda": cv.best_estimate.lam,
         "selected_zero": not cv.best_estimate.matrix.any(),
         "iterations": [f.iterations for f in cv.fits],
         "restarts": [f.restarts for f in cv.fits],
@@ -194,9 +195,9 @@ def cmd_finance(args) -> int:
         "m": m_hat.tolist(),
         "sigma": sigma_hat.ravel().tolist(),
         "A": cv.best_estimate.matrix.ravel().tolist(),
-        "lambda": cv.best_lambda,
+        "lambda": cv.best_estimate.lam,
     })
-    print(f"fitted {len(panel.tickers)} tickers, lambda {cv.best_lambda:.6g} -> {args.out}")
+    print(f"fitted {len(panel.tickers)} tickers, lambda {cv.best_estimate.lam:.6g} -> {args.out}")
     return 0
 
 
@@ -204,9 +205,6 @@ def cmd_finance(args) -> int:
 
 
 def cmd_diagnostics(args) -> int:
-    needed = {"re-constant": "traj", "deviation-bounds": "drift"}[args.which]
-    if getattr(args, needed) is None:
-        raise UsageError(f"--which {args.which} needs --{needed}")
     payload = {"which": args.which}
     if args.which == "re-constant":
         stats = sufficient_stats(sim.load_trajectory_csv(args.traj))
@@ -238,8 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulation and sparse drift estimation for mean-reverting diffusions.",
     )
     # a flag is read only by its full name: simulate --drift is not --drift-out, benchmark --dt is not --dt-values
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=functools.partial(argparse.ArgumentParser, allow_abbrev=False))
+    full_names = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=full_names)
 
     p = sub.add_parser("simulate", help="generate a drift and sample a trajectory")
     p.add_argument("--kind", choices=["sparse", "two-group", "shifted-antisym"], default="sparse")
@@ -278,16 +276,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_finance)
 
     p = sub.add_parser("diagnostics", help="theory diagnostics: RE bracket, deviation exponents")
-    p.add_argument("--which", choices=["re-constant", "deviation-bounds"], required=True)
-    p.add_argument("--traj", default=None, help="trajectory CSV (re-constant)")
-    p.add_argument("--drift", default=None, help="drift JSON (deviation-bounds)")
-    p.add_argument("--s", type=int, default=2, help="support size of the s-sparse minimum (re-constant)")
+    p.set_defaults(func=cmd_diagnostics)
+    modes = p.add_subparsers(dest="which", required=True, parser_class=full_names)
+    p = modes.add_parser("re-constant", help="restricted-eigenvalue bracket of a trajectory")
+    p.add_argument("--traj", required=True, help="trajectory CSV")
+    p.add_argument("--s", type=int, default=2, help="support size of the s-sparse minimum")
+    p.add_argument("--out", required=True)
+    p = modes.add_parser("deviation-bounds", help="deviation exponents of a drift's stationary law")
+    p.add_argument("--drift", required=True, help="drift JSON")
     p.add_argument("--u", type=_flag_type("list[float]"), default=None,
                    help="comma-separated direction vector; write --u=-0.6,0.8 when the first entry is negative")
     p.add_argument("--r-values", type=_flag_type("list[float]"), default=[0.1, 0.2, 0.5, 1.0],
                    help="comma-separated deviation levels")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_diagnostics)
 
     return parser
 

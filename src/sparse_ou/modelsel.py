@@ -39,11 +39,9 @@ TRAIN_FRACTION = 0.8
 
 @dataclass(frozen=True)
 class CvResult:
-    """The scored grid, the selected fit, and every fit of the path in grid order."""
+    """The validation scores, the selected fit, and every fit of the path in grid order; each fit holds its ``lam``."""
 
-    lambda_grid: np.ndarray
     validation_scores: np.ndarray
-    best_lambda: float
     best_estimate: Estimate
     fits: tuple[Estimate, ...]
 
@@ -66,7 +64,7 @@ def split_trajectory(traj: Trajectory) -> tuple[Trajectory, Trajectory]:
     return train, valid
 
 
-def _select(grid: np.ndarray, fits: list[Estimate], scores, stacklevel: int) -> CvResult:
+def _select(fits: list[Estimate], scores, stacklevel: int) -> CvResult:
     """The fit with the lowest validation score; ties go to the smallest penalty; a RuntimeWarning if it did not converge."""
     scores = np.asarray(scores)
     if not np.all(np.isfinite(scores)):
@@ -75,18 +73,12 @@ def _select(grid: np.ndarray, fits: list[Estimate], scores, stacklevel: int) -> 
     best = fits[best_idx]
     if not best.converged:
         warnings.warn(
-            f"selected fit at lambda={float(grid[best_idx]):.6g} did not converge: "
+            f"selected fit at lambda={best.lam:.6g} did not converge: "
             f"{best.iterations} iterations, KKT residual {best.kkt_residual:.3g}",
             RuntimeWarning,
             stacklevel=stacklevel,
         )
-    return CvResult(
-        lambda_grid=grid,
-        validation_scores=scores,
-        best_lambda=float(grid[best_idx]),
-        best_estimate=best,
-        fits=tuple(fits),
-    )
+    return CvResult(validation_scores=scores, best_estimate=best, fits=tuple(fits))
 
 
 def _grid(grid) -> np.ndarray:
@@ -105,7 +97,7 @@ def _hold_out(grid: np.ndarray, train: SufficientStats, valid: SufficientStats, 
     Selecting a fit that did not converge warns ``stacklevel`` frames up, by default at the public routine's caller.
     """
     fits = _path(train, p, gamma, grid, opts)
-    return _select(grid, fits, [neg_log_likelihood(f.matrix, valid, p) for f in fits], stacklevel)
+    return _select(fits, [neg_log_likelihood(f.matrix, valid, p) for f in fits], stacklevel)
 
 
 def cross_validate(

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from sparse_ou import (
+    LambdaConfig,
     SolverOptions,
     cross_validate,
     cross_validate_sigma,
@@ -201,11 +202,16 @@ def test_09_time_step_study():
            f"|e(1e-2)-e(1e-3)| = {fine_gap:.3f} < |e(1e-1)-e(1e-2)| = {coarse_gap:.3f}")
 
 
-def test_10_oracle_bound_coverage():
+def _oracle_truth():
+    """The symmetric 5 x 5 truth of criterion 10 and its companion."""
     base = np.diag([1.5, 1.2, 1.8, 1.4, 1.6])
     base[0, 1] = base[1, 0] = 0.3
     base[2, 3] = base[3, 2] = -0.25
-    truth = make_drift(base)
+    return make_drift(base)
+
+
+def test_10_oracle_bound_coverage():
+    truth = _oracle_truth()
     reps = 50
     checks = [metrics._oracle_step(truth, sufficient_stats(sample_trajectory(truth, 200.0, 0.01, derive_seed(909, r))))
               for r in range(reps)]
@@ -216,6 +222,24 @@ def test_10_oracle_bound_coverage():
     # the ratio and the nonzero count show what was measured: at this T the theory fit can be the zero matrix
     report(10, "oracle bound coverage", ok,
            f"coverage {frac:.2f} >= 0.9; largest error / bound {worst:.3f}; {nonzero} of {reps} fits nonzero")
+
+
+def test_10_oracle_bound_is_tight_enough_to_fail():
+    # criterion 10's companion, at a T where its bound can fail: the zero matrix misses it on every path, and the
+    # theory fit stays well inside it (0.485 at most here; one solver step reads about 0.78, the zero matrix 1.5)
+    truth = _oracle_truth()
+    reps, limit = 20, 0.6
+    fit_ratios, zero_ratios = [], []
+    for r in range(reps):
+        stats = sufficient_stats(sample_trajectory(truth, 12800.0, 0.1, derive_seed(909, r)))
+        fit, _, ratio = metrics._oracle_step(truth, stats)
+        bound = metrics.oracle_bound(truth, fit.lam, LambdaConfig().gamma)
+        fit_ratios.append(ratio)
+        zero_ratios.append(metrics.error_report(np.zeros_like(truth.matrix), truth, stats).empirical / bound)
+    ok = min(zero_ratios) > 1.0 and max(fit_ratios) < limit
+    report(10, "oracle bound companion", ok,
+           f"zero matrix error / bound >= {min(zero_ratios):.3f} > 1 on {reps} paths; "
+           f"largest fit error / bound {max(fit_ratios):.3f} < {limit}")
 
 
 def test_11_re_constant_diagnostic():

@@ -81,6 +81,15 @@ def test_removed_surface_is_gone():
     assert not hasattr(metrics, "dense_baseline_f1") and not hasattr(sparse_ou, "dense_baseline_f1")
     assert not hasattr(sparse_ou, "transition_kernel") and not hasattr(sparse_ou, "TransitionKernel")
     assert hasattr(sim, "transition_kernel") and hasattr(sim, "TransitionKernel")
+    # each fit holds its penalty, and each diagnostics mode is a sub-command of its own
+    assert [f.name for f in fields(sparse_ou.CvResult)] == ["validation_scores", "best_estimate", "fits"]
+    assert list(inspect.signature(modelsel._select).parameters) == ["fits", "scores", "stacklevel"]
+    parsers, todo = [], [cli.build_parser()]
+    while todo:
+        parsers.append(todo.pop())
+        todo += [p for a in parsers[-1]._actions if a.choices and a.option_strings == [] for p in a.choices.values()]
+    assert len(parsers) == 8
+    assert not any("--which" in p._option_string_actions for p in parsers)
 
 
 @pytest.mark.parametrize("name", ["oracle_bound", "_oracle_step"])

@@ -22,8 +22,8 @@ from sparse_ou import (
 )
 from sparse_ou.cli import build_parser, main
 from sparse_ou.errors import GenerationError
-from sparse_ou.experiments import BENCHMARK_KINDS, ExperimentConfig, fit_settings
-from sparse_ou.sim import DEFAULT_DT, load_trajectory_csv
+from sparse_ou.experiments import BENCHMARK_KINDS, ExperimentConfig, _truth, fit_settings
+from sparse_ou.sim import DEFAULT_DT, derive_seed, load_trajectory_csv, sample_trajectory
 
 CONFIG_FIELDS = [f.name for f in fields(ExperimentConfig)]
 HORIZON_RULE = "dt must be > 0 and finite, and T / dt must be finite and round to at least 1"
@@ -90,6 +90,15 @@ class TestSimulate:
         run(["simulate", "--d", 3, "--s", 1, "--T", 1, "--out", b])
         assert a.read_bytes() == b.read_bytes()
         assert Path(f"{a}.drift.json").read_bytes() == Path(f"{b}.drift.json").read_bytes()
+
+    def test_streams_are_the_benchmarks_first_truth_and_path(self, tmp_path):
+        # the drift is sweep point d's truth and the path is its replication 0, each from its own stream
+        out = tmp_path / "x.csv"
+        assert run(["simulate", "--d", 6, "--T", 5, "--seed", 3, "--out", out]) == 0
+        truth = _truth(ExperimentConfig(kind="sweep", d_values=[6], t_values=[5.0], seed=3), 6)
+        assert np.array_equal(model.load_drift_json(f"{out}.drift.json").matrix, truth.matrix)
+        path = sample_trajectory(truth, 5.0, DEFAULT_DT, derive_seed(3, 0))
+        assert np.array_equal(load_trajectory_csv(out).states, path.states)
 
 
 @pytest.fixture(scope="module")
@@ -249,7 +258,7 @@ class TestFit:
             assert run(["fit", "--traj", traj, "--lambda", 0.1, "--truth", tmp_path / drift, "--out", out]) == 0
             reports.append(json.loads(out.read_text())["report"])
             out = tmp_path / f"{drift}.dev.json"
-            assert run(["diagnostics", "--which", "deviation-bounds", "--drift", tmp_path / drift, "--out", out]) == 0
+            assert run(["diagnostics", "deviation-bounds", "--drift", tmp_path / drift, "--out", out]) == 0
             curves.append(json.loads(out.read_text())["curves"])
         assert (tmp_path / "d.txt").read_text() == (tmp_path / "d.csv").read_text() == (tmp_path / "d.json").read_text()
         assert reports[0] == reports[1] == reports[2]
@@ -421,9 +430,10 @@ class TestBenchmark:
         assert tuple(re.findall(r"`(\w+)`", re.sub(r"\(.*?\)", "", kinds, flags=re.S))) == BENCHMARK_KINDS
 
     def test_readme_command_line_flags_are_parser_flags(self):
-        # every --flag named between "## Command line" and "## Tests" is a flag of some subcommand
-        subparsers = next(a for a in build_parser()._actions if a.dest == "command").choices.values()
-        flags = {opt for p in subparsers for a in p._actions for opt in a.option_strings}
+        # every --flag named between "## Command line" and "## Tests" is a flag of some subcommand or diagnostics mode
+        subparsers = _subparsers(build_parser(), "command")
+        parsers = [*subparsers.values(), *_subparsers(subparsers["diagnostics"], "which").values()]
+        flags = {opt for p in parsers for a in p._actions for opt in a.option_strings}
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         section = re.search(r"^## Command line$(.*?)^## Tests", readme, re.S | re.M).group(1)
         named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
@@ -537,7 +547,7 @@ class TestDiagnostics:
     def test_re_constant(self, sim_files, tmp_path):
         traj, _ = sim_files
         out = tmp_path / "re.json"
-        code = run(["diagnostics", "--which", "re-constant", "--traj", traj, "--s", 2, "--out", out])
+        code = run(["diagnostics", "re-constant", "--traj", traj, "--s", 2, "--out", out])
         assert code == 0
         payload = json.loads(out.read_text())
         assert list(payload) == ["which", "s", "eigen_floor", "restricted_sparse_min"]  # d=6 <= 12
@@ -548,17 +558,17 @@ class TestDiagnostics:
         traj = tmp_path / "traj.csv"
         assert run(["simulate", "--d", 13, "--T", 1, "--out", traj]) == 0
         out = tmp_path / "re.json"
-        assert run(["diagnostics", "--which", "re-constant", "--traj", traj, "--out", out]) == 0
+        assert run(["diagnostics", "re-constant", "--traj", traj, "--out", out]) == 0
         assert list(json.loads(out.read_text())) == ["which", "s", "eigen_floor"]  # d=13 > 12
         out.unlink()
-        assert run(["diagnostics", "--which", "re-constant", "--traj", traj, "--s", 0, "--out", out]) == 2
+        assert run(["diagnostics", "re-constant", "--traj", traj, "--s", 0, "--out", out]) == 2
         assert capsys.readouterr().err.startswith("usage error: need 1 <= s <= d, got s=0, d=13")
         assert not out.exists()
 
     def test_deviation_bounds(self, sim_files, tmp_path):
         _, drift = sim_files
         out = tmp_path / "dev.json"
-        code = run(["diagnostics", "--which", "deviation-bounds", "--drift", drift,
+        code = run(["diagnostics", "deviation-bounds", "--drift", drift,
                     "--r-values", "0.1,0.2", "--out", out])
         assert code == 0
         curves = json.loads(out.read_text())["curves"]
@@ -569,7 +579,7 @@ class TestDiagnostics:
     def test_unreadable_list_flag_is_rejected_by_the_parser(self, sim_files, tmp_path, capsys, flag, text):
         _, drift = sim_files
         with pytest.raises(SystemExit) as exc:
-            run(["diagnostics", "--which", "deviation-bounds", "--drift", drift, flag, text, "--out", tmp_path / "d.json"])
+            run(["diagnostics", "deviation-bounds", "--drift", drift, flag, text, "--out", tmp_path / "d.json"])
         assert exc.value.code == 2
         assert f"argument {flag}: invalid comma-separated float value: {text!r}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
@@ -582,7 +592,7 @@ class TestDiagnostics:
         # and the oracle bound's Monte Carlo is the oracle_coverage benchmark kind; --d is not --drift
         traj, _ = sim_files
         with pytest.raises(SystemExit) as exc:
-            run(["diagnostics", "--which", "re-constant", "--traj", traj, flag, value, "--out", tmp_path / "re.json"])
+            run(["diagnostics", "re-constant", "--traj", traj, flag, value, "--out", tmp_path / "re.json"])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
@@ -590,19 +600,34 @@ class TestDiagnostics:
     def test_oracle_coverage_mode_is_gone(self, tmp_path, capsys):
         # benchmark --kind oracle_coverage is the one route to the oracle bound's Monte Carlo
         with pytest.raises(SystemExit) as exc:
-            run(["diagnostics", "--which", "oracle-coverage", "--out", tmp_path / "cov.json"])
+            run(["diagnostics", "oracle-coverage", "--out", tmp_path / "cov.json"])
         assert exc.value.code == 2
-        assert "argument --which: invalid choice: 'oracle-coverage'" in capsys.readouterr().err
+        assert "argument which: invalid choice: 'oracle-coverage'" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("which, missing", [("re-constant", "--traj"), ("deviation-bounds", "--drift")])
     def test_missing_input_is_usage_error(self, tmp_path, capsys, which, missing):
+        # each mode's input is a required flag of its own parser
         out = tmp_path / "x.json"
-        assert run(["diagnostics", "--which", which, "--out", out]) == 2
+        with pytest.raises(SystemExit) as exc:
+            run(["diagnostics", which, "--out", out])
+        assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"usage error: --which {which} needs {missing}")
+        assert f"sparse-ou diagnostics {which}: error: the following arguments are required: {missing}" in err
         assert "Traceback" not in err
-        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["re-constant", "--traj", "{traj}", "--r-values", "-1"],
+                                      ["deviation-bounds", "--drift", "{drift}", "--s", "0"]],
+                             ids=["re-constant --r-values", "deviation-bounds --s"])
+    def test_other_mode_flag_is_rejected_by_the_parser(self, sim_files, tmp_path, capsys, argv):
+        # a mode reads only its own flags, so the other mode's flag is not quietly ignored
+        traj, drift = sim_files
+        with pytest.raises(SystemExit) as exc:
+            run(["diagnostics", *(a.format(traj=traj, drift=drift) for a in argv), "--out", tmp_path / "x.json"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 MALFORMED_DRIFTS = {
@@ -614,7 +639,7 @@ MALFORMED_DRIFTS = {
 }
 DRIFT_READERS = {
     "fit --truth": ["fit", "--traj", "{traj}", "--lambda", "cv", "--grid-size", 3, "--truth"],
-    "deviation-bounds --drift": ["diagnostics", "--which", "deviation-bounds", "--drift"],
+    "deviation-bounds --drift": ["diagnostics", "deviation-bounds", "--drift"],
 }
 
 
@@ -641,7 +666,7 @@ MALFORMED_TRAJECTORIES = {
 }
 TRAJECTORY_READERS = {
     "fit --traj": ["fit", "--lambda", "cv", "--grid-size", 3, "--traj"],
-    "re-constant --traj": ["diagnostics", "--which", "re-constant", "--s", 1, "--traj"],
+    "re-constant --traj": ["diagnostics", "re-constant", "--s", 1, "--traj"],
 }
 
 
@@ -669,11 +694,11 @@ FIT_COMMANDS = {
 BAD_SETTINGS = [
     *[(argv + flags, f"{name} {flags[0]} {flags[1]}") for name, argv in FIT_COMMANDS.items() for flags in BAD_FIT_FLAGS],
     (["finance", "--prices", "{prices}", "--span", 0], "finance --span 0"),
-    (["diagnostics", "--which", "re-constant", "--traj", "{traj}", "--s", 0], "re-constant --s 0"),
-    (["diagnostics", "--which", "re-constant", "--traj", "{traj}", "--s", 7], "re-constant --s 7"),
-    (["diagnostics", "--which", "deviation-bounds", "--drift", "{drift}", "--r-values", -1], "deviation-bounds --r-values -1"),
-    (["diagnostics", "--which", "deviation-bounds", "--drift", "{drift}", "--u", "2,0"], "deviation-bounds --u 2,0"),
-    (["diagnostics", "--which", "deviation-bounds", "--drift", "{drift}", "--u", "0.5,0"], "deviation-bounds --u of length 2"),
+    (["diagnostics", "re-constant", "--traj", "{traj}", "--s", 0], "re-constant --s 0"),
+    (["diagnostics", "re-constant", "--traj", "{traj}", "--s", 7], "re-constant --s 7"),
+    (["diagnostics", "deviation-bounds", "--drift", "{drift}", "--r-values", -1], "deviation-bounds --r-values -1"),
+    (["diagnostics", "deviation-bounds", "--drift", "{drift}", "--u", "2,0"], "deviation-bounds --u 2,0"),
+    (["diagnostics", "deviation-bounds", "--drift", "{drift}", "--u", "0.5,0"], "deviation-bounds --u of length 2"),
     (["simulate", "--d", 3, "--s", 0, "--T", 1], "simulate --s 0"),
     (["simulate", "--kind", "two-group", "--d", 3, "--T", 1], "simulate two-group --d 3"),
     (["simulate", "--kind", "shifted-antisym", "--d", 4, "--s", 1, "--w", "nan", "--T", 1], "simulate --w nan"),
@@ -704,7 +729,7 @@ ABBREVIATED_FLAGS = {
     "fit --cv": ["fit", "--traj", "{traj}", "--cv", "{dir}/x.json"],
     "benchmark --rep": ["benchmark", "--kind", "sweep", "--d-values", 3, "--t-values", 1, "--rep", 1],
     "finance --sp": ["finance", "--prices", "{prices}", "--sp", 10],
-    "diagnostics --dr": ["diagnostics", "--which", "deviation-bounds", "--dr", "{mine}"],
+    "diagnostics --dr": ["diagnostics", "deviation-bounds", "--drift", "{mine}", "--dr", "{mine}"],
 }
 
 
@@ -722,10 +747,15 @@ def test_abbreviated_flag_is_rejected_by_the_parser(inputs, tmp_path, capsys, ar
     assert mine.read_bytes() == inputs["drift"].read_bytes()
 
 
+def _subparsers(parser, dest):
+    return next(a for a in parser._actions if a.dest == dest).choices
+
+
 def test_every_subcommand_reads_full_flag_names_only():
-    subparsers = next(a for a in build_parser()._actions if a.dest == "command").choices
-    assert len(subparsers) == 5
-    assert [name for name, p in subparsers.items() if p.allow_abbrev] == []
+    subparsers = _subparsers(build_parser(), "command")
+    modes = _subparsers(subparsers["diagnostics"], "which")
+    assert len(subparsers) == 5 and list(modes) == ["re-constant", "deviation-bounds"]
+    assert [name for name, p in {**subparsers, **modes}.items() if p.allow_abbrev] == []
 
 
 def _flag_default(*argv, dest):

@@ -147,7 +147,8 @@ def test_split_statistics_add_up_to_the_full_path(seed, d, n, dt):
 def test_time_change_scales_every_hold_out_fit(seed, d, c):
     # Y(t) = X(c t) / sqrt(c) is the OU path of the drift c A with unit noise: sampled at dt / c its C is C / c
     # and its G is G, so each objective at c A is c times the original at A when lambda W is unchanged.  Adaptive
-    # weights 1 / |A_mle| scale by 1 / c, hence that grid times c.  c and sqrt(c) are powers of two, so no step rounds.
+    # weights 1 / |A_mle| scale by 1 / c, with Sigma or without, hence those grids times c.  c and sqrt(c) are
+    # powers of two, so no step rounds.
     traj = sample_trajectory(generate_sparse_drift(d, 1, seed), 20.0, 0.01, seed)
     changed = Trajectory(dt=traj.dt / c, states=traj.states / math.sqrt(c))
     rng = np.random.default_rng(seed)
@@ -158,9 +159,11 @@ def test_time_change_scales_every_hold_out_fit(seed, d, c):
         (cross_validate(traj, "adaptive_lasso", gamma=1.0),
          cross_validate(changed, "adaptive_lasso", gamma=1.0, grid=c * grid), c),
         (cross_validate_sigma(traj, m, sigma), cross_validate_sigma(changed, m / math.sqrt(c), sigma), 1.0),
+        (cross_validate_sigma(traj, m, sigma, gamma=1.0),
+         cross_validate_sigma(changed, m / math.sqrt(c), sigma, gamma=1.0, grid=c * grid), c),
     ]
     for before, after, lam_scale in cases:
-        assert after.best_lambda == lam_scale * before.best_lambda
+        assert after.best_estimate.lam == lam_scale * before.best_estimate.lam
         assert np.array_equal(after.validation_scores, c * before.validation_scores)
         for fit, scaled in zip(before.fits, after.fits, strict=True):
             assert np.array_equal(scaled.matrix, c * fit.matrix)
@@ -183,9 +186,10 @@ def test_signed_permutation_maps_every_hold_out_fit(seed, mat):
         (cross_validate(traj, "lasso"), cross_validate(mapped, "lasso")),
         (cross_validate(traj, "adaptive_lasso", gamma=1.0), cross_validate(mapped, "adaptive_lasso", gamma=1.0)),
         (cross_validate_sigma(traj, m, sigma), cross_validate_sigma(mapped, mat @ m, mat @ sigma)),
+        (cross_validate_sigma(traj, m, sigma, gamma=1.0), cross_validate_sigma(mapped, mat @ m, mat @ sigma, gamma=1.0)),
     ]
     for before, after in cases:
-        assert after.best_lambda == before.best_lambda
+        assert after.best_estimate.lam == before.best_estimate.lam
         for fit, moved in zip(before.fits, after.fits, strict=True):
             expected = mat @ fit.matrix @ mat.T  # one nonzero term per entry, so exact
             assert np.array_equal(moved.matrix != 0.0, expected != 0.0)

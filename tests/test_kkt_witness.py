@@ -126,7 +126,7 @@ def test_cv_path_with_witness_crossing_zero_matches_reference(events, monkeypatc
     with monkeypatch.context() as m:
         m.setattr(_Problem, "_entry_residual", gate_off)
         want = cross_validate(traj, "lasso", grid=grid, opts=opts)
-    assert got.best_lambda == want.best_lambda
+    assert got.best_estimate.lam == want.best_estimate.lam
     assert np.array_equal(got.validation_scores, want.validation_scores)
     for got_fit, want_fit in zip(got.fits, want.fits, strict=True):
         assert_same_fit(got_fit, want_fit)

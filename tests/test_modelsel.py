@@ -56,7 +56,7 @@ class TestSplit:
                 assert (a.iterations, a.restarts, a.final_objective, a.kkt_residual, a.converged, a.gamma) == (
                     b.iterations, b.restarts, b.final_objective, b.kkt_residual, b.converged, b.gamma)
             assert np.array_equal(got.validation_scores, want.validation_scores)
-            assert got.best_lambda == want.best_lambda
+            assert got.best_estimate.lam == want.best_estimate.lam
             assert np.array_equal(got.best_estimate.matrix, want.best_estimate.matrix)
 
     def test_too_short_rejected(self):
@@ -68,8 +68,7 @@ class TestSplit:
 class TestCrossValidate:
     def test_single_element_grid(self, traj):
         res = cross_validate(traj, "lasso", grid=[0.05], opts=FAST)
-        assert res.best_lambda == 0.05
-        assert res.lambda_grid.tolist() == [0.05]
+        assert [f.lam for f in res.fits] == [0.05]
         assert res.best_estimate.lam == 0.05
 
     def test_endpoint_semantics(self, traj):
@@ -83,8 +82,7 @@ class TestCrossValidate:
             neg_log_likelihood(train_mle.matrix, valid_stats), rel=1e-6, abs=1e-9
         )
         assert res.validation_scores[1] == 0.0
-        expected_best = res.lambda_grid[int(np.argmin(res.validation_scores))]
-        assert res.best_lambda == expected_best
+        assert res.best_estimate is res.fits[int(np.argmin(res.validation_scores))]
 
     def test_default_grid(self):
         grid = default_lambda_grid()
@@ -129,7 +127,7 @@ class TestCrossValidate:
     def test_deterministic(self, traj):
         a = cross_validate(traj, "adaptive_lasso", gamma=1.0, grid=[0.01, 0.1, 1.0])
         b = cross_validate(traj, "adaptive_lasso", gamma=1.0, grid=[0.01, 0.1, 1.0])
-        assert a.best_lambda == b.best_lambda
+        assert a.best_estimate.lam == b.best_estimate.lam
         assert np.array_equal(a.validation_scores, b.validation_scores)
         assert np.array_equal(a.best_estimate.matrix, b.best_estimate.matrix)
 
@@ -138,18 +136,17 @@ class TestCrossValidate:
         res = cross_validate(traj, "lasso", grid=grid)
         assert res.validation_scores.shape == grid.shape
         assert np.all(np.isfinite(res.validation_scores))
-        assert res.best_lambda in res.lambda_grid
+        assert res.best_estimate.lam in grid
 
     def test_best_attains_minimum(self, traj):
         res = cross_validate(traj, "lasso", grid=[0.01, 0.1, 1.0, 10.0])
-        i = res.lambda_grid.tolist().index(res.best_lambda)
+        i = [f.lam for f in res.fits].index(res.best_estimate.lam)
         assert res.validation_scores[i] == res.validation_scores.min()
 
     def test_fits_follow_the_grid(self, traj):
         res = cross_validate(traj, "lasso", grid=[10.0, 0.01, 1.0, 0.1])
-        assert [f.lam for f in res.fits] == res.lambda_grid.tolist() == [0.01, 0.1, 1.0, 10.0]
-        i = res.lambda_grid.tolist().index(res.best_lambda)
-        assert res.fits[i] is res.best_estimate
+        assert [f.lam for f in res.fits] == [0.01, 0.1, 1.0, 10.0]
+        assert res.fits[int(np.argmin(res.validation_scores))] is res.best_estimate
 
     def test_adaptive_estimate_carries_gamma(self, traj):
         res = cross_validate(traj, "adaptive_lasso", gamma=2.0, grid=[0.1])
@@ -196,7 +193,7 @@ class TestCrossValidateSigma:
         plain = cross_validate(traj, method, gamma=gamma, grid=grid, opts=FAST)
         sig = cross_validate_sigma(traj, np.zeros(traj.dim), np.eye(traj.dim), gamma=gamma, grid=grid, opts=FAST)
         assert np.array_equal(sig.validation_scores, plain.validation_scores)
-        assert sig.best_lambda == plain.best_lambda
+        assert sig.best_estimate.lam == plain.best_estimate.lam
         assert np.array_equal(sig.best_estimate.matrix, plain.best_estimate.matrix)
         assert sig.best_estimate.iterations == plain.best_estimate.iterations
         assert sig.best_estimate.gamma == plain.best_estimate.gamma
@@ -230,7 +227,7 @@ class TestCvSerialization:
         path = tmp_path / "cv.json"
         _write_json(path, _cv_payload(res))
         payload = json.loads(path.read_text())
-        assert payload["best_lambda"] == res.best_lambda
+        assert payload["best_lambda"] == res.best_estimate.lam
         assert payload["lambda_grid"] == [0.05, 0.5]
         assert len(payload["validation_scores"]) == 2
         assert payload["iterations"] == [f.iterations for f in res.fits]

@@ -256,7 +256,7 @@ def test_cross_validate_sigma_matches_fit_sigma_model(traj):
     with np.errstate(divide="ignore"):
         weights = np.minimum(np.abs(mle(train_stats).matrix) ** -1.0, WEIGHT_CAP)
     problem = _Problem.of(train_stats.c_hat, train_stats.g_hat, _precision(sigma, 4), weights, TIGHT)
-    fit = problem.fit(cv.best_lambda)
+    fit = problem.fit(cv.best_estimate.lam)
     # the path warm-starts from the previous grid point, this fit starts at zero
     assert fit.converged and cv.best_estimate.converged
     assert _rel_diff(cv.best_estimate.matrix, fit.matrix) <= 1e-6
@@ -267,7 +267,7 @@ def test_cross_validate_sigma_matches_fit_sigma_model(traj):
 def test_cross_validate_matches_public_fit(traj, method):
     cv = cross_validate(traj, method, gamma=1.0, grid=GRID, opts=TIGHT)
     train_stats = sufficient_stats(split_trajectory(traj)[0])
-    fit = lasso(train_stats, cv.best_lambda, gamma=1.0 if method == "adaptive_lasso" else None, opts=TIGHT)
+    fit = lasso(train_stats, cv.best_estimate.lam, gamma=1.0 if method == "adaptive_lasso" else None, opts=TIGHT)
     # the path warm-starts from the previous grid point, the public call does not
     assert fit.converged and cv.best_estimate.converged
     assert _rel_diff(cv.best_estimate.matrix, fit.matrix) <= 1e-6
