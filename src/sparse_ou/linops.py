@@ -19,13 +19,13 @@ __all__ = [
 ]
 
 
-def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and return ``a`` as a finite square float matrix."""
+def as_square_matrix(a) -> np.ndarray:
+    """Validate and return the drift ``a`` as a finite square float matrix; errors call it "matrix"."""
     m = np.asarray(a, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-        raise ValueError(f"{name} must be a square 2-d array, got shape {m.shape}")
+        raise ValueError(f"matrix must be a square 2-d array, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise ValueError("matrix contains non-finite entries")
     return m
 
 

@@ -4,7 +4,8 @@ A drift matrix A must have a spectrum with strictly positive real parts,
 so that dX = -A X dt + dW is ergodic with stationary covariance C solving
 A C + C A^T = I.  The generators here produce the sparse random drifts,
 the two-group block drift and the shifted-antisymmetric family used by
-the experiment harness.
+the experiment harness.  Each builds its :class:`DriftMatrix` through
+:func:`make_drift`, which solves the Lyapunov equation for C.
 """
 
 from __future__ import annotations
@@ -45,14 +46,10 @@ class DriftMatrix:
         return self.matrix.shape[0]
 
 
-def make_drift(matrix, stationary_cov: np.ndarray | None = None) -> DriftMatrix:
-    """Wrap a stable matrix as a :class:`DriftMatrix`, solving for C if needed."""
+def make_drift(matrix) -> DriftMatrix:
+    """Wrap a stable matrix as a :class:`DriftMatrix` whose C solves ``A C + C A^T = I``."""
     m = as_square_matrix(matrix)
-    if stationary_cov is None:
-        stationary_cov = solve_lyapunov(m)  # also enforces stability
-    else:
-        stationary_cov = as_square_matrix(stationary_cov, "stationary_cov")
-    return DriftMatrix(matrix=m, stationary_cov=stationary_cov)
+    return DriftMatrix(matrix=m, stationary_cov=solve_lyapunov(m))  # also enforces stability
 
 
 def _check_sparsity(s: int, d: int) -> None:
@@ -113,8 +110,9 @@ def generate_shifted_antisymmetric(
     """Drift ``alpha * I + w * B`` with B antisymmetric and row-sparse.
 
     B has entries in {-1, 0, 1} (+1 above the diagonal), at most ``s``
-    non-zeros per row.  The stationary covariance is exactly I/(2 alpha)
-    regardless of B, which makes this family a convenient analytic oracle.
+    non-zeros per row.  In exact arithmetic the stationary covariance is
+    I/(2 alpha) regardless of B, which makes this family a convenient
+    analytic oracle; :func:`make_drift` solves for it as for any other drift.
     """
     if not (0 < alpha < np.inf and np.isfinite(w)):
         raise UsageError(f"alpha must be finite and > 0, and w finite, got alpha={alpha}, w={w}")
@@ -132,7 +130,7 @@ def generate_shifted_antisymmetric(
             row_counts[i] += 1
             row_counts[j] += 1
     matrix = alpha * np.eye(d) + w * b
-    return make_drift(matrix, stationary_cov=np.eye(d) / (2.0 * alpha))
+    return make_drift(matrix)
 
 
 def symmetrized_drift(drift: DriftMatrix) -> DriftMatrix:

@@ -90,6 +90,9 @@ def test_removed_surface_is_gone():
         todo += [p for a in parsers[-1]._actions if a.choices and a.option_strings == [] for p in a.choices.values()]
     assert len(parsers) == 8
     assert not any("--which" in p._option_string_actions for p in parsers)
+    # every DriftMatrix gets its C from the Lyapunov solve
+    assert list(inspect.signature(model.make_drift).parameters) == ["matrix"]
+    assert list(inspect.signature(linops.as_square_matrix).parameters) == ["a"]
 
 
 @pytest.mark.parametrize("name", ["oracle_bound", "_oracle_step"])

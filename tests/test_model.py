@@ -10,6 +10,7 @@ from sparse_ou import (
     solve_lyapunov,
 )
 from sparse_ou import model
+from conftest import random_stable_matrix
 from sparse_ou.model import (
     STABILITY_MARGIN,
     load_drift_json,
@@ -18,6 +19,25 @@ from sparse_ou.model import (
     save_drift_json,
     symmetrized_drift,
 )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: generate_sparse_drift(10, 2, seed=5),
+        lambda: generate_two_group(10),
+        lambda: generate_shifted_antisymmetric(10, alpha=0.9, w=1.5, s=3, seed=7),
+        lambda: symmetrized_drift(generate_sparse_drift(10, 2, seed=5)),
+        lambda: make_drift(random_stable_matrix(np.random.default_rng(5), 10)),
+    ],
+    ids=["generate_sparse_drift", "generate_two_group", "generate_shifted_antisymmetric", "symmetrized_drift",
+         "make_drift"],
+)
+def test_lyapunov_residual(build):
+    """Every drift source's C solves A C + C A^T = I."""
+    drift = build()
+    res = drift.matrix @ drift.stationary_cov + drift.stationary_cov @ drift.matrix.T
+    assert np.linalg.norm(res - np.eye(drift.dim)) <= 1e-10 * drift.dim
 
 
 class TestGenerateSparseDrift:
@@ -66,11 +86,6 @@ class TestGenerateSparseDrift:
         b = generate_sparse_drift(12, 3, seed=42)
         assert np.array_equal(a.matrix, b.matrix)
         assert not np.array_equal(a.matrix, generate_sparse_drift(12, 3, seed=43).matrix)
-
-    def test_lyapunov_residual(self):
-        drift = generate_sparse_drift(10, 2, seed=5)
-        res = drift.matrix @ drift.stationary_cov + drift.stationary_cov @ drift.matrix.T
-        assert np.linalg.norm(res - np.eye(10)) <= 1e-10 * 10
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
