@@ -32,6 +32,9 @@ __all__ = [
 
 # Margin added beyond the spectral abscissa when stabilizing random drifts.
 STABILITY_MARGIN = 0.5
+# Least alpha / (|w| s) of a shifted-antisymmetric drift.  At d = 12, s = 3, w = 1 the solved C is 4e-8 off
+# I/(2 alpha) at this bound (alpha = 3e-6), 1e-3 off at alpha = 1e-8, and the sampler fails at alpha = 1e-9.
+MIN_ALPHA_RATIO = 1e-6
 
 
 @dataclass(frozen=True)
@@ -113,11 +116,17 @@ def generate_shifted_antisymmetric(
     non-zeros per row.  In exact arithmetic the stationary covariance is
     I/(2 alpha) regardless of B, which makes this family a convenient
     analytic oracle; :func:`make_drift` solves for it as for any other drift.
+    Every eigenvalue has real part alpha, against up to ``|w| s`` in
+    modulus, so ``alpha`` must be at least ``MIN_ALPHA_RATIO * |w| * s``
+    for the Lyapunov solve to hold C to I/(2 alpha).
     """
     if not (0 < alpha < np.inf and np.isfinite(w)):
         raise UsageError(f"alpha must be finite and > 0, and w finite, got alpha={alpha}, w={w}")
     if not 0 <= s < d:
         raise UsageError(f"need 0 <= s < d, got s={s}, d={d}")
+    if alpha < MIN_ALPHA_RATIO * abs(w) * s:
+        raise UsageError(f"alpha must be at least {MIN_ALPHA_RATIO:g} * |w| * s = {MIN_ALPHA_RATIO * abs(w) * s:.6g}, "
+                         f"got alpha={alpha:.6g}")
     rng = np.random.default_rng(seed)
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     rng.shuffle(pairs)

@@ -2,7 +2,10 @@
 
 import importlib
 import inspect
+import os
 import re
+import subprocess
+import sys
 import types
 from dataclasses import fields
 from pathlib import Path
@@ -100,6 +103,15 @@ def test_oracle_functions_read_s_from_the_truth(name):
     from sparse_ou import metrics
 
     assert "s" not in inspect.signature(getattr(metrics, name)).parameters
+
+
+def test_package_never_imports_scipy():
+    # the library needs only numpy; scipy stays a test dependency
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, sparse_ou, sparse_ou.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_readme_python_blocks_run():

@@ -58,6 +58,8 @@ class TestSimulate:
         (["--d", 3, "--T", "inf"], HORIZON_RULE),
         (["--d", 3, "--T", "nan"], HORIZON_RULE),
         (["--d", 3, "--T", 1, "--dt", "inf"], HORIZON_RULE),
+        (["--kind", "shifted-antisym", "--d", 12, "--s", 3, "--w", 1, "--alpha", 1e-16, "--T", 1],
+         "alpha must be at least 1e-06 * |w| * s = 3e-06, got alpha=1e-16"),
     ])
     def test_bad_dimension_step_or_horizon_is_usage_error(self, tmp_path, capsys, flags, message):
         assert run(["simulate", *flags, "--out", tmp_path / "x.csv"]) == 2
