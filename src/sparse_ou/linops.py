@@ -1,11 +1,12 @@
 """Dense linear-algebra primitives: square-matrix validation, the matrix exponential and the Lyapunov solve.
 
 ``expm`` is the scaling-and-squaring Pade method of Higham (SIAM J. Matrix
-Anal. Appl. 26(4), 2005).  ``solve_lyapunov`` runs the scaled Newton
-iteration for the matrix sign function (Roberts 1980, with the determinant
-scaling of Byers 1987).  Both cost O(d^3) time and O(d^2) memory and need
-only ``numpy``.  All routines operate on plain square ``numpy`` arrays and
-are pure functions of their inputs, so they are safe to call concurrently.
+Anal. Appl. 26(4), 2005), with one evaluation for every Pade degree.
+``solve_lyapunov`` runs the scaled Newton iteration for the matrix sign
+function (Roberts 1980, with the determinant scaling of Byers 1987).  Both
+cost O(d^3) time and O(d^2) memory and need only ``numpy``.  All routines
+operate on plain square ``numpy`` arrays and are pure functions of their
+inputs, so they are safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -49,33 +50,29 @@ def _pade_coefficients(m: int) -> list[float]:
 
 
 def expm(a: np.ndarray) -> np.ndarray:
-    """The matrix exponential of a finite square float array.
+    """The matrix exponential of a square float array; NumericError if ``||A||_1`` is not finite.
 
     Scaling and squaring with a diagonal Pade approximant (Higham 2005,
-    Algorithm 2.3): the smallest degree m in 3, 5, 7, 9 whose bound
-    theta_m covers ``||A||_1``; otherwise degree 13 on ``A / 2^s``, with s
-    the least integer that brings the norm to theta_13 = 5.37, and s
-    squarings of the result.
+    Algorithm 2.3): s is the least integer >= 0 that brings
+    ``||A||_1 / 2^s`` to theta_13 = 5.37 or below, m the smallest degree in
+    3, 5, 7, 9, 13 whose bound theta_m covers that norm, and the [m/m]
+    approximant of ``exp(A / 2^s)``, evaluated from the even powers of
+    ``A / 2^s``, is squared s times.
     """
     norm = float(np.linalg.norm(a, 1))
-    eye = np.eye(a.shape[0])
-    for m in (3, 5, 7, 9):
-        if norm <= _THETA[m]:
-            b = _pade_coefficients(m)
-            powers = [eye, a @ a]  # A^0, A^2, ..., A^(m-1)
-            for _ in range(m // 2 - 1):
-                powers.append(powers[-1] @ powers[1])
-            u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(powers))
-            v = sum(b[2 * k] * p for k, p in enumerate(powers))
-            return np.linalg.solve(v - u, v + u)
-    b = _pade_coefficients(13)
-    s = max(0, math.ceil(math.log2(norm / _THETA[13])))
+    if not math.isfinite(norm):
+        raise NumericError(f"matrix exponential argument is not finite: 1-norm {norm}")
+    s = 0
+    while norm > _THETA[13]:
+        norm, s = norm / 2.0, s + 1
+    m = next(m for m, theta in _THETA.items() if norm <= theta)
     a = a / 2.0**s
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    b = _pade_coefficients(m)
+    powers = [np.eye(a.shape[0]), a @ a]  # A^0, A^2, ..., A^(m-1)
+    for _ in range(m // 2 - 1):
+        powers.append(powers[-1] @ powers[1])
+    u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(powers))
+    v = sum(b[2 * k] * p for k, p in enumerate(powers))
     r = np.linalg.solve(v - u, v + u)
     for _ in range(s):
         r = r @ r

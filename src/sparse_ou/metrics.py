@@ -106,8 +106,8 @@ def deviation_bounds(R: float, u, c_inf) -> tuple[float, float]:
         H1(R) = (r - log(1 + r)) / 8
         H2(R) = -(r + log(1 - r)) / 8   for r < 1, +inf otherwise.
     """
-    if not R > 0:
-        raise UsageError(f"R must be > 0, got {R}")
+    if not 0 < R < math.inf:
+        raise UsageError(f"R must be > 0 and finite, got {R}")
     u = np.asarray(u, dtype=float)
     c = np.asarray(c_inf, dtype=float)
     if u.shape != c.shape[:1] or not 0 < np.linalg.norm(u) <= 1.0 + 1e-12:

@@ -93,7 +93,9 @@ def transition_kernel(drift: DriftMatrix, dt: float) -> TransitionKernel:
     """Exact one-step kernel (phi, Q) for the given drift and step size."""
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be > 0 and finite, got {dt}")
-    phi = expm(drift.matrix * -dt)
+    with np.errstate(over="ignore"):  # an overflowing -A dt reaches expm as inf, which raises NumericError
+        minus_a_dt = drift.matrix * -dt
+    phi = expm(minus_a_dt)
     c_inf = drift.stationary_cov
     q = c_inf - phi @ c_inf @ phi.T
     q = 0.5 * (q + q.T)

@@ -699,6 +699,7 @@ BAD_SETTINGS = [
     (["diagnostics", "re-constant", "--traj", "{traj}", "--s", 0], "re-constant --s 0"),
     (["diagnostics", "re-constant", "--traj", "{traj}", "--s", 7], "re-constant --s 7"),
     (["diagnostics", "deviation-bounds", "--drift", "{drift}", "--r-values", -1], "deviation-bounds --r-values -1"),
+    (["diagnostics", "deviation-bounds", "--drift", "{drift}", "--r-values", "0.5,inf"], "deviation-bounds --r-values 0.5,inf"),
     (["diagnostics", "deviation-bounds", "--drift", "{drift}", "--u", "2,0"], "deviation-bounds --u 2,0"),
     (["diagnostics", "deviation-bounds", "--drift", "{drift}", "--u", "0.5,0"], "deviation-bounds --u of length 2"),
     (["simulate", "--d", 3, "--s", 0, "--T", 1], "simulate --s 0"),
@@ -709,6 +710,22 @@ BAD_SETTINGS = [
     ([*FIT_COMMANDS["benchmark-jobs1"], "--jobs", -3], "benchmark --jobs -3"),
     ([*FIT_COMMANDS["benchmark-jobs1"], "--dt-values", "0.01,0.01"], "benchmark --dt-values 0.01,0.01"),
 ]
+
+
+OVERFLOWING_STEP = {
+    "simulate": ["simulate", "--d", 3, "--T", 1.7e308, "--dt", 1.7e308],
+    "benchmark": ["benchmark", "--kind", "sweep", "--d-values", 3, "--t-values", 1.7e308, "--dt-values", 1.7e308,
+                  "--reps", 1, "--jobs", 1],
+}
+
+
+@pytest.mark.parametrize("argv", OVERFLOWING_STEP.values(), ids=OVERFLOWING_STEP.keys())
+def test_overflowing_step_is_runtime_error(tmp_path, capsys, argv):
+    # one step, but -A dt overflows: the kernel's expm raises NumericError, with no traceback and no warning
+    assert run([*argv, "--out", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: matrix exponential argument is not finite: 1-norm inf\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.fixture(scope="module")

@@ -20,10 +20,10 @@ from sparse_ou import (
     solve_lyapunov,
     subsample,
 )
-from sparse_ou.errors import IngestionError, UsageError
+from sparse_ou.errors import IngestionError, NumericError, UsageError
 from sparse_ou.experiments import ExperimentConfig
 from sparse_ou.model import load_drift_json
-from sparse_ou.sim import TransitionKernel, load_trajectory_csv, step_count
+from sparse_ou.sim import TransitionKernel, load_trajectory_csv, step_count, transition_kernel
 
 from conftest import random_stats
 
@@ -91,6 +91,8 @@ DATA_CHECKS = {
                           lambda tmp: load_drift_json(write(tmp, '{"entries": [1, 0, 0, 1]}'))),
     "drift JSON 3 entries at dim 2": (ValueError, "expected 4 entries, got 3",
                                       lambda tmp: load_drift_json(write(tmp, '{"dim": 2, "entries": [1, 0, 1]}'))),
+    "transition_kernel dt=1.7e308": (NumericError, "matrix exponential argument is not finite: 1-norm inf",
+                                     lambda tmp: transition_kernel(DRIFT, 1.7e308)),
     "solve_lyapunov (2, 3)": (ValueError, "must be a square 2-d array", lambda tmp: solve_lyapunov(np.ones((2, 3)))),
     "load_prices no valid row": (IngestionError, "no valid price rows",
                                  lambda tmp: load_prices(write(tmp, "date,A,B\nd0,1.0\nd1,-1.0,2.0\n"))),

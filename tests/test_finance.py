@@ -5,14 +5,18 @@ import numpy as np
 import pytest
 
 from sparse_ou import (
+    Trajectory,
+    cross_validate_sigma,
     default_lambda_grid,
     ema_log_returns,
     estimate_mean_sigma,
     generate_shifted_antisymmetric,
     load_prices,
     make_drift,
+    mle,
     sample_sigma_trajectory,
     sample_trajectory,
+    sufficient_stats,
 )
 from sparse_ou.cli import main
 from sparse_ou.errors import IngestionError
@@ -205,3 +209,38 @@ class TestFinanceModelJson:
         assert payload["tickers"] == ["A", "B"]
         assert payload["m"] == m.tolist() and payload["sigma"] == sigma.ravel().tolist()
         assert len(payload["A"]) == 4 and payload["lambda"] in default_lambda_grid(3)
+
+
+def write_log_prices(path, log_p):
+    days = [datetime.date(2000, 1, 1) + datetime.timedelta(days=k) for k in range(log_p.shape[0])]
+    header = "date," + ",".join(f"S{j}" for j in range(log_p.shape[1]))
+    lines = [f"{day}," + ",".join(f"{np.exp(v):.10f}" for v in row) for day, row in zip(days, log_p)]
+    return write_csv(path, "\n".join([header, *lines]) + "\n")
+
+
+def test_price_pipeline_on_iid_returns_has_a_known_answer(tmp_path):
+    # The EMA R_k = a r_k + (1 - a) R_(k-1), a = 2 / (span + 1), of i.i.d. N(0, s^2) log-returns is exactly an
+    # AR(1) with phi = 1 - a on each ticker, independently.  So the Riemann-sum MLE's diagonal, (1 - phi_hat) / dt at
+    # dt = 1 day, targets a, and the quadratic variation E[dR^2] = a^2 (s^2 + Var R) targets 2 a^2 / (2 - a) s^2.
+    # Figures over these 20 panels (100 diagonal entries): MLE diagonal mean 0.18381 (se 0.00095), QV / s^2 mean
+    # 0.036221 (se 0.00011), CV diagonal mean 0.1627, and no off-diagonal nonzero in 400.  Tolerances are 3 se.
+    span, s, d, n_panels = 10, 0.01, 5, 20
+    a = 2.0 / (span + 1.0)
+    mle_diag, qv_diag, cv_diag, off_diagonal_nonzeros = [], [], [], 0
+    for i in range(n_panels):
+        log_p = np.cumsum(np.random.default_rng(1000 + i).normal(0.0, s, size=(2600, d)), axis=0)
+        traj = ema_log_returns(load_prices(write_log_prices(tmp_path / f"p{i}.csv", log_p)), span=span)
+        m_hat, sigma_hat = estimate_mean_sigma(traj)
+        fit = cross_validate_sigma(traj, m_hat, sigma_hat, gamma=1.0).best_estimate.matrix
+        off_diagonal_nonzeros += np.count_nonzero(fit[~np.eye(d, dtype=bool)])
+        cv_diag.extend(np.diag(fit))
+        centred = Trajectory(dt=traj.dt, states=traj.states - m_hat)
+        mle_diag.extend(np.diag(mle(sufficient_stats(centred)).matrix))
+        qv_diag.extend(np.diag(sigma_hat @ sigma_hat.T) / s**2)
+    assert off_diagonal_nonzeros <= 0.01 * n_panels * d * (d - 1)
+    # least squares with an estimated mean biases phi_hat by -(1 + 3 phi) / n (Kendall 1954): +0.00133 on a here
+    bias = (1.0 + 3.0 * (1.0 - a)) / traj.n_steps
+    assert abs(np.mean(mle_diag) - (a + bias)) <= 3 * 0.00095
+    assert abs(np.mean(qv_diag) - 2.0 * a**2 / (2.0 - a)) <= 3 * 0.00011
+    # the penalty shrinks the selected fit's diagonal below the MLE's
+    assert 0.5 * a < np.mean(cv_diag) < np.mean(mle_diag)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,7 +7,7 @@ from scipy.integrate import quad_vec
 
 from sparse_ou import StabilityError, generate_sparse_drift, linops, solve_lyapunov
 from sparse_ou.errors import NumericError
-from sparse_ou.linops import _THETA, as_square_matrix, expm
+from sparse_ou.linops import _THETA, _pade_coefficients, as_square_matrix, expm
 
 from conftest import random_stable_matrix
 
@@ -138,3 +140,54 @@ class TestExpm:
     def test_strongly_non_normal(self):
         # ||A||_1 = 501.5 takes the squaring branch; the off-diagonal dwarfs the eigenvalues -1 and -1.5
         assert expm_gap(np.array([[-1.0, 500.0], [0.0, -1.5]])) <= EXPM_RTOL
+
+
+def two_branch_expm(a: np.ndarray) -> np.ndarray:
+    """A reference coding of expm with two evaluations: degrees 3-9 by the power list, degree 13 by A^2, A^4, A^6."""
+    norm = float(np.linalg.norm(a, 1))
+    eye = np.eye(a.shape[0])
+    for m in (3, 5, 7, 9):
+        if norm <= _THETA[m]:
+            b = _pade_coefficients(m)
+            powers = [eye, a @ a]  # A^0, A^2, ..., A^(m-1)
+            for _ in range(m // 2 - 1):
+                powers.append(powers[-1] @ powers[1])
+            u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(powers))
+            v = sum(b[2 * k] * p for k, p in enumerate(powers))
+            return np.linalg.solve(v - u, v + u)
+    b = _pade_coefficients(13)
+    s = max(0, math.ceil(math.log2(norm / _THETA[13])))
+    a = a / 2.0**s
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
+def band_arguments(d, norm):
+    """-A of five generated truths at dimension d, each scaled to 1-norm ``norm``."""
+    for seed in range(5):
+        a = -generate_sparse_drift(d, max(1, round(0.2 * d)), seed).matrix
+        yield a * (norm / np.linalg.norm(a, 1))
+
+
+class TestExpmAgainstTwoBranchCoding:
+    # every benchmark kernel has ||A dt||_1 <= 0.223, inside the degree-5 band, so its bits must not move
+    @pytest.mark.parametrize("norm", [0.01, 0.2, 0.9, 2.0], ids=["degree 3", "degree 5", "degree 7", "degree 9"])
+    @pytest.mark.parametrize("d", [1, 10, 40])
+    def test_bit_identical_below_theta_9(self, d, norm):
+        for a in band_arguments(d, norm):
+            assert np.array_equal(expm(a), two_branch_expm(a))
+
+    @pytest.mark.parametrize("norm", [5.0, 20.0], ids=["degree 13", "squaring"])
+    @pytest.mark.parametrize("d", [1, 10, 40])
+    def test_within_tolerance_above_theta_9(self, d, norm):
+        # the reference evaluates degree 13 from A^2, A^4 and A^6, one product fewer, so only rounding differs
+        for a in band_arguments(d, norm):
+            reference = two_branch_expm(a)
+            assert np.linalg.norm(expm(a) - reference) <= EXPM_RTOL * np.linalg.norm(reference)

@@ -138,6 +138,8 @@ class TestDeviationBounds:
         with pytest.raises(ValueError):
             deviation_bounds(-1.0, np.array([1.0]), np.eye(1))
         with pytest.raises(ValueError):
+            deviation_bounds(math.inf, np.array([1.0]), np.eye(1))
+        with pytest.raises(ValueError):
             deviation_bounds(0.5, np.array([2.0]), np.eye(1))
         with pytest.raises(ValueError):
             deviation_bounds(0.5, np.zeros(2), np.eye(2))
