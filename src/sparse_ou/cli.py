@@ -301,7 +301,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, GenerationError, IngestionError, NumericError, StabilityError) as exc:
+    except (ValueError, OSError, MemoryError, GenerationError, IngestionError, NumericError, StabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

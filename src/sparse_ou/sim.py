@@ -9,6 +9,16 @@ Gaussian transition
 with C the stationary covariance of A.  Sampling through (phi, Q) is free
 of discretization bias, so coarsening the observation grid (subsampling)
 is the only source of time-step effects downstream.
+
+A path is the one path-sized array a replication holds.  The sampler's
+normal draws, the finiteness check of a :class:`Trajectory` and the Ito
+increments of ``stats.sufficient_stats`` are formed in consecutive row
+blocks of at least ``_BLOCK_ROWS`` rows (:func:`_row_blocks`), never for the
+whole path at once.  Blocks have a minimum length because short ones round
+differently: numpy sends a one-row matmul to gemv, and OpenBLAS sends a
+few-row one to its small-matrix kernel, whereas a block of 1 024 rows or
+more rounds as the whole-path gemm does, so the sampled path is
+bit-identical to drawing all the noise at once.
 """
 
 from __future__ import annotations
@@ -36,6 +46,16 @@ __all__ = [
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 DEFAULT_DT = 0.01  # the observation step of simulate and of a benchmark sweep unless one is given
+_BLOCK_ROWS = 1024  # the shortest row block that a path-sized array is cut into
+
+
+def _row_blocks(n: int) -> list[tuple[int, int]]:
+    """Consecutive (lo, hi) row ranges that cover rows 0 to n - 1, each of at least ``_BLOCK_ROWS`` rows.
+
+    The remainder joins the last block, so fewer than 2 * ``_BLOCK_ROWS`` rows make one block.
+    """
+    edges = [k * _BLOCK_ROWS for k in range(max(n // _BLOCK_ROWS, 1))] + [n]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -61,7 +81,7 @@ class Trajectory:
         states = np.asarray(self.states, dtype=float)
         if states.ndim != 2 or states.shape[0] < 2 or states.shape[1] < 1:
             raise ValueError(f"states must be (n+1, d) with n >= 1 and d >= 1, got {states.shape}")
-        if not np.all(np.isfinite(states)):
+        if not all(np.isfinite(states[lo:hi]).all() for lo, hi in _row_blocks(states.shape[0])):
             raise ValueError("states contain non-finite values")
         if not self.dt > 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
@@ -133,6 +153,10 @@ def sample_trajectory(
 
     X_0 is drawn from N(0, C).  Deterministic given ``seed``.  ``kernel``, a (phi, Q) built for ``dt``,
     is kept only because bench/harness.py passes it: the path is bit-identical without it.
+
+    The noise is drawn and multiplied by L^T one row block (:func:`_row_blocks`) at a time, straight into the
+    path, so no second path-sized array is held; the blocks' minimum length keeps the path bit-identical to
+    drawing all n x d normals at once.
     """
     n = step_count(T, dt)
     if kernel is None:
@@ -145,7 +169,8 @@ def sample_trajectory(
     # the same gemv; e + phi X_k rounds exactly as phi X_k + e does
     states = np.empty((n + 1, d))
     states[0] = _cholesky_psd(drift.stationary_cov) @ rng.standard_normal(d)
-    np.matmul(rng.standard_normal((n, d)), kernel.noise_chol.T, out=states[1:])
+    for lo, hi in _row_blocks(n):
+        np.matmul(rng.standard_normal((hi - lo, d)), kernel.noise_chol.T, out=states[1 + lo:1 + hi])
     phi_dot = kernel.phi.dot
     step = np.empty(d)
     prev = states[0]

@@ -10,6 +10,12 @@ G_ij = (1/T) int X^j dX^i collects the Ito cross-integrals.  On a discrete
 grid both integrals are evaluated at the left endpoint: the Ito sum must
 pair X_k with the increment X_{k+1} - X_k (a midpoint rule would bias the
 drift estimate), and the Riemann sum for C uses the same convention.
+
+G is summed over the sampler's row blocks (``sim._row_blocks``), so the
+increments are never formed for the whole path at once.  A path of fewer
+than 2 048 steps is one block and gives the bits of the single product
+dX^T X; a longer one differs from it at rounding level only.  C is one
+product on a view of the path and needs no temporary.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .sim import Trajectory
+from .sim import Trajectory, _row_blocks
 
 __all__ = [
     "SufficientStats",
@@ -61,12 +67,16 @@ class LambdaConfig:
 
 def sufficient_stats(traj: Trajectory) -> SufficientStats:
     """Left-endpoint discretization of (C, G) from a sampled path."""
-    x = traj.states[:-1]
-    dx = np.diff(traj.states, axis=0)
+    states = traj.states
+    x = states[:-1]
     T = traj.horizon
     c = (x.T @ x) * (traj.dt / T)
     c = 0.5 * (c + c.T)
-    g = (dx.T @ x) / T
+    products = ((states[lo + 1:hi + 1] - x[lo:hi]).T @ x[lo:hi] for lo, hi in _row_blocks(traj.n_steps))
+    g = next(products)  # taken as is, not added to zeros: a one-block G has the single product's bits
+    for product in products:
+        g += product
+    g /= T
     return SufficientStats(c_hat=c, g_hat=g, horizon=T)
 
 

@@ -728,6 +728,24 @@ def test_overflowing_step_is_runtime_error(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+# 1e14 steps of d = 3 need 2.4e15 bytes, above the 2**48-byte address space, so numpy refuses at once and
+# nothing is touched; never test a size a machine might try to allocate
+IMPOSSIBLY_LONG_PATH = {
+    "simulate": ["simulate", "--d", 3, "--T", 1e12],
+    "benchmark": ["benchmark", "--kind", "sweep", "--d-values", 3, "--t-values", 1e12, "--reps", 1, "--jobs", 1],
+    "benchmark oracle_coverage --jobs 2": ["benchmark", "--kind", "oracle_coverage", "--d-values", 3,
+                                           "--t-values", 1e12, "--reps", 1, "--jobs", 2],
+}
+
+
+@pytest.mark.parametrize("argv", IMPOSSIBLY_LONG_PATH.values(), ids=IMPOSSIBLY_LONG_PATH.keys())
+def test_unallocatable_path_is_runtime_error(tmp_path, capsys, argv):
+    assert run([*argv, "--out", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: Unable to allocate .* for an array with shape \(100000000000001, 3\).*\n", err)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.fixture(scope="module")
 def inputs(sim_files, tmp_path_factory):
     traj, drift = sim_files

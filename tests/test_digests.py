@@ -1,10 +1,11 @@
 """Fixed-seed digests of every subcommand's outputs, against the table in ``digests.json``.
 
-Thirteen ``cli.main`` commands run in one temporary directory: ``simulate`` of each kind, ``fit`` by four routes,
-the three ``benchmark`` kinds, ``finance`` and both ``diagnostics`` modes.  Each command's exit code and stdout
+Fourteen ``cli.main`` commands run in one temporary directory: ``simulate`` of each kind, ``fit`` by four routes,
+the MLE on a 5 000-step path whose statistics span several row blocks, the three ``benchmark`` kinds, ``finance``
+and both ``diagnostics`` modes.  Each command's exit code and stdout
 line, and the SHA-256 of every file the directory ends with, must equal the table's.  Timing fields are left out
 of the digests: the ``wall_time`` column of a benchmark CSV, and the ``wall_time_*`` fields and ``config.out`` of
-its summary.  ``fit`` and ``re-constant`` read a path this module writes with numpy alone, and ``finance`` a price
+its summary.  ``fit`` and ``re-constant`` read paths this module writes with numpy alone, and ``finance`` a price
 file written the same way, so their digests move only when the fit moves, not when the sampler does.
 
 The digests are bit-level, so they hold for one numpy and BLAS build on one kind of CPU; the table records the
@@ -38,6 +39,8 @@ COMMANDS = {
     "fit adalasso theory": ["fit", "--traj", "path.csv", "--method", "adalasso", "--lambda", "theory",
                             "--out", "theory.json"],
     "fit adalasso cv": ["fit", "--traj", "path.csv", "--method", "adalasso", "--truth", TRUTH, "--out", "cv.json"],
+    "fit mle 5000 steps": ["fit", "--traj", "long_path.csv", "--method", "mle", "--truth", TRUTH,
+                           "--out", "mle_long.json"],
     "benchmark sweep": ["benchmark", "--kind", "sweep", "--d-values", "4,6", "--t-values", "5,10",
                         "--dt-values", "0.01,0.05", "--reps", 2, "--jobs", 1, "--out", "sweep.csv"],
     "benchmark oracle_coverage": ["benchmark", "--kind", "oracle_coverage", "--d-values", 4, "--t-values", 10,
@@ -55,21 +58,27 @@ def build() -> dict:
     return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}"}
 
 
+def euler_path(truth, steps: int, rng: np.random.Generator) -> Trajectory:
+    dt, states = 0.01, [np.zeros(truth.dim)]
+    for z in rng.normal(size=(steps, truth.dim)):
+        states.append(states[-1] - dt * (truth.matrix @ states[-1]) + np.sqrt(dt) * z)
+    return Trajectory(dt=dt, states=np.array(states))
+
+
 def write_inputs() -> None:
-    """A sparse truth, an Euler path of it and a 260-day, 3-ticker price file, both drawn with numpy alone."""
+    """A sparse truth, Euler paths of it of 2 000 and 5 000 steps and a 260-day, 3-ticker price file, all drawn
+    with numpy alone."""
     truth = generate_sparse_drift(6, 1, 5)
     save_drift_json(TRUTH, truth)
     rng = np.random.default_rng(11)
-    dt, states = 0.01, [np.zeros(truth.dim)]
-    for z in rng.normal(size=(2000, truth.dim)):
-        states.append(states[-1] - dt * (truth.matrix @ states[-1]) + np.sqrt(dt) * z)
-    save_trajectory_csv("path.csv", Trajectory(dt=dt, states=np.array(states)))
+    save_trajectory_csv("path.csv", euler_path(truth, 2000, rng))
     log_p = np.cumsum(rng.normal(0.0002, 0.01, size=(260, 3)), axis=0)
     lines = ["date,S0,S1,S2"]
     for k, row in enumerate(log_p):
         day = datetime.date(2000, 1, 1) + datetime.timedelta(days=k)
         lines.append(f"{day}," + ",".join(f"{np.exp(v):.10f}" for v in row))
     Path("prices.csv").write_text("\n".join(lines) + "\n")
+    save_trajectory_csv("long_path.csv", euler_path(truth, 5000, rng))
 
 
 def digest(path: Path) -> str:

@@ -74,6 +74,9 @@ def write(tmp_path, text):
 DATA_CHECKS = {
     "sampled path with NaN states": (ValueError, "states contain non-finite values",
                                      lambda tmp: sample_trajectory(DRIFT, 1.0, 0.1, 0, kernel=NAN_KERNEL)),
+    "Trajectory inf in its last row block": (ValueError, "states contain non-finite values",
+                                             lambda tmp: Trajectory(dt=0.1, states=np.vstack([np.zeros((3000, 3)),
+                                                                                              [[0, np.inf, 0]]]))),
     "Trajectory dt=0": (ValueError, "dt must be > 0", lambda tmp: Trajectory(dt=0.0, states=np.zeros((2, 3)))),
     "subsample factor 1.5": (ValueError, "factor must be a positive integer",
                              lambda tmp: subsample(sample_trajectory(DRIFT, 1.0, 0.1, 0), 1.5)),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,11 +12,14 @@ from sparse_ou import (
     make_drift,
     sample_trajectory,
     subsample,
+    sufficient_stats,
 )
 from sparse_ou.errors import NumericError
 from sparse_ou.sim import (
+    _BLOCK_ROWS,
     TransitionKernel,
     _cholesky_psd,
+    _row_blocks,
     derive_seed,
     load_trajectory_csv,
     save_trajectory_csv,
@@ -187,7 +191,12 @@ class TestInPlaceRecursionParity:
 
     DT = 0.01
 
-    @pytest.fixture(scope="class", params=[(10, 2000), (40, 500)], ids=["d10", "d40"])
+    # n = 2 047 is one row block, 2 049 is 1 024 + 1 025 rows and 3 073 is 1 024 + 1 024 + 1 025: a 1-row tail
+    # block would go to gemv and round differently, so the tail joins the last full block
+    CASES = {"d10": (10, 2000), "d40": (40, 500),
+             **{f"d{d}-n{n}": (d, n) for d in (10, 40) for n in (2047, 2049, 3073)}}
+
+    @pytest.fixture(scope="class", params=CASES.values(), ids=CASES.keys())
     def case(self, request):
         d, n = request.param
         drift = generate_sparse_drift(d, 3, seed=d)
@@ -210,6 +219,57 @@ class TestInPlaceRecursionParity:
         traj = sample_trajectory(drift, T=T, dt=self.DT, seed=23, kernel=kernel)
         expected = reference_sample_states(drift, T, self.DT, 23, kernel=kernel)
         assert np.array_equal(traj.states, expected)
+
+
+@pytest.mark.parametrize("n", [1, 2, 1023, 1024, 1025, 2047, 2048, 2049, 3073, 20_000])
+def test_row_blocks_cover_the_rows_in_blocks_of_at_least_block_rows(n):
+    blocks = _row_blocks(n)
+    assert blocks[0][0] == 0 and blocks[-1][1] == n
+    assert all(hi == lo for (_, hi), (lo, _) in zip(blocks, blocks[1:]))
+    assert len(blocks) == max(n // _BLOCK_ROWS, 1)
+    if n >= _BLOCK_ROWS:
+        assert min(hi - lo for lo, hi in blocks) >= _BLOCK_ROWS
+
+
+class TestPeakMemory:
+    """The path is the only path-sized array: draws, increments and the finiteness check run in row blocks.
+
+    At d = 10 and n = 20 000 the path is 1.6 MB.  Traced peaks with whole-path temporaries were 2.00 x the path
+    for the sampler, 1 604 KB for the statistics and 201 KB for ``Trajectory(...)``; in row blocks they are
+    1.08 x, 131 KB and 18 KB.  The bounds sit between the two: 1.25 x, 0.25 x and 0.05 x the path.
+    """
+
+    D, N, DT = 10, 20_000, 0.01
+
+    @pytest.fixture(scope="class")
+    def drift(self):
+        return generate_sparse_drift(self.D, 2, seed=3)
+
+    @staticmethod
+    def traced_peak(fn, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            result = fn(*args, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return result, peak
+
+    def test_sampler_holds_one_path(self, drift):
+        kernel = transition_kernel(drift, self.DT)
+        traj, peak = self.traced_peak(sample_trajectory, drift, self.N * self.DT, self.DT, 5, kernel=kernel)
+        assert traj.n_steps == self.N
+        assert peak <= 1.25 * traj.states.nbytes
+
+    def test_statistics_form_no_path_sized_increments(self, drift):
+        traj = sample_trajectory(drift, self.N * self.DT, self.DT, 5)
+        _, peak = self.traced_peak(sufficient_stats, traj)
+        assert peak <= 0.25 * traj.states.nbytes
+
+    def test_finiteness_check_forms_no_path_sized_mask(self, drift):
+        states = sample_trajectory(drift, self.N * self.DT, self.DT, 5).states
+        _, peak = self.traced_peak(Trajectory, dt=self.DT, states=states)
+        assert peak <= 0.05 * states.nbytes
 
 
 class TestSubsample:

@@ -14,7 +14,7 @@ from sparse_ou import (
     sufficient_stats,
     theoretical_lambda,
 )
-from sparse_ou.sim import derive_seed
+from sparse_ou.sim import _BLOCK_ROWS, derive_seed
 
 from conftest import random_stats
 
@@ -57,6 +57,35 @@ class TestSufficientStats:
                 traj = sample_trajectory(drift, T, 0.05, derive_seed(17, rep))
                 errs[T].append(np.linalg.norm(sufficient_stats(traj).c_hat - c_inf))
         assert np.mean(errs[1000.0]) < np.mean(errs[10.0])
+
+
+def whole_path_stats(traj: Trajectory) -> SufficientStats:
+    """`sufficient_stats` as it was before G was summed over row blocks: one product with the full np.diff."""
+    x = traj.states[:-1]
+    dx = np.diff(traj.states, axis=0)
+    T = traj.horizon
+    c = (x.T @ x) * (traj.dt / T)
+    c = 0.5 * (c + c.T)
+    g = (dx.T @ x) / T
+    return SufficientStats(c_hat=c, g_hat=g, horizon=T)
+
+
+class TestRowBlockParity:
+    """C is bit-identical to the whole-path product at every n; G is too on one block (n < 2 048), and
+    within rounding of it on several."""
+
+    @pytest.mark.parametrize("n", [1, 2, 31, 1025, 2047, 2048, 2049, 3073, 10_000], ids=lambda n: f"n{n}")
+    @pytest.mark.parametrize("d", [1, 3, 10, 40], ids=lambda d: f"d{d}")
+    def test_matches_the_whole_path_product(self, d, n):
+        rng = np.random.default_rng(1000 * d + n)
+        states = np.cumsum(rng.standard_normal((n + 1, d)), axis=0) * 0.1
+        traj = Trajectory(dt=0.01, states=states)
+        got, ref = sufficient_stats(traj), whole_path_stats(traj)
+        assert np.array_equal(got.c_hat, ref.c_hat)
+        if n < 2 * _BLOCK_ROWS:
+            assert got.g_hat.tobytes() == ref.g_hat.tobytes()
+        else:
+            assert np.linalg.norm(got.g_hat - ref.g_hat) <= 1e-13 * np.linalg.norm(ref.g_hat)
 
 
 class TestNegLogLikelihood:
